@@ -41,8 +41,8 @@ def _cmd_point(args) -> int:
         sys.stderr.write(f"--alpha is required for scheme {args.scheme}\n")
         return 2
     alpha = 0.0 if args.alpha is None else args.alpha
-    cutoff = default_cutoff() if args.cutoff is None else args.cutoff
     try:
+        cutoff = default_cutoff() if args.cutoff is None else args.cutoff
         row = sweep_mod.evaluate_point(
             args.scheme, alpha, args.T, args.Tp, cutoff, args.x_max, args.points
         )
@@ -61,7 +61,7 @@ def _cmd_sweep(args) -> int:
     except FileNotFoundError:
         sys.stderr.write(f"error: no such config file: {args.config}\n")
         return 1
-    except sweep_mod.ConfigError as exc:
+    except ValueError as exc:  # ConfigError, or a point rejected mid-run
         sys.stderr.write(f"error: {exc}\n")
         return 1
     sys.stderr.write(f"wrote {count} rows to {config.output_path}\n")

@@ -46,6 +46,8 @@ def closed_form(scheme: str, alpha: float, T: float, T_prime: float = 1.0) -> Cl
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     T = _check_range(T, "T")
     T_prime = _check_range(T_prime, "T_prime")
     tau = T * T_prime

@@ -211,9 +211,12 @@ def coherent_tail_mass(alpha: complex, cutoff: int) -> float:
     """Photon-number probability above the cutoff for a coherent state.
 
     Summed upward from n = cutoff + 1, so no cancellation occurs even
-    when the tail is far below machine epsilon.
+    when the tail is far below machine epsilon.  Non-finite amplitudes
+    are rejected, since the loop would never meet its exit test.
     """
     mu = abs(alpha) ** 2
+    if not math.isfinite(mu):
+        raise ValueError("coherent amplitude must be finite")
     if mu == 0.0:
         return 0.0
     term = math.exp(-mu)

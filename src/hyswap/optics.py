@@ -354,14 +354,25 @@ def homodyne_vector(register: ModeRegister, mode: str, x: float, theta: float = 
     )
 
 
+@lru_cache(maxsize=64)
+def _homodyne_grid_cached(x_max: float, points: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes, weights = nodes * x_max, weights * x_max
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def homodyne_grid(x_max: float = 6.0, points: int = 201) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-x_max, x_max]."""
+    """Gauss-Legendre nodes and weights on [-x_max, x_max].
+
+    Memoized on (x_max, points); the returned arrays are read-only.
+    """
     if points < 1:
         raise ValueError("homodyne grid needs at least one point")
-    if x_max <= 0.0:
-        raise ValueError("x_max must be positive")
-    nodes, weights = np.polynomial.legendre.leggauss(points)
-    return nodes * x_max, weights * x_max
+    if not 0.0 < x_max < math.inf:
+        raise ValueError("x_max must be positive and finite")
+    return _homodyne_grid_cached(float(x_max), points)
 
 
 def with_inefficiency(elements, T_prime: float):

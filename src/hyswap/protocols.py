@@ -17,15 +17,20 @@ Three midpoint measurements are implemented:
   against an ancillary coherent beam (two on-off detectors must both
   click) and mode D is read out by homodyne along the x_{pi/2}
   quadrature; every quadrature value is accepted and a feed-forward
-  phase on C undoes the outcome-dependent rotation.
+  phase on C undoes the outcome-dependent rotation.  The ancilla never
+  enters the register: the vacuum test acts on B as a d x d filter R
+  with R†R = M, the test's operator on B (see ``he_swap_homodyne``).
 
 Channel loss is realized as a transmission-T splitter against a vacuum
 environment mode, which keeps the global state pure until measurement;
 the reduced A-C state then never requires a full-register density
-matrix.  Detector inefficiency T' enters as the substitution
-T -> T * T' (loss commutes with the balanced midpoint splitter, and an
-inefficient detector is an ideal one behind a loss); the tests check
-that substitution against explicitly modeled inefficient detectors.
+matrix.  Each pair meets its loss splitter on its own 2 d^2-amplitude
+(local, traveling, env) register before the pairs are tensored, which is
+exact because the two splitters act on disjoint modes.
+Detector inefficiency T' enters as the substitution T -> T * T' (loss
+commutes with the balanced midpoint splitter, and an inefficient
+detector is an ideal one behind a loss); the tests check that
+substitution against explicitly modeled inefficient detectors.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .optics import (
     BeamSplitterParams,
     MeasurementElement,
     apply_bs,
+    bs_unitary,
     fock_projector,
     homodyne_grid,
     measure_and_reduce,
@@ -125,6 +131,12 @@ def _check_unit(value: float, name: str) -> float:
     return v
 
 
+def _check_alpha(alpha: float) -> float:
+    if not math.isfinite(alpha := float(alpha)):
+        raise ValueError("alpha must be finite")
+    return alpha
+
+
 def _resolve_cutoff(cutoff: int | None) -> int:
     c = default_cutoff() if cutoff is None else int(cutoff)
     if c < 2:
@@ -140,12 +152,20 @@ def _zero_rho() -> DensityOperator:
     return DensityOperator(_ac_register(), np.zeros((4, 4), dtype=np.complex128))
 
 
-def _losses_and_midpoint(psi: StateVector, tau: float) -> StateVector:
-    """Loss on B and D against Eb/Ed, then the 50:50 midpoint splitter."""
+def _lossy_pairs_at_midpoint(make_pair, param, c: int, tau: float) -> StateVector:
+    """Both pairs through their loss splitters, then the 50:50 midpoint.
+
+    ``make_pair(register, local, traveling, param)`` builds one pair on a
+    (local, traveling, env) register, env in vacuum; the result is
+    ordered (A, B, Eb, C, D, Ed).
+    """
     loss = BeamSplitterParams.from_transmission(tau)
-    psi = apply_bs(psi, "B", "Eb", loss)
-    psi = apply_bs(psi, "D", "Ed", loss)
-    return apply_bs(psi, "B", "D", FIFTY_FIFTY)
+    pairs = []
+    for local, trav in (("A", "B"), ("C", "D")):
+        env = "E" + trav.lower()
+        reg = ModeRegister(((local, qubit()), (trav, bosonic(c)), (env, bosonic(c))))
+        pairs.append(apply_bs(make_pair(reg, local, trav, param), trav, env, loss))
+    return apply_bs(tensor(*pairs), "B", "D", FIFTY_FIFTY)
 
 
 def _assemble(scheme: str, outcomes: list[SwapOutcome], echo: dict) -> SwapResult:
@@ -191,14 +211,7 @@ def dv_swap(T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapRe
     cutoff = _resolve_cutoff(cutoff)
     tau = T * T_prime
     c = min(cutoff, 2)
-    pair_ab = make_vsp_bell(
-        ModeRegister((("A", qubit()), ("B", bosonic(c)))), "A", "B", "phi+"
-    )
-    pair_cd = make_vsp_bell(
-        ModeRegister((("C", qubit()), ("D", bosonic(c)))), "C", "D", "phi+"
-    )
-    envs = make_fock(ModeRegister((("Eb", bosonic(c)), ("Ed", bosonic(c)))))
-    psi = _losses_and_midpoint(tensor(tensor(pair_ab, pair_cd), envs), tau)
+    psi = _lossy_pairs_at_midpoint(make_vsp_bell, "phi+", c, tau)
     echo = {"scheme": "dv", "alpha": None, "T": T, "T_prime": T_prime, "cutoff": cutoff}
     return _collect_outcomes(psi, [(0, 1), (1, 0)], "dv", echo)
 
@@ -210,19 +223,12 @@ def he_swap_spd(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None
     vacuum) on (B, D); any "two or more" count is rejected.  Heralded
     A-C states are Bell-like with coherences damped by channel loss.
     """
-    alpha = float(alpha)
+    alpha = _check_alpha(alpha)
     T = _check_unit(T, "T")
     T_prime = _check_unit(T_prime, "T_prime")
     cutoff = _resolve_cutoff(cutoff)
     tau = T * T_prime
-    pair_ab = make_hybrid_pair(
-        ModeRegister((("A", qubit()), ("B", bosonic(cutoff)))), "A", "B", alpha
-    )
-    pair_cd = make_hybrid_pair(
-        ModeRegister((("C", qubit()), ("D", bosonic(cutoff)))), "C", "D", alpha
-    )
-    envs = make_fock(ModeRegister((("Eb", bosonic(cutoff)), ("Ed", bosonic(cutoff)))))
-    psi = _losses_and_midpoint(tensor(tensor(pair_ab, pair_cd), envs), tau)
+    psi = _lossy_pairs_at_midpoint(make_hybrid_pair, alpha, cutoff, tau)
     echo = {
         "scheme": "he_spd", "alpha": alpha, "T": T, "T_prime": T_prime,
         "cutoff": cutoff,
@@ -233,6 +239,18 @@ def he_swap_spd(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None
 def _feed_forward_phase(alpha: float, T: float, x: float) -> float:
     """Correction angle phi_c = 4 sqrt(T) alpha x for the homodyne scheme."""
     return 4.0 * math.sqrt(T) * alpha * x
+
+
+def _vacuum_test_filter(d: int, beta: float) -> np.ndarray:
+    """Factor R of the two-click test on B: R†R = <beta| U† (P_B>=1 ⊗ P_E>=1) U |beta>.
+
+    Column k of C holds the clicked outputs of U(|k> ⊗ |beta>), so C†C is
+    that operator and C = QR gives R without an eigenvalue square root.
+    """
+    U = bs_unitary(d, d, FIFTY_FIFTY).reshape(d, d, d, d)  # (b', e', b, e)
+    anc = make_coherent(ModeRegister((("E", bosonic(d - 1)),)), "E", beta)
+    C = (U @ anc.amplitudes)[1:, 1:].reshape(-1, d)
+    return np.linalg.qr(C, mode="r")
 
 
 def he_swap_homodyne(
@@ -246,15 +264,22 @@ def he_swap_homodyne(
 
     After the midpoint splitter, mode B interferes on a second 50:50
     splitter with an ancillary coherent beam of amplitude
-    sqrt(2 * T * T') * alpha; a click on both output on-off detectors
-    certifies that B carried the (near-)vacuum branch.  Mode D is then
-    read out along the x_{pi/2} quadrature on a Gauss-Legendre grid, and
-    the outcome-dependent phase is undone on C by the feed-forward
-    correction.	 All quadrature values are accepted: only the two clicks
-    gate success.  The single reported outcome carries the
-    quadrature-averaged corrected state.
+    beta = sqrt(2 * T * T') * alpha; a click on both output on-off
+    detectors certifies that B carried the (near-)vacuum branch.  Mode D
+    is then read out along the x_{pi/2} quadrature on a Gauss-Legendre
+    grid, and the outcome-dependent phase is undone on C by the
+    feed-forward correction.  All quadrature values are accepted: only
+    the two clicks gate success.  The single reported outcome carries
+    the quadrature-averaged corrected state.
+
+    Loss is applied per pair.  The ancilla E never enters the register:
+    splitter, both clicks and the trace over E act on B as the d x d
+    M = <beta| U† (P_B>=1 ⊗ P_E>=1) U |beta>, applied as R with R†R = M,
+    so the register stays at 4 d^4 amplitudes.  The quadrature sum is
+    one Gram matrix G = X X† of the (A, C, D | rest) matrix X, contracted
+    with K_k = V diag(w e^{-i k phi(x)}) V† for C-bit difference k.
     """
-    alpha = float(alpha)
+    alpha = _check_alpha(alpha)
     T = _check_unit(T, "T")
     T_prime = _check_unit(T_prime, "T_prime")
     cutoff = _resolve_cutoff(cutoff)
@@ -264,47 +289,21 @@ def he_swap_homodyne(
     xs, ws = np.asarray(x_grid[0], dtype=float), np.asarray(x_grid[1], dtype=float)
     if xs.size == 0 or xs.size != ws.size:
         raise ValueError("homodyne grid must supply matching nodes and weights")
-    c = cutoff
-    pair_ab = make_hybrid_pair(
-        ModeRegister((("A", qubit()), ("B", bosonic(c)))), "A", "B", alpha
-    )
-    pair_cd = make_hybrid_pair(
-        ModeRegister((("C", qubit()), ("D", bosonic(c)))), "C", "D", alpha
-    )
-    anc = make_coherent(
-        ModeRegister((("E", bosonic(c)),)), "E", math.sqrt(2.0 * tau) * alpha
-    )
-    envs = make_fock(ModeRegister((("Eb", bosonic(c)), ("Ed", bosonic(c)))))
-    psi = tensor(tensor(tensor(pair_ab, pair_cd), anc), envs)
-    psi = _losses_and_midpoint(psi, tau)
-    psi = apply_bs(psi, "B", "E", FIFTY_FIFTY)
+    d = cutoff + 1
+    psi = _lossy_pairs_at_midpoint(make_hybrid_pair, alpha, cutoff, tau)
 
-    # both on-off detectors click: drop the vacuum slice of B and of E
-    reg = psi.register
-    t = psi.tensor_view().copy()
-    for mode in ("B", "E"):
-        idx = [slice(None)] * len(reg.dims)
-        idx[reg.axis(mode)] = 0
-        t[tuple(idx)] = 0.0
+    # both clicks as R on B, then (A, B, Eb, C, D, Ed) -> (A, C, D | Eb, Ed, B)
+    R = _vacuum_test_filter(d, math.sqrt(2.0 * tau) * alpha)
+    t = np.tensordot(psi.tensor_view(), R, axes=([1], [1]))
+    X = np.transpose(t, (0, 2, 3, 1, 4, 5)).reshape(4 * d, -1)
+    G = (X @ X.conj().T).reshape(4, d, 4, d)
 
-    # reorder to (A, C, rest..., D) and contract D with the quadrature bras
-    names = list(reg.names)
-    rest = [nm for nm in names if nm not in ("A", "C", "D")]
-    perm = [reg.axis(nm) for nm in ["A", "C"] + rest + ["D"]]
-    dD = reg.dims[reg.axis("D")]
-    m = np.transpose(t, perm).reshape(4, -1, dD)
-    flat = m.reshape(-1, dD)
-    V = quadrature_amplitudes(xs, dD, math.pi / 2.0)
-
-    rho_acc = np.zeros((4, 4), dtype=np.complex128)
-    p_acc = 0.0
-    for i in range(xs.size):
-        col = (flat @ V[:, i]).reshape(4, -1)
-        phase = np.exp(-1j * _feed_forward_phase(alpha, tau, xs[i]))
-        col[1] *= phase  # AC rows with C = 1
-        col[3] *= phase
-        rho_acc += ws[i] * (col @ col.conj().T)
-        p_acc += ws[i] * float(np.vdot(col, col).real)
+    V = quadrature_amplitudes(xs, d, math.pi / 2.0)
+    phi = _feed_forward_phase(alpha, tau, xs)
+    K = np.stack([(V * (ws * np.exp(-1j * k * phi))) @ V.conj().T for k in (-1, 0, 1)])
+    cbit = np.arange(4) % 2
+    rho_acc = np.einsum("anbm,abnm->ab", G, K[cbit[:, None] - cbit[None, :] + 1])
+    p_acc = float(np.trace(rho_acc).real)
 
     echo = {
         "scheme": "he_ho", "alpha": alpha, "T": T, "T_prime": T_prime,
@@ -365,7 +364,7 @@ def build_k_povm(alpha: float, cutoff: int | None = None) -> list[MeasurementEle
     Each element factors as v v† with v = |0> ± lam |CS±>, hence is
     rank one and positive.
     """
-    alpha = float(alpha)
+    alpha = _check_alpha(alpha)
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     cutoff = _resolve_cutoff(cutoff)
@@ -398,7 +397,7 @@ def cv_bsm_failure_prob(alpha: float, cutoff: int | None = None) -> float:
     measurement fails when neither counter fires, which happens with
     probability (2 cosh 2|a|^2)^{-1} on average over equal priors.
     """
-    alpha = float(alpha)
+    alpha = _check_alpha(alpha)
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     cutoff = _resolve_cutoff(cutoff)

@@ -21,6 +21,7 @@ output is byte-identical for any worker count.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,10 +150,18 @@ def parse_config(path: str) -> SweepConfig:
         output_path=entries["output_path"],
         parallelism=_scalar("parallelism", int, 1),
     )
-    if cfg.parallelism < 1:
-        raise ConfigError("invalid value for parallelism: must be >= 1")
-    if cfg.cutoff < 2:
-        raise ConfigError("invalid value for cutoff: must be >= 2")
+    checks = [
+        ("alpha_values", all(math.isfinite(a) for a in cfg.alpha_values), "must be finite"),
+        ("T_values", all(0.0 <= t <= 1.0 for t in cfg.T_values), "must lie in [0, 1]"),
+        ("T_prime", 0.0 <= cfg.T_prime <= 1.0, "must lie in [0, 1]"),
+        ("cutoff", cfg.cutoff >= 2, "must be >= 2"),
+        ("homodyne.x_max", 0.0 < cfg.x_max < math.inf, "must be positive and finite"),
+        ("homodyne.points", cfg.points >= 1, "must be >= 1"),
+        ("parallelism", cfg.parallelism >= 1, "must be >= 1"),
+    ]
+    for key, ok, rule in checks:
+        if not ok:
+            raise ConfigError(f"invalid value for {key}: {rule}")
     return cfg
 
 

@@ -93,3 +93,10 @@ def test_validation():
 
 def test_schemes_tuple():
     assert SCHEMES == ("dv", "he_spd", "he_ho")
+
+
+def test_non_finite_alpha_is_rejected():
+    for scheme in SCHEMES:
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                closed_form(scheme, bad, 0.5)

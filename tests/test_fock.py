@@ -317,3 +317,10 @@ def test_density_operator_trace_and_normalization():
     assert abs(rho.normalized().trace() - 1.0) < 1e-15
     with pytest.raises(ValueError):
         DensityOperator(reg, np.zeros((2, 2))).normalized()
+
+
+def test_coherent_tail_mass_rejects_non_finite_amplitude():
+    # the upward sum's exit tests are never met for NaN, so it must not start
+    for bad in (float("nan"), float("inf"), complex(0.3, float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            coherent_tail_mass(bad, 4)

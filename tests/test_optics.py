@@ -460,3 +460,19 @@ def test_measure_dimension_mismatch():
     psi = make_fock(reg_b)
     with pytest.raises(ValueError, match="wrong dimension"):
         measure_and_reduce(psi, [fock_projector(reg_a, "B", 0)], ["B"])
+
+
+def test_homodyne_grid_is_cached_and_read_only():
+    xs, ws = homodyne_grid(5.0, 41)
+    nodes, weights = np.polynomial.legendre.leggauss(41)
+    assert np.array_equal(xs, nodes * 5.0)
+    assert np.array_equal(ws, weights * 5.0)
+    again = homodyne_grid(5.0, 41)
+    assert again[0] is xs and again[1] is ws
+    for arr in (xs, ws):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="x_max"):
+            homodyne_grid(bad, 5)

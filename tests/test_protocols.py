@@ -22,11 +22,13 @@ from hyswap import (
     he_swap_spd,
     homodyne_grid,
     make_cat,
+    make_coherent,
     make_fock,
     make_hybrid_pair,
     make_vsp_bell,
     measure_and_reduce,
     negativity,
+    quadrature_amplitudes,
     qubit,
     tensor,
     with_inefficiency,
@@ -397,3 +399,123 @@ def test_default_cutoff_env_validation(monkeypatch):
     monkeypatch.setenv("HYSWAP_CUTOFF", "1")
     with pytest.raises(ValueError, match="at least 2"):
         default_cutoff()
+
+
+# ---------------------------------------------------------------------------
+# full-register references: both loss splitters, the ancilla and the
+# per-node quadrature loop on one register, as the explicit route that
+# the per-pair loss, the vacuum-test filter and the Gram-form
+# contraction must reproduce
+
+
+FULL_REGISTER_POINTS = [
+    (0.2, 1.0, 1.0),
+    (0.5, 0.0, 1.0),
+    (0.4, 0.6, 0.8),
+    (0.7, 0.3, 1.0),
+    (0.2, 0.05, 0.9),
+]
+
+
+def _full_register(prepare, c, tau, ancilla=None):
+    """Pairs, optional ancilla and both environments on one register,
+    through both loss splitters and the midpoint splitter."""
+    psi = tensor(
+        prepare(ModeRegister((("A", qubit()), ("B", bosonic(c)))), "A", "B"),
+        prepare(ModeRegister((("C", qubit()), ("D", bosonic(c)))), "C", "D"),
+    )
+    if ancilla is not None:
+        psi = tensor(psi, ancilla)
+    psi = tensor(psi, make_fock(ModeRegister((("Eb", bosonic(c)), ("Ed", bosonic(c))))))
+    loss = BeamSplitterParams.from_transmission(tau)
+    psi = apply_bs(psi, "B", "Eb", loss)
+    psi = apply_bs(psi, "D", "Ed", loss)
+    return apply_bs(psi, "B", "D", FIFTY_FIFTY)
+
+
+def _he_ho_full_register(alpha, T, tp, cutoff, x_grid):
+    """Unnormalized quadrature-averaged A-C state, node by node."""
+    tau = T * tp
+    anc = make_coherent(
+        ModeRegister((("E", bosonic(cutoff)),)), "E", math.sqrt(2.0 * tau) * alpha
+    )
+    psi = _full_register(
+        lambda reg, q, t: make_hybrid_pair(reg, q, t, alpha), cutoff, tau, anc
+    )
+    psi = apply_bs(psi, "B", "E", FIFTY_FIFTY)
+    reg = psi.register
+    t = psi.tensor_view().copy()
+    for mode in ("B", "E"):  # both on-off detectors click
+        idx = [slice(None)] * len(reg.dims)
+        idx[reg.axis(mode)] = 0
+        t[tuple(idx)] = 0.0
+    rest = [nm for nm in reg.names if nm not in ("A", "C", "D")]
+    perm = [reg.axis(nm) for nm in ["A", "C"] + rest + ["D"]]
+    flat = np.transpose(t, perm).reshape(-1, cutoff + 1)
+    xs, ws = x_grid
+    V = quadrature_amplitudes(xs, cutoff + 1, math.pi / 2.0)
+    ac = ModeRegister((("A", qubit()), ("C", qubit())))
+    rho = np.zeros((4, 4), dtype=np.complex128)
+    for i in range(xs.size):
+        col = (flat @ V[:, i]).reshape(4, -1)
+        node = DensityOperator(ac, col @ col.conj().T)
+        rho += ws[i] * feed_forward_correction(node, alpha, tau, xs[i]).matrix
+    return rho
+
+
+def _assert_outcome_matches(outcome, p_ref, rho_ref):
+    assert abs(outcome.probability - p_ref) < 1e-12
+    if p_ref > 1e-15:
+        assert np.abs(outcome.post_state.matrix - rho_ref / p_ref).max() < 1e-12
+    else:
+        assert outcome.probability == 0.0
+        assert np.abs(outcome.post_state.matrix).max() == 0.0
+
+
+@pytest.mark.parametrize("cutoff", [4, 5, 6, 7])
+def test_he_ho_matches_full_register_reference(cutoff):
+    grid = homodyne_grid()
+    for alpha, T, tp in FULL_REGISTER_POINTS:
+        rho_ref = _he_ho_full_register(alpha, T, tp, cutoff, grid)
+        p_ref = float(np.trace(rho_ref).real)
+        res = he_swap_homodyne(alpha, T, tp, cutoff, grid)
+        _assert_outcome_matches(res.per_outcome[0], p_ref, rho_ref)
+
+
+def _counting_full_register(prepare, c, tau):
+    psi = _full_register(prepare, c, tau)
+    out = []
+    for nb, nd in [(0, 1), (1, 0)]:
+        els = [fock_projector(psi.register, "B", nb), fock_projector(psi.register, "D", nd)]
+        p, rho = measure_and_reduce(psi, els, ["A", "C"])
+        out.append((p, rho.matrix * p))
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [4, 5, 6, 7])
+def test_counting_schemes_match_full_register_loss(cutoff):
+    # the dv reference keeps the full cutoff, so it also checks the cap at 2
+    for alpha, T, tp in FULL_REGISTER_POINTS:
+        tau = T * tp
+        cases = [
+            (he_swap_spd(alpha, T, tp, cutoff),
+             lambda reg, q, t: make_hybrid_pair(reg, q, t, alpha)),
+            (dv_swap(T, tp, cutoff),
+             lambda reg, q, t: make_vsp_bell(reg, q, t, "phi+")),
+        ]
+        for res, prepare in cases:
+            ref = _counting_full_register(prepare, cutoff, tau)
+            for outcome, (p_ref, rho_ref) in zip(res.per_outcome, ref):
+                _assert_outcome_matches(outcome, p_ref, rho_ref)
+
+
+def test_non_finite_alpha_is_rejected():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            he_swap_spd(bad, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            he_swap_homodyne(bad, 0.5, cutoff=4)
+        with pytest.raises(ValueError, match="finite"):
+            build_k_povm(bad, 4)
+        with pytest.raises(ValueError, match="finite"):
+            cv_bsm_failure_prob(bad, 4)

@@ -1,5 +1,9 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,3 +309,66 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert out.stdout.startswith("scheme,alpha,T,")
+
+
+# ---------------------------------------------------------------------------
+# bad input fails fast: a regression hangs or prints a traceback, so these
+# run the CLI in a subprocess with a timeout
+
+
+def run_cli(*args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    return subprocess.run(
+        [sys.executable, "-m", "hyswap", *args],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+def assert_one_line_error(out):
+    assert out.returncode != 0
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+
+
+def test_cli_point_rejects_non_finite_alpha():
+    for scheme in ("he-spd", "he-ho"):
+        out = run_cli("point", "--scheme", scheme, "--alpha", "nan", "--T", "0.5",
+                      "--cutoff", "4")
+        assert_one_line_error(out)
+        assert "finite" in out.stderr
+
+
+BAD_SWEEP_VALUES = [
+    ("alpha_values = 0.3, nan\nT_values = 1.0\n", "alpha_values"),
+    ("alpha_values = 0.3\nT_values = 1.0, 1.5\n", "T_values"),
+    ("alpha_values = 0.3\nT_values = -0.1\n", "T_values"),
+    ("alpha_values = 0.3\none_minus_T_range = 0:1.5:0.5\n", "T_values"),
+    ("alpha_values = 0.3\nT_values = 1.0\nT_prime = 1.2\n", "T_prime"),
+    ("alpha_values = 0.3\nT_values = 1.0\nhomodyne.points = 0\n", "homodyne.points"),
+    ("alpha_values = 0.3\nT_values = 1.0\nhomodyne.x_max = 0\n", "homodyne.x_max"),
+    ("alpha_values = 0.3\nT_values = 1.0\nhomodyne.x_max = inf\n", "homodyne.x_max"),
+    ("alpha_values = 0.3\nT_values = 1.0\ncutoff = 1\n", "cutoff"),
+    ("alpha_values = 0.3\nT_values = 1.0\nparallelism = 0\n", "parallelism"),
+]
+
+
+@pytest.mark.parametrize("body,key", BAD_SWEEP_VALUES)
+def test_parse_config_rejects_out_of_range_values(tmp_path, body, key):
+    path = write_config(tmp_path, "schemes = he-ho\noutput_path = o.csv\n" + body)
+    with pytest.raises(ConfigError, match=f"invalid value for {key}"):
+        parse_config(path)
+
+
+def test_cli_sweep_rejects_out_of_range_values_before_running(tmp_path):
+    out = tmp_path / "never.csv"
+    cfg = write_config(
+        tmp_path,
+        f"schemes = dv\nalpha_values = 0.0\nT_values = 1.0, 1.5\noutput_path = {out}\n",
+    )
+    result = run_cli("sweep", cfg)
+    assert_one_line_error(result)
+    assert "T_values" in result.stderr
+    assert not out.exists()

@@ -21,12 +21,12 @@ Three midpoint measurements are implemented:
   enters the register: the vacuum test acts on B as a d x d filter R
   with R†R = M, the test's operator on B (see ``he_swap_homodyne``).
 
-Channel loss is realized as a transmission-T splitter against a vacuum
-environment mode, which keeps the global state pure until measurement;
-the reduced A-C state then never requires a full-register density
-matrix.  Each pair meets its loss splitter on its own 2 d^2-amplitude
-(local, traveling, env) register before the pairs are tensored, which is
-exact because the two splitters act on disjoint modes.
+Channel loss keeps the global state pure until measurement, so the
+reduced A-C state never needs a full-register density matrix.  Each pair
+is built on (local, traveling), and the Kraus operators A_k of
+``loss_channel`` add its environment axis, amp[a, m, k] = sum_n A_k[m, n]
+amp[a, n].  For a vacuum environment this is the splitter dilation up to
+a phase on each |k>, which every trace over the environments removes.
 Detector inefficiency T' enters as the substitution T -> T * T' (loss
 commutes with the balanced midpoint splitter, and an inefficient
 detector is an ideal one behind a loss); the tests check that
@@ -57,12 +57,12 @@ from .fock import (
 from .negativity import negativity
 from .optics import (
     FIFTY_FIFTY,
-    BeamSplitterParams,
     MeasurementElement,
     apply_bs,
     bs_unitary,
     fock_projector,
     homodyne_grid,
+    loss_channel,
     measure_and_reduce,
     quadrature_amplitudes,
 )
@@ -153,18 +153,19 @@ def _zero_rho() -> DensityOperator:
 
 
 def _lossy_pairs_at_midpoint(make_pair, param, c: int, tau: float) -> StateVector:
-    """Both pairs through their loss splitters, then the 50:50 midpoint.
+    """Both pairs through their loss channels, then the 50:50 midpoint.
 
     ``make_pair(register, local, traveling, param)`` builds one pair on a
-    (local, traveling, env) register, env in vacuum; the result is
-    ordered (A, B, Eb, C, D, Ed).
+    (local, traveling) register; the Kraus index of the loss becomes its
+    env mode, and the result is ordered (A, B, Eb, C, D, Ed).
     """
-    loss = BeamSplitterParams.from_transmission(tau)
+    kraus = np.stack(loss_channel(tau, c).kraus)  # (k, m, n)
     pairs = []
     for local, trav in (("A", "B"), ("C", "D")):
-        env = "E" + trav.lower()
-        reg = ModeRegister(((local, qubit()), (trav, bosonic(c)), (env, bosonic(c))))
-        pairs.append(apply_bs(make_pair(reg, local, trav, param), trav, env, loss))
+        pair = make_pair(ModeRegister(((local, qubit()), (trav, bosonic(c)))), local, trav, param)
+        amp = np.einsum("kmn,an->amk", kraus, pair.amplitudes.reshape(2, c + 1))
+        reg = ModeRegister(pair.register.modes + (("E" + trav.lower(), bosonic(c)),))
+        pairs.append(StateVector(reg, amp.reshape(-1), pair.norm_deficit))
     return apply_bs(tensor(*pairs), "B", "D", FIFTY_FIFTY)
 
 

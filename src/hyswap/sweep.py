@@ -11,18 +11,17 @@ Example config::
     homodyne.x_max = 6.0
     homodyne.points = 201
     output_path = sweep.csv
-    parallelism = 1
 
 ``T_values`` may be given instead of ``one_minus_T_range``.  Rows are
-emitted in config order (schemes outermost, then alpha, then T) and the
-output is byte-identical for any worker count.
+computed in-process and emitted in config order (schemes outermost, then
+alpha, then T).  ``parallelism`` is accepted and validated (>= 1) but ignored,
+so the output is the same for any value of it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,7 +90,8 @@ def _parse_range(raw: str, key: str) -> tuple[float, ...]:
         raise ConfigError(f"invalid value for {key}: {raw!r} (want start:stop:step)")
     if step <= 0.0 or stop < start:
         raise ConfigError(f"invalid value for {key}: {raw!r}")
-    count = int(round((stop - start) / step)) + 1
+    # floor never passes stop; 1e-9 keeps an exact multiple whose quotient rounds low
+    count = math.floor((stop - start) / step + 1e-9) + 1
     return tuple(start + i * step for i in range(count))
 
 
@@ -151,6 +151,9 @@ def parse_config(path: str) -> SweepConfig:
         parallelism=_scalar("parallelism", int, 1),
     )
     checks = [
+        ("schemes", bool(cfg.schemes), "must not be empty"),
+        ("alpha_values", bool(cfg.alpha_values), "must not be empty"),
+        ("T_values", bool(cfg.T_values), "must not be empty"),
         ("alpha_values", all(math.isfinite(a) for a in cfg.alpha_values), "must be finite"),
         ("T_values", all(0.0 <= t <= 1.0 for t in cfg.T_values), "must lie in [0, 1]"),
         ("T_prime", 0.0 <= cfg.T_prime <= 1.0, "must lie in [0, 1]"),
@@ -201,16 +204,11 @@ def format_value(v) -> str:
     return str(v)
 
 
-def _job(args) -> dict:
-    return evaluate_point(*args)
-
-
 def run_sweep(config: SweepConfig) -> int:
     """Run every configured point and write the CSV; returns the row count.
 
-    Points are computed by a bounded worker pool when parallelism > 1
-    but always written in config order, so the output bytes never depend
-    on scheduling.
+    Points are computed in-process, one after another, and written in
+    config order; ``config.parallelism`` is ignored.
     """
     jobs = [
         (scheme, alpha, T, config.T_prime, config.cutoff, config.x_max, config.points)
@@ -218,11 +216,7 @@ def run_sweep(config: SweepConfig) -> int:
         for alpha in config.alpha_values
         for T in config.T_values
     ]
-    if config.parallelism > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            rows = list(pool.map(_job, jobs))
-    else:
-        rows = [_job(j) for j in jobs]
+    rows = [evaluate_point(*job) for job in jobs]
     out = Path(config.output_path)
     with out.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

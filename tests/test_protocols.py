@@ -519,3 +519,13 @@ def test_non_finite_alpha_is_rejected():
             build_k_povm(bad, 4)
         with pytest.raises(ValueError, match="finite"):
             cv_bsm_failure_prob(bad, 4)
+
+
+def test_loss_builds_no_splitter_per_transmission():
+    """Loss goes through Kraus operators, so a T sweep adds no cached splitter."""
+    from hyswap.optics import _bs_unitary_cached
+
+    before = _bs_unitary_cached.cache_info().currsize
+    for i in range(50):
+        he_swap_spd(0.5, 0.013 + 0.019 * i, cutoff=5)
+    assert _bs_unitary_cached.cache_info().currsize - before <= 1

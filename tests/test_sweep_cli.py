@@ -115,6 +115,7 @@ def test_parse_config_bad_values(tmp_path):
     base = "schemes = dv\nalpha_values = 0.0\nT_values = 1.0\noutput_path = o\n"
     cases = [
         ("schemes = dv, qkd\nalpha_values = 0.0\nT_values = 1\noutput_path = o\n", "invalid value for schemes"),
+        ("schemes =\nalpha_values = 0.0\nT_values = 1\noutput_path = o\n", "invalid value for schemes"),
         (base + "parallelism = 0\n", "parallelism"),
         (base + "cutoff = 1\n", "cutoff"),
         ("schemes = dv\nalpha_values = 0.0\none_minus_T_range = 0:1\noutput_path = o\n", "start:stop:step"),
@@ -135,6 +136,18 @@ def test_range_is_inclusive(tmp_path):
     assert len(cfg.T_values) == 10
     assert abs(cfg.T_values[0] - 1.0) < 1e-12
     assert abs(cfg.T_values[-1] - 0.1) < 1e-12
+
+
+@pytest.mark.parametrize("spec,want", [
+    ("0:0.6:0.35", (1.0, 0.65)),
+    ("0:1:0.35", (1.0, 0.65, 0.3)),
+    ("0:0.3:0.1", (1.0, 0.9, 0.8, 0.7)),  # 0.3 / 0.1 rounds to 2.9999999999999996
+])
+def test_range_never_passes_stop(tmp_path, spec, want):
+    body = f"schemes = dv\nalpha_values = 0.0\none_minus_T_range = {spec}\noutput_path = o\n"
+    cfg = parse_config(write_config(tmp_path, body))
+    assert len(cfg.T_values) == len(want)
+    assert np.allclose(cfg.T_values, want, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +365,8 @@ BAD_SWEEP_VALUES = [
     ("alpha_values = 0.3\nT_values = 1.0\nhomodyne.x_max = inf\n", "homodyne.x_max"),
     ("alpha_values = 0.3\nT_values = 1.0\ncutoff = 1\n", "cutoff"),
     ("alpha_values = 0.3\nT_values = 1.0\nparallelism = 0\n", "parallelism"),
+    ("alpha_values =\nT_values = 1.0\n", "alpha_values"),
+    ("alpha_values = 0.3\nT_values =\n", "T_values"),
 ]
 
 

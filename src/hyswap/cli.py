@@ -58,9 +58,6 @@ def _cmd_sweep(args) -> int:
     try:
         config = sweep_mod.parse_config(args.config)
         count = sweep_mod.run_sweep(config)
-    except FileNotFoundError:
-        sys.stderr.write(f"error: no such config file: {args.config}\n")
-        return 1
     except ValueError as exc:  # ConfigError, or a point rejected mid-run
         sys.stderr.write(f"error: {exc}\n")
         return 1

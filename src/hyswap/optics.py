@@ -118,23 +118,14 @@ def bs_unitary(d1: int, d2: int, params: BeamSplitterParams) -> np.ndarray:
     return _bs_unitary_cached(d1, d2, float(params.theta), float(params.phi))
 
 
-def _apply_pair(flat: np.ndarray, dims: tuple[int, ...], ax1: int, ax2: int, U: np.ndarray) -> np.ndarray:
-    """Apply a two-axis operator U (row-major over (ax1, ax2)) to a flat array."""
-    nd = len(dims)
-    t = np.moveaxis(flat.reshape(dims), (ax1, ax2), (nd - 2, nd - 1))
+def _apply(flat: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...], U: np.ndarray) -> np.ndarray:
+    """Apply an operator U (row-major over ``axes``) to those axes of a flat array."""
+    k = len(dims) - len(axes)
+    tail = tuple(range(k, len(dims)))
+    t = np.moveaxis(flat.reshape(dims), axes, tail)
     shp = t.shape
-    t = t.reshape(-1, shp[-2] * shp[-1]) @ U.T
-    t = np.moveaxis(t.reshape(shp), (nd - 2, nd - 1), (ax1, ax2))
-    return t.reshape(-1)
-
-
-def _apply_single(flat: np.ndarray, dims: tuple[int, ...], ax: int, M: np.ndarray) -> np.ndarray:
-    nd = len(dims)
-    t = np.moveaxis(flat.reshape(dims), ax, nd - 1)
-    shp = t.shape
-    t = t.reshape(-1, shp[-1]) @ M.T
-    t = np.moveaxis(t.reshape(shp), nd - 1, ax)
-    return t.reshape(-1)
+    t = t.reshape(-1, math.prod(shp[k:])) @ U.T
+    return np.moveaxis(t.reshape(shp), tail, axes).reshape(-1)
 
 
 def apply_bs(state, mode_x: str, mode_y: str, params: BeamSplitterParams):
@@ -155,13 +146,13 @@ def apply_bs(state, mode_x: str, mode_y: str, params: BeamSplitterParams):
     ax, ay = reg.axis(mode_x), reg.axis(mode_y)
     U = bs_unitary(reg.dims[ax], reg.dims[ay], params)
     if isinstance(state, StateVector):
-        amps = _apply_pair(state.amplitudes, reg.dims, ax, ay, U)
+        amps = _apply(state.amplitudes, reg.dims, (ax, ay), U)
         return StateVector(reg, amps, state.norm_deficit)
     if isinstance(state, DensityOperator):
         n = len(reg.dims)
         dims2 = reg.dims + reg.dims
-        flat = _apply_pair(state.matrix.reshape(-1), dims2, ax, ay, U)
-        flat = _apply_pair(flat, dims2, n + ax, n + ay, U.conj())
+        flat = _apply(state.matrix.reshape(-1), dims2, (ax, ay), U)
+        flat = _apply(flat, dims2, (n + ax, n + ay), U.conj())
         return DensityOperator(reg, flat.reshape(reg.dim, reg.dim))
     raise TypeError("state must be a StateVector or DensityOperator")
 
@@ -222,8 +213,8 @@ def apply_loss(rho: DensityOperator, mode: str, channel: LossChannel) -> Density
     dims2 = reg.dims + reg.dims
     out = np.zeros(reg.dim * reg.dim, dtype=np.complex128)
     for A in channel.kraus:
-        flat = _apply_single(rho.matrix.reshape(-1), dims2, ax, A)
-        out += _apply_single(flat, dims2, n + ax, A.conj())
+        flat = _apply(rho.matrix.reshape(-1), dims2, (ax,), A)
+        out += _apply(flat, dims2, (n + ax,), A.conj())
     return DensityOperator(reg, out.reshape(reg.dim, reg.dim))
 
 
@@ -429,7 +420,7 @@ def measure_and_reduce(state: StateVector, elements: list[MeasurementElement], k
                 f"element on mode {el.modes[0]!r} has wrong dimension"
             )
         filt = el.operator if el.kind == "projector" else _psd_sqrt(el.operator)
-        flat = _apply_single(flat, reg.dims, ax, filt)
+        flat = _apply(flat, reg.dims, (ax,), filt)
     filtered = StateVector(reg, flat, state.norm_deficit)
     prob = filtered.norm_sq()
     rho = reduced_density(filtered, keep)

@@ -6,20 +6,25 @@ two traveling modes interfere on a 50:50 splitter and are measured.  The
 surviving A-C state, conditioned on the accepted outcomes, is the
 protocol output.
 
-Three midpoint measurements are implemented:
+The three schemes differ only in the resource pair and the herald, the
+midpoint measurement.  One private runner does the rest: it validates
+T, T' and the cutoff, forms tau = T * T', builds the lossy pairs at the
+midpoint, calls the herald and sums its outcomes into a ``SwapResult``.
+Each outcome at or below ``_PROB_FLOOR`` carries the zero state; any
+other gets its normalized state and negativity.
 
-* ``dv_swap``: vacuum/single-photon dual-mode Bell pairs with projective
-  photon counting on (B, D); outcomes (0,1) and (1,0) herald Bell states.
-* ``he_swap_spd``: hybrid qubit/coherent pairs with single-photon
-  detectors; outcomes (vacuum, one) and (one, vacuum) are accepted,
-  "two or more" is rejected.
-* ``he_swap_homodyne``: hybrid pairs where mode B is tested for vacuum
-  against an ancillary coherent beam (two on-off detectors must both
-  click) and mode D is read out by homodyne along the x_{pi/2}
-  quadrature; every quadrature value is accepted and a feed-forward
-  phase on C undoes the outcome-dependent rotation.  The ancilla never
-  enters the register: the vacuum test acts on B as a d x d filter R
-  with R†R = M, the test's operator on B (see ``he_swap_homodyne``).
+* ``dv_swap``: vacuum/single-photon Bell pairs, counting herald.
+* ``he_swap_spd``: hybrid qubit/coherent pairs, counting herald.
+* ``he_swap_homodyne``: hybrid pairs, vacuum-test-and-homodyne herald.
+
+The counting herald accepts the photon counts (0, 1) and (1, 0) on
+(B, D); for the hybrid pairs these are single-photon detectors and "two
+or more" is rejected.  The homodyne herald tests B for vacuum against an
+ancillary coherent beam (two on-off detectors must both click) and reads
+D out along the x_{pi/2} quadrature; every quadrature value is accepted
+and a feed-forward phase on C undoes the outcome-dependent rotation.
+The ancilla never enters the register: the vacuum test acts on B as a
+d x d filter R with R†R = M, the test's operator on B.
 
 Channel loss keeps the global state pure until measurement, so the
 reduced A-C state never needs a full-register density matrix.  Each pair
@@ -83,6 +88,7 @@ __all__ = [
 DEFAULT_CUTOFF = 12
 
 _PROB_FLOOR = 1e-15  # below this an outcome is treated as unreachable
+_AC_REGISTER = ModeRegister((("A", qubit()), ("C", qubit())))
 
 
 def default_cutoff() -> int:
@@ -144,14 +150,6 @@ def _resolve_cutoff(cutoff: int | None) -> int:
     return c
 
 
-def _ac_register() -> ModeRegister:
-    return ModeRegister((("A", qubit()), ("C", qubit())))
-
-
-def _zero_rho() -> DensityOperator:
-    return DensityOperator(_ac_register(), np.zeros((4, 4), dtype=np.complex128))
-
-
 def _lossy_pairs_at_midpoint(make_pair, param, c: int, tau: float) -> StateVector:
     """Both pairs through their loss channels, then the 50:50 midpoint.
 
@@ -169,31 +167,50 @@ def _lossy_pairs_at_midpoint(make_pair, param, c: int, tau: float) -> StateVecto
     return apply_bs(tensor(*pairs), "B", "D", FIFTY_FIFTY)
 
 
-def _assemble(scheme: str, outcomes: list[SwapOutcome], echo: dict) -> SwapResult:
+def _outcome(label: str, prob: float, rho: np.ndarray, scale: float) -> SwapOutcome:
+    """One accepted outcome whose normalized A-C state is ``rho / scale``.
+
+    At or below ``_PROB_FLOOR`` the outcome is unreachable: it gets
+    probability 0, the zero state and negativity 0.
+    """
+    if prob <= _PROB_FLOOR:
+        return SwapOutcome(label, 0.0, DensityOperator(_AC_REGISTER, np.zeros((4, 4))), 0.0)
+    state = DensityOperator(_AC_REGISTER, rho / scale)
+    return SwapOutcome(label, prob, state, negativity(state, ["C"]).value)
+
+
+def _run_swap(scheme: str, alpha: float | None, T: float, T_prime: float,
+              cutoff: int | None, pair, herald, **extra_echo) -> SwapResult:
+    """The part every scheme shares: checks, lossy pairs, herald, totals.
+
+    ``pair = (make_pair, param, max_cutoff)``: each resource pair is
+    ``make_pair(register, local, traveling, param)`` stored at
+    ``min(cutoff, max_cutoff)``.  ``herald(psi, tau)`` turns the midpoint
+    state into the list of accepted outcomes.  ``extra_echo`` joins the
+    parameter echo.
+    """
+    T = _check_unit(T, "T")
+    T_prime = _check_unit(T_prime, "T_prime")
+    cutoff = _resolve_cutoff(cutoff)
+    tau = T * T_prime
+    make_pair, param, max_cutoff = pair
+    # the herald holds the only reference to the midpoint state, so it is freed
+    # with the herald's arrays; a local here cost he-ho a third more page faults
+    outcomes = herald(_lossy_pairs_at_midpoint(make_pair, param, min(cutoff, max_cutoff), tau), tau)
     total = sum(o.probability for o in outcomes)
-    if total > _PROB_FLOOR:
-        avg = sum(o.probability * o.negativity for o in outcomes) / total
-    else:
-        avg = 0.0
-    return SwapResult(scheme, tuple(outcomes), total, avg, echo)
+    avg = sum(o.probability * o.negativity for o in outcomes) / total if total > _PROB_FLOOR else 0.0
+    echo = {"scheme": scheme, "alpha": alpha, "T": T, "T_prime": T_prime, "cutoff": cutoff}
+    return SwapResult(scheme, tuple(outcomes), total, avg, echo | extra_echo)
 
 
-def _collect_outcomes(psi, accepted, scheme, echo):
-    """Project the accepted (B, D) counts and reduce onto A-C."""
+def _count_herald(psi: StateVector, tau: float) -> list[SwapOutcome]:
+    """Photon counts (0, 1) and (1, 0) on (B, D), each reduced onto A-C."""
     outcomes = []
-    reg = psi.register
-    for nb, nd in accepted:
-        els = [
-            fock_projector(reg, "B", nb),
-            fock_projector(reg, "D", nd),
-        ]
+    for nb, nd in ((0, 1), (1, 0)):
+        els = [fock_projector(psi.register, "B", nb), fock_projector(psi.register, "D", nd)]
         prob, rho = measure_and_reduce(psi, els, ["A", "C"])
-        if prob > _PROB_FLOOR:
-            E = negativity(rho, ["C"]).value
-        else:
-            prob, rho, E = 0.0, _zero_rho(), 0.0
-        outcomes.append(SwapOutcome(f"{nb}{nd}", prob, rho, E))
-    return _assemble(scheme, outcomes, echo)
+        outcomes.append(_outcome(f"{nb}{nd}", prob, rho.matrix, 1.0))  # already normalized
+    return outcomes
 
 
 def dv_swap(T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapResult:
@@ -207,14 +224,7 @@ def dv_swap(T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapRe
     stored bosonic dimension is capped at three internally; results are
     exactly cutoff-independent for any requested cutoff >= 2.
     """
-    T = _check_unit(T, "T")
-    T_prime = _check_unit(T_prime, "T_prime")
-    cutoff = _resolve_cutoff(cutoff)
-    tau = T * T_prime
-    c = min(cutoff, 2)
-    psi = _lossy_pairs_at_midpoint(make_vsp_bell, "phi+", c, tau)
-    echo = {"scheme": "dv", "alpha": None, "T": T, "T_prime": T_prime, "cutoff": cutoff}
-    return _collect_outcomes(psi, [(0, 1), (1, 0)], "dv", echo)
+    return _run_swap("dv", None, T, T_prime, cutoff, (make_vsp_bell, "phi+", 2), _count_herald)
 
 
 def he_swap_spd(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapResult:
@@ -225,16 +235,8 @@ def he_swap_spd(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None
     A-C states are Bell-like with coherences damped by channel loss.
     """
     alpha = _check_alpha(alpha)
-    T = _check_unit(T, "T")
-    T_prime = _check_unit(T_prime, "T_prime")
-    cutoff = _resolve_cutoff(cutoff)
-    tau = T * T_prime
-    psi = _lossy_pairs_at_midpoint(make_hybrid_pair, alpha, cutoff, tau)
-    echo = {
-        "scheme": "he_spd", "alpha": alpha, "T": T, "T_prime": T_prime,
-        "cutoff": cutoff,
-    }
-    return _collect_outcomes(psi, [(0, 1), (1, 0)], "he_spd", echo)
+    return _run_swap("he_spd", alpha, T, T_prime, cutoff, (make_hybrid_pair, alpha, math.inf),
+                     _count_herald)
 
 
 def _feed_forward_phase(alpha: float, T: float, x: float) -> float:
@@ -281,42 +283,30 @@ def he_swap_homodyne(
     with K_k = V diag(w e^{-i k phi(x)}) V† for C-bit difference k.
     """
     alpha = _check_alpha(alpha)
-    T = _check_unit(T, "T")
-    T_prime = _check_unit(T_prime, "T_prime")
-    cutoff = _resolve_cutoff(cutoff)
-    tau = T * T_prime
     if x_grid is None:
         x_grid = homodyne_grid()
     xs, ws = np.asarray(x_grid[0], dtype=float), np.asarray(x_grid[1], dtype=float)
     if xs.size == 0 or xs.size != ws.size:
         raise ValueError("homodyne grid must supply matching nodes and weights")
-    d = cutoff + 1
-    psi = _lossy_pairs_at_midpoint(make_hybrid_pair, alpha, cutoff, tau)
 
-    # both clicks as R on B, then (A, B, Eb, C, D, Ed) -> (A, C, D | Eb, Ed, B)
-    R = _vacuum_test_filter(d, math.sqrt(2.0 * tau) * alpha)
-    t = np.tensordot(psi.tensor_view(), R, axes=([1], [1]))
-    X = np.transpose(t, (0, 2, 3, 1, 4, 5)).reshape(4 * d, -1)
-    G = (X @ X.conj().T).reshape(4, d, 4, d)
+    def herald(psi: StateVector, tau: float) -> list[SwapOutcome]:
+        d = psi.register.spec("B").dim
+        # both clicks as R on B, then (A, B, Eb, C, D, Ed) -> (A, C, D | Eb, Ed, B)
+        R = _vacuum_test_filter(d, math.sqrt(2.0 * tau) * alpha)
+        t = np.tensordot(psi.tensor_view(), R, axes=([1], [1]))
+        X = np.transpose(t, (0, 2, 3, 1, 4, 5)).reshape(4 * d, -1)
+        G = (X @ X.conj().T).reshape(4, d, 4, d)
 
-    V = quadrature_amplitudes(xs, d, math.pi / 2.0)
-    phi = _feed_forward_phase(alpha, tau, xs)
-    K = np.stack([(V * (ws * np.exp(-1j * k * phi))) @ V.conj().T for k in (-1, 0, 1)])
-    cbit = np.arange(4) % 2
-    rho_acc = np.einsum("anbm,abnm->ab", G, K[cbit[:, None] - cbit[None, :] + 1])
-    p_acc = float(np.trace(rho_acc).real)
+        V = quadrature_amplitudes(xs, d, math.pi / 2.0)
+        phi = _feed_forward_phase(alpha, tau, xs)
+        K = np.stack([(V * (ws * np.exp(-1j * k * phi))) @ V.conj().T for k in (-1, 0, 1)])
+        cbit = np.arange(4) % 2
+        rho_acc = np.einsum("anbm,abnm->ab", G, K[cbit[:, None] - cbit[None, :] + 1])
+        p_acc = float(np.trace(rho_acc).real)
+        return [_outcome("click_click", p_acc, rho_acc, p_acc)]
 
-    echo = {
-        "scheme": "he_ho", "alpha": alpha, "T": T, "T_prime": T_prime,
-        "cutoff": cutoff, "grid_points": int(xs.size),
-    }
-    if p_acc > _PROB_FLOOR:
-        rho = DensityOperator(_ac_register(), rho_acc / p_acc)
-        E = negativity(rho, ["C"]).value
-    else:
-        p_acc, rho, E = 0.0, _zero_rho(), 0.0
-    outcome = SwapOutcome("click_click", p_acc, rho, E)
-    return _assemble("he_ho", [outcome], echo)
+    return _run_swap("he_ho", alpha, T, T_prime, cutoff, (make_hybrid_pair, alpha, math.inf),
+                     herald, grid_points=int(xs.size))
 
 
 def feed_forward_correction(target, alpha: float, T: float, x: float, mode: str = "C"):
@@ -374,19 +364,10 @@ def build_k_povm(alpha: float, cutoff: int | None = None) -> list[MeasurementEle
     cs_p = make_cat(reg, "B", alpha, "+").amplitudes
     cs_m = make_cat(reg, "B", alpha, "-").amplitudes
     lam = 2.0 * math.exp(-(alpha**2))
-    p00 = np.outer(v0, v0.conj())
-    pm = np.outer(cs_m, cs_m.conj())
-    pp = np.outer(cs_p, cs_p.conj())
-    xm = np.outer(cs_m, v0.conj()) + np.outer(v0, cs_m.conj())
-    xp = np.outer(cs_p, v0.conj()) + np.outer(v0, cs_p.conj())
-    ops = [
-        ("K1", p00 + lam**2 * pm - lam * xm),
-        ("K2", p00 + lam**2 * pm + lam * xm),
-        ("K3", p00 + lam**2 * pp + lam * xp),
-        ("K4", p00 + lam**2 * pp - lam * xp),
-    ]
+    vectors = [v0 - lam * cs_m, v0 + lam * cs_m, v0 + lam * cs_p, v0 - lam * cs_p]
     return [
-        MeasurementElement(label, ("B",), op, "povm-element") for label, op in ops
+        MeasurementElement(f"K{i}", ("B",), np.outer(v, v.conj()), "povm-element")
+        for i, v in enumerate(vectors, start=1)
     ]
 
 

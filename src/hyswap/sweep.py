@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .closed_form import closed_form
+from .closed_form import SCHEMES, closed_form
 from .protocols import (
     default_cutoff,
     dv_swap,
@@ -43,7 +43,9 @@ CSV_COLUMNS = [
 ]
 
 # CLI vocabulary -> internal scheme names
-SCHEME_ALIASES = {"dv": "dv", "he-spd": "he_spd", "he-ho": "he_ho"}
+SCHEME_ALIASES = {s.replace("_", "-"): s for s in SCHEMES}
+
+_MAX_RANGE_POINTS = 1_000_000  # most values one_minus_T_range may ask for
 
 
 class ConfigError(ValueError):
@@ -88,17 +90,23 @@ def _parse_range(raw: str, key: str) -> tuple[float, ...]:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError:
         raise ConfigError(f"invalid value for {key}: {raw!r} (want start:stop:step)")
-    if step <= 0.0 or stop < start:
+    if not (step > 0.0 and stop >= start):  # false for a nan too
         raise ConfigError(f"invalid value for {key}: {raw!r}")
     # floor never passes stop; 1e-9 keeps an exact multiple whose quotient rounds low
-    count = math.floor((stop - start) / step + 1e-9) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_RANGE_POINTS:  # an inf span too
+        raise ConfigError(f"invalid value for {key}: {raw!r} (more than {_MAX_RANGE_POINTS} values)")
+    count = math.floor(span) + 1
     return tuple(start + i * step for i in range(count))
 
 
 def parse_config(path: str) -> SweepConfig:
     """Parse a flat key=value sweep config; unknown keys are errors."""
     entries: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"no such config file: {path}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -161,6 +169,7 @@ def parse_config(path: str) -> SweepConfig:
         ("homodyne.x_max", 0.0 < cfg.x_max < math.inf, "must be positive and finite"),
         ("homodyne.points", cfg.points >= 1, "must be >= 1"),
         ("parallelism", cfg.parallelism >= 1, "must be >= 1"),
+        ("output_path", Path(cfg.output_path).parent.is_dir(), "its directory does not exist"),
     ]
     for key, ok, rule in checks:
         if not ok:

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -90,6 +91,20 @@ def test_dv_parameter_validation():
         dv_swap(0.5, -0.2)
     with pytest.raises(ValueError, match="at least 2"):
         dv_swap(0.5, 1.0, 1)
+
+
+@pytest.mark.parametrize(
+    "swap",
+    [dv_swap, partial(he_swap_spd, 0.3), partial(he_swap_homodyne, 0.3)],
+    ids=["dv", "he_spd", "he_ho"],
+)
+def test_swap_parameter_validation(swap):
+    with pytest.raises(ValueError, match="lie in"):
+        swap(1.4)
+    with pytest.raises(ValueError, match="lie in"):
+        swap(0.5, -0.2)
+    with pytest.raises(ValueError, match="at least 2"):
+        swap(0.5, 1.0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,7 @@ BAD_SWEEP_VALUES = [
     ("alpha_values = 0.3\nT_values = 1.0\nparallelism = 0\n", "parallelism"),
     ("alpha_values =\nT_values = 1.0\n", "alpha_values"),
     ("alpha_values = 0.3\nT_values =\n", "T_values"),
+    ("alpha_values = 0.3\none_minus_T_range = 0:1:1e-12\n", "one_minus_T_range"),
 ]
 
 
@@ -387,3 +388,15 @@ def test_cli_sweep_rejects_out_of_range_values_before_running(tmp_path):
     assert_one_line_error(result)
     assert "T_values" in result.stderr
     assert not out.exists()
+
+
+def test_cli_sweep_rejects_missing_output_directory_before_running(tmp_path):
+    out = tmp_path / "nodir" / "x.csv"
+    cfg = write_config(
+        tmp_path,
+        f"schemes = dv\nalpha_values = 0.0\nT_values = 1.0\noutput_path = {out}\n",
+    )
+    result = run_cli("sweep", cfg)
+    assert_one_line_error(result)
+    assert "invalid value for output_path" in result.stderr
+    assert "config file" not in result.stderr

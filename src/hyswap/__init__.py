@@ -40,9 +40,7 @@ from .optics import (
     apply_loss_dilated,
     bs_unitary,
     fock_projector,
-    gamma_tau_to_T,
     homodyne_grid,
-    homodyne_vector,
     loss_channel,
     measure_and_reduce,
     onoff_elements,
@@ -57,7 +55,6 @@ from .protocols import (
     DEFAULT_CUTOFF,
     SwapOutcome,
     SwapResult,
-    build_k_povm,
     cv_bsm_failure_prob,
     default_cutoff,
     dv_swap,

@@ -53,7 +53,6 @@ __all__ = [
     "FIFTY_FIFTY",
     "bs_unitary",
     "apply_bs",
-    "gamma_tau_to_T",
     "LossChannel",
     "loss_channel",
     "apply_loss",
@@ -64,7 +63,6 @@ __all__ = [
     "onoff_elements",
     "spd_elements",
     "quadrature_amplitudes",
-    "homodyne_vector",
     "homodyne_grid",
     "with_inefficiency",
     "measure_and_reduce",
@@ -160,13 +158,6 @@ def apply_bs(state, mode_x: str, mode_y: str, params: BeamSplitterParams):
 # ---------------------------------------------------------------------------
 # photon loss
 
-def gamma_tau_to_T(gamma_tau: float) -> float:
-    """Survival probability T = exp(-gamma*tau) for a decay-time product."""
-    if gamma_tau < 0.0:
-        raise ValueError("gamma*tau must be non-negative")
-    return math.exp(-gamma_tau)
-
-
 @dataclass(frozen=True)
 class LossChannel:
     """Amplitude damping on one bosonic mode, in Kraus form."""
@@ -246,16 +237,13 @@ def apply_loss_dilated(rho: DensityOperator, mode: str, T: float) -> DensityOper
 class MeasurementElement:
     """A labeled measurement operator on named modes.
 
-    kind is one of 'projector', 'povm-element', 'quadrature-vector'.
-    For quadrature vectors the rank-1 operator |x><x| is stored along
-    with the bra components <x|n> in ``vector``.
+    kind is 'projector' or 'povm-element'.
     """
 
     label: str
     modes: tuple[str, ...]
     operator: np.ndarray
     kind: str
-    vector: np.ndarray | None = None
 
 
 def fock_projector(register: ModeRegister, mode: str, n: int) -> MeasurementElement:
@@ -333,18 +321,6 @@ def quadrature_amplitudes(xs: np.ndarray, dim: int, theta: float) -> np.ndarray:
     return psi * phases[:, None]
 
 
-def homodyne_vector(register: ModeRegister, mode: str, x: float, theta: float = math.pi / 2.0) -> MeasurementElement:
-    """Quadrature bra <x_theta| on one mode, as a rank-1 element."""
-    spec = register.spec(mode)
-    if spec.kind is not ModeKind.BOSONIC:
-        raise ValueError("homodyne detection requires a bosonic mode")
-    v = quadrature_amplitudes(np.array([x]), spec.dim, theta)[:, 0]
-    op = np.outer(v.conj(), v)
-    return MeasurementElement(
-        f"x={x:.6g}@{theta:.6g}", (mode,), op, "quadrature-vector", v
-    )
-
-
 @lru_cache(maxsize=64)
 def _homodyne_grid_cached(x_max: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(points)
@@ -371,8 +347,8 @@ def with_inefficiency(elements, T_prime: float):
 
     An inefficient detector is an ideal one behind a T' loss channel, so
     each element M becomes the adjoint-channel image sum_k A_k† M A_k.
-    Accepts a single element or a list; projector and quadrature kinds
-    degrade to general POVM elements when T' < 1.
+    Accepts a single element or a list; projectors degrade to general
+    POVM elements when T' < 1.
     """
     if not 0.0 <= T_prime <= 1.0:
         raise ValueError("detector efficiency must lie in [0, 1]")

@@ -19,12 +19,17 @@ other gets its normalized state and negativity.
 
 The counting herald accepts the photon counts (0, 1) and (1, 0) on
 (B, D); for the hybrid pairs these are single-photon detectors and "two
-or more" is rejected.  The homodyne herald tests B for vacuum against an
-ancillary coherent beam (two on-off detectors must both click) and reads
-D out along the x_{pi/2} quadrature; every quadrature value is accepted
-and a feed-forward phase on C undoes the outcome-dependent rotation.
-The ancilla never enters the register: the vacuum test acts on B as a
-d x d filter R with R†R = M, the test's operator on B.
+or more" is rejected.  It keeps only levels 0 and 1 of B and D: the
+midpoint splitter conserves photon number, so those outcomes come only
+from the inputs (0, 1) and (1, 0), and a splitter truncated to two
+levels holds that whole one-photon block, so it acts on it exactly.
+
+The homodyne herald tests B for vacuum against an ancillary coherent
+beam (two on-off detectors must both click) and reads D out along the
+x_{pi/2} quadrature; every quadrature value is accepted and a
+feed-forward phase on C undoes the outcome-dependent rotation.  The
+ancilla never enters the register: the vacuum test acts on B as a d x d
+filter R with R†R = M, the test's operator on B.
 
 Channel loss keeps the global state pure until measurement, so the
 reduced A-C state never needs a full-register density matrix.  Each pair
@@ -51,9 +56,8 @@ from .fock import (
     ModeRegister,
     StateVector,
     bosonic,
-    make_cat,
     make_coherent,
-    make_fock,
+    make_fock,  # not called here: perfbench's WRAPPED names it and its tests need it bound
     make_hybrid_pair,
     make_vsp_bell,
     qubit,
@@ -62,7 +66,6 @@ from .fock import (
 from .negativity import negativity
 from .optics import (
     FIFTY_FIFTY,
-    MeasurementElement,
     apply_bs,
     bs_unitary,
     fock_projector,
@@ -81,7 +84,6 @@ __all__ = [
     "he_swap_spd",
     "he_swap_homodyne",
     "feed_forward_correction",
-    "build_k_povm",
     "cv_bsm_failure_prob",
 ]
 
@@ -150,19 +152,22 @@ def _resolve_cutoff(cutoff: int | None) -> int:
     return c
 
 
-def _lossy_pairs_at_midpoint(make_pair, param, c: int, tau: float) -> StateVector:
+def _lossy_pairs_at_midpoint(make_pair, param, c: int, tau: float, levels: int | None) -> StateVector:
     """Both pairs through their loss channels, then the 50:50 midpoint.
 
     ``make_pair(register, local, traveling, param)`` builds one pair on a
     (local, traveling) register; the Kraus index of the loss becomes its
-    env mode, and the result is ordered (A, B, Eb, C, D, Ed).
+    env mode, and the result is ordered (A, B, Eb, C, D, Ed).  Only the
+    first ``levels`` photon numbers of B and D survive the loss (all of
+    them for None).
     """
-    kraus = np.stack(loss_channel(tau, c).kraus)  # (k, m, n)
+    kraus = np.stack(loss_channel(tau, c).kraus)[:, :levels]  # (k, m, n)
+    kept = bosonic(kraus.shape[1] - 1)
     pairs = []
     for local, trav in (("A", "B"), ("C", "D")):
         pair = make_pair(ModeRegister(((local, qubit()), (trav, bosonic(c)))), local, trav, param)
         amp = np.einsum("kmn,an->amk", kraus, pair.amplitudes.reshape(2, c + 1))
-        reg = ModeRegister(pair.register.modes + (("E" + trav.lower(), bosonic(c)),))
+        reg = ModeRegister(((local, qubit()), (trav, kept), ("E" + trav.lower(), bosonic(c))))
         pairs.append(StateVector(reg, amp.reshape(-1), pair.norm_deficit))
     return apply_bs(tensor(*pairs), "B", "D", FIFTY_FIFTY)
 
@@ -185,18 +190,20 @@ def _run_swap(scheme: str, alpha: float | None, T: float, T_prime: float,
 
     ``pair = (make_pair, param, max_cutoff)``: each resource pair is
     ``make_pair(register, local, traveling, param)`` stored at
-    ``min(cutoff, max_cutoff)``.  ``herald(psi, tau)`` turns the midpoint
-    state into the list of accepted outcomes.  ``extra_echo`` joins the
-    parameter echo.
+    ``min(cutoff, max_cutoff)``.  ``herald = (read, levels)``:
+    ``read(psi, tau)`` turns the midpoint state, whose B and D keep their
+    first ``levels`` photon numbers (all for None), into the list of
+    accepted outcomes.  ``extra_echo`` joins the parameter echo.
     """
     T = _check_unit(T, "T")
     T_prime = _check_unit(T_prime, "T_prime")
     cutoff = _resolve_cutoff(cutoff)
     tau = T * T_prime
     make_pair, param, max_cutoff = pair
+    read, levels = herald
     # the herald holds the only reference to the midpoint state, so it is freed
     # with the herald's arrays; a local here cost he-ho a third more page faults
-    outcomes = herald(_lossy_pairs_at_midpoint(make_pair, param, min(cutoff, max_cutoff), tau), tau)
+    outcomes = read(_lossy_pairs_at_midpoint(make_pair, param, min(cutoff, max_cutoff), tau, levels), tau)
     total = sum(o.probability for o in outcomes)
     avg = sum(o.probability * o.negativity for o in outcomes) / total if total > _PROB_FLOOR else 0.0
     echo = {"scheme": scheme, "alpha": alpha, "T": T, "T_prime": T_prime, "cutoff": cutoff}
@@ -213,6 +220,9 @@ def _count_herald(psi: StateVector, tau: float) -> list[SwapOutcome]:
     return outcomes
 
 
+_COUNTING = (_count_herald, 2)  # levels 0 and 1 of B and D are all it reads
+
+
 def dv_swap(T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapResult:
     """Vacuum/single-photon baseline swap.
 
@@ -224,7 +234,7 @@ def dv_swap(T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapRe
     stored bosonic dimension is capped at three internally; results are
     exactly cutoff-independent for any requested cutoff >= 2.
     """
-    return _run_swap("dv", None, T, T_prime, cutoff, (make_vsp_bell, "phi+", 2), _count_herald)
+    return _run_swap("dv", None, T, T_prime, cutoff, (make_vsp_bell, "phi+", 2), _COUNTING)
 
 
 def he_swap_spd(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapResult:
@@ -236,7 +246,7 @@ def he_swap_spd(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None
     """
     alpha = _check_alpha(alpha)
     return _run_swap("he_spd", alpha, T, T_prime, cutoff, (make_hybrid_pair, alpha, math.inf),
-                     _count_herald)
+                     _COUNTING)
 
 
 def _feed_forward_phase(alpha: float, T: float, x: float) -> float:
@@ -306,7 +316,7 @@ def he_swap_homodyne(
         return [_outcome("click_click", p_acc, rho_acc, p_acc)]
 
     return _run_swap("he_ho", alpha, T, T_prime, cutoff, (make_hybrid_pair, alpha, math.inf),
-                     herald, grid_points=int(xs.size))
+                     (herald, None), grid_points=int(xs.size))
 
 
 def feed_forward_correction(target, alpha: float, T: float, x: float, mode: str = "C"):
@@ -337,38 +347,6 @@ def feed_forward_correction(target, alpha: float, T: float, x: float, mode: str 
     bshape = [1] * n + shape
     t = t * phase.reshape(kshape) * phase.conj().reshape(bshape)
     return DensityOperator(reg, t.reshape(reg.dim, reg.dim))
-
-
-def build_k_povm(alpha: float, cutoff: int | None = None) -> list[MeasurementElement]:
-    """Four-element vacuum-vs-cat POVM for the homodyne scheme's B arm.
-
-    With lam = 2 exp(-alpha^2) (the bare two-branch overlap of the even
-    cat with vacuum; the normalized overlap would carry the extra cat
-    normalization factor) and |CS±> the cat states with branch
-    amplitudes ±sqrt(2) alpha:
-
-        K1 = |0><0| + lam^2 |CS-><CS-| - lam(|CS-><0| + |0><CS-|)
-        K2 = |0><0| + lam^2 |CS-><CS-| + lam(|CS-><0| + |0><CS-|)
-        K3 = |0><0| + lam^2 |CS+><CS+| + lam(|CS+><0| + |0><CS+|)
-        K4 = |0><0| + lam^2 |CS+><CS+| - lam(|CS+><0| + |0><CS+|)
-
-    Each element factors as v v† with v = |0> ± lam |CS±>, hence is
-    rank one and positive.
-    """
-    alpha = _check_alpha(alpha)
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    cutoff = _resolve_cutoff(cutoff)
-    reg = ModeRegister((("B", bosonic(cutoff)),))
-    v0 = make_fock(reg).amplitudes
-    cs_p = make_cat(reg, "B", alpha, "+").amplitudes
-    cs_m = make_cat(reg, "B", alpha, "-").amplitudes
-    lam = 2.0 * math.exp(-(alpha**2))
-    vectors = [v0 - lam * cs_m, v0 + lam * cs_m, v0 + lam * cs_p, v0 - lam * cs_p]
-    return [
-        MeasurementElement(f"K{i}", ("B",), np.outer(v, v.conj()), "povm-element")
-        for i, v in enumerate(vectors, start=1)
-    ]
 
 
 def cv_bsm_failure_prob(alpha: float, cutoff: int | None = None) -> float:

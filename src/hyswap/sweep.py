@@ -170,6 +170,7 @@ def parse_config(path: str) -> SweepConfig:
         ("homodyne.points", cfg.points >= 1, "must be >= 1"),
         ("parallelism", cfg.parallelism >= 1, "must be >= 1"),
         ("output_path", Path(cfg.output_path).parent.is_dir(), "its directory does not exist"),
+        ("output_path", not Path(cfg.output_path).is_dir(), "it is a directory"),
     ]
     for key, ok, rule in checks:
         if not ok:

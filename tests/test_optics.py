@@ -17,9 +17,7 @@ from hyswap import (
     bosonic,
     bs_unitary,
     fock_projector,
-    gamma_tau_to_T,
     homodyne_grid,
-    homodyne_vector,
     loss_channel,
     make_coherent,
     make_fock,
@@ -169,13 +167,6 @@ def test_bs_inverse_composition():
         "X", "Y", BeamSplitterParams(params.theta, params.phi + math.pi),
     )
     assert np.abs(back.amplitudes - psi.amplitudes).max() < 1e-13
-
-
-def test_gamma_tau_to_T():
-    assert gamma_tau_to_T(0.0) == 1.0
-    assert abs(gamma_tau_to_T(0.5) - math.exp(-0.5)) < 1e-15
-    with pytest.raises(ValueError):
-        gamma_tau_to_T(-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +391,6 @@ def test_homodyne_grid_properties():
         homodyne_grid(-1.0, 5)
     with pytest.raises(ValueError):
         homodyne_grid(6.0, 0)
-
-
-def test_homodyne_vector_element():
-    reg = ModeRegister((("M", bosonic(5)),))
-    el = homodyne_vector(reg, "M", 0.8)
-    assert el.kind == "quadrature-vector"
-    assert el.vector is not None
-    assert np.abs(el.operator - np.outer(el.vector.conj(), el.vector)).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from hyswap import (
     StateVector,
     apply_bs,
     bosonic,
-    build_k_povm,
     closed_form,
     cv_bsm_failure_prob,
     default_cutoff,
@@ -22,7 +21,6 @@ from hyswap import (
     he_swap_homodyne,
     he_swap_spd,
     homodyne_grid,
-    make_cat,
     make_coherent,
     make_fock,
     make_hybrid_pair,
@@ -337,41 +335,6 @@ def test_feed_forward_requires_two_level_mode():
 
 
 # ---------------------------------------------------------------------------
-# K POVM
-
-
-def test_k_povm_structure():
-    alpha, cutoff = 0.5, 8
-    ks = build_k_povm(alpha, cutoff)
-    assert [k.label for k in ks] == ["K1", "K2", "K3", "K4"]
-    reg = ModeRegister((("B", bosonic(cutoff)),))
-    v0 = make_fock(reg).amplitudes
-    cs_p = make_cat(reg, "B", alpha, "+").amplitudes
-    cs_m = make_cat(reg, "B", alpha, "-").amplitudes
-    lam = 2.0 * math.exp(-(alpha**2))
-    vectors = [
-        v0 - lam * cs_m,
-        v0 + lam * cs_m,
-        v0 + lam * cs_p,
-        v0 - lam * cs_p,
-    ]
-    for k, v in zip(ks, vectors):
-        assert np.abs(k.operator - np.outer(v, v.conj())).max() < 1e-13, k.label
-
-
-def test_k_povm_elements_are_rank_one_psd():
-    for k in build_k_povm(0.4, 7):
-        evals = np.linalg.eigvalsh(k.operator)
-        assert evals.min() > -1e-12
-        assert (evals > 1e-10).sum() == 1, k.label
-
-
-def test_k_povm_rejects_nonpositive_alpha():
-    with pytest.raises(ValueError):
-        build_k_povm(0.0)
-
-
-# ---------------------------------------------------------------------------
 # all-coherent Bell measurement
 
 
@@ -524,14 +487,52 @@ def test_counting_schemes_match_full_register_loss(cutoff):
                 _assert_outcome_matches(outcome, p_ref, rho_ref)
 
 
+@pytest.mark.parametrize("scheme,cutoff", [("he_spd", 10), ("he_spd", 3), ("dv", 10)])
+def test_counting_schemes_match_full_register_at_large_alpha(scheme, cutoff):
+    # cutoff 3 starves alpha 1.5; the two-level midpoint must still be exact
+    alpha, T, tp = 1.5, 0.9, 0.8
+    if scheme == "dv":
+        res = dv_swap(T, tp, cutoff)
+        prepare = lambda reg, q, t: make_vsp_bell(reg, q, t, "phi+")
+    else:
+        res = he_swap_spd(alpha, T, tp, cutoff)
+        prepare = lambda reg, q, t: make_hybrid_pair(reg, q, t, alpha)
+    ref = _counting_full_register(prepare, cutoff, T * tp)
+    for outcome, (p_ref, rho_ref) in zip(res.per_outcome, ref):
+        _assert_outcome_matches(outcome, p_ref, rho_ref)
+
+
+def test_midpoint_register_size_per_herald(monkeypatch):
+    """Counting heralds send B and D to the midpoint with levels 0 and 1
+    only, 16 (c+1)^2 amplitudes; he-ho keeps every level, 4 (c+1)^4."""
+    import hyswap.protocols as protocols
+
+    seen = []
+
+    def recording(state, mode_x, mode_y, params):
+        reg = state.register
+        seen.append((mode_x, mode_y, reg.spec(mode_x).dim, reg.spec(mode_y).dim, reg.dim))
+        return apply_bs(state, mode_x, mode_y, params)
+
+    monkeypatch.setattr(protocols, "apply_bs", recording)
+    cutoff = 9
+    runs = [
+        (lambda: he_swap_spd(0.8, 0.7, 0.9, cutoff), cutoff, 2),
+        (lambda: dv_swap(0.7, 0.9, cutoff), 2, 2),  # dv stores at most cutoff 2
+        (lambda: he_swap_homodyne(0.8, 0.7, 0.9, cutoff), cutoff, cutoff + 1),
+    ]
+    for run, c, d in runs:
+        seen.clear()
+        run()
+        assert seen == [("B", "D", d, d, 4 * d * d * (c + 1) ** 2)]
+
+
 def test_non_finite_alpha_is_rejected():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="finite"):
             he_swap_spd(bad, 0.5)
         with pytest.raises(ValueError, match="finite"):
             he_swap_homodyne(bad, 0.5, cutoff=4)
-        with pytest.raises(ValueError, match="finite"):
-            build_k_povm(bad, 4)
         with pytest.raises(ValueError, match="finite"):
             cv_bsm_failure_prob(bad, 4)
 

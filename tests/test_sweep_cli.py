@@ -400,3 +400,25 @@ def test_cli_sweep_rejects_missing_output_directory_before_running(tmp_path):
     assert_one_line_error(result)
     assert "invalid value for output_path" in result.stderr
     assert "config file" not in result.stderr
+
+
+def test_parse_config_rejects_directory_output_path(tmp_path):
+    path = write_config(
+        tmp_path, f"schemes = dv\nalpha_values = 0.0\nT_values = 1.0\noutput_path = {tmp_path}\n"
+    )
+    with pytest.raises(ConfigError, match="invalid value for output_path: it is a directory"):
+        parse_config(path)
+
+
+def test_cli_sweep_rejects_directory_output_path_before_running(tmp_path):
+    out = tmp_path / "out.csv"
+    out.mkdir()
+    cfg = write_config(
+        tmp_path,
+        f"schemes = dv\nalpha_values = 0.0\nT_values = 1.0\noutput_path = {out}\n",
+    )
+    result = run_cli("sweep", cfg)
+    assert result.returncode == 1
+    assert_one_line_error(result)
+    assert "invalid value for output_path" in result.stderr
+    assert list(out.iterdir()) == []

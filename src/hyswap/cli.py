@@ -7,6 +7,7 @@ import sys
 
 from . import sweep as sweep_mod
 from . import verification
+from .optics import HOMODYNE_POINTS, HOMODYNE_X_MAX
 from .protocols import default_cutoff
 
 
@@ -26,8 +27,8 @@ def _build_parser() -> argparse.ArgumentParser:
     point.add_argument("--Tp", type=float, default=1.0, help="detector efficiency")
     point.add_argument("--cutoff", type=int, default=None,
                        help="Fock cutoff (default: HYSWAP_CUTOFF or 12)")
-    point.add_argument("--x-max", type=float, default=6.0, help="homodyne grid half-width")
-    point.add_argument("--points", type=int, default=201, help="homodyne grid size")
+    point.add_argument("--x-max", type=float, default=HOMODYNE_X_MAX, help="homodyne grid half-width")
+    point.add_argument("--points", type=int, default=HOMODYNE_POINTS, help="homodyne grid size")
 
     swp = sub.add_parser("sweep", help="run a config-driven sweep to CSV")
     swp.add_argument("config", help="path to a key = value sweep config")
@@ -46,8 +47,8 @@ def _cmd_point(args) -> int:
         row = sweep_mod.evaluate_point(
             args.scheme, alpha, args.T, args.Tp, cutoff, args.x_max, args.points
         )
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValueError, MemoryError) as exc:
+        sys.stderr.write(f"error: {exc or 'out of memory'}\n")
         return 1
     print(",".join(sweep_mod.CSV_COLUMNS))
     print(",".join(sweep_mod.format_value(row[c]) for c in sweep_mod.CSV_COLUMNS))
@@ -58,8 +59,8 @@ def _cmd_sweep(args) -> int:
     try:
         config = sweep_mod.parse_config(args.config)
         count = sweep_mod.run_sweep(config)
-    except ValueError as exc:  # ConfigError, or a point rejected mid-run
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValueError, MemoryError) as exc:  # ConfigError, a bad point, or a cutoff too large
+        sys.stderr.write(f"error: {exc or 'out of memory'}\n")
         return 1
     sys.stderr.write(f"wrote {count} rows to {config.output_path}\n")
     return 0

@@ -22,6 +22,12 @@ the amplitude-damping Kraus family ``A_k = (1-T)^{k/2} (k!)^{-1/2}
 T^{n/2} a^k``.  Both routes are provided and are checked against each
 other in the tests rather than merged.
 
+Every detector element is diagonal in the Fock basis and is stored as
+its diagonal ``weights`` (0/1 for ideal counters); an inefficient
+detector's weights are the ideal ones pushed through the binomial
+survival map of a T' loss.  Measuring scales a mode's axis by
+``sqrt(weights)``.
+
 Homodyne detection is represented by quadrature bra vectors
 ``<x_theta|n> = e^{-i n theta} pi^{-1/4} (2^n n!)^{-1/2} H_n(x)
 e^{-x^2/2}`` evaluated by the stable normalized Hermite recurrence; a
@@ -160,14 +166,14 @@ def apply_bs(state, mode_x: str, mode_y: str, params: BeamSplitterParams):
 
 @dataclass(frozen=True)
 class LossChannel:
-    """Amplitude damping on one bosonic mode, in Kraus form."""
+    """Amplitude damping on one bosonic mode: ``kraus[k]`` is A_k, shape (d, d, d)."""
 
     T: float
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
 
 def loss_channel(T: float, cutoff: int) -> LossChannel:
@@ -179,13 +185,11 @@ def loss_channel(T: float, cutoff: int) -> LossChannel:
     if not 0.0 <= T <= 1.0:
         raise ValueError("transmission must lie in [0, 1]")
     d = cutoff + 1
-    ops = []
+    kraus = np.zeros((d, d, d), dtype=np.complex128)
     for k in range(d):
-        A = np.zeros((d, d), dtype=np.complex128)
         for n in range(k, d):
-            A[n - k, n] = math.sqrt(math.comb(n, k) * (1.0 - T) ** k * T ** (n - k))
-        ops.append(A)
-    return LossChannel(T, tuple(ops))
+            kraus[k, n - k, n] = math.sqrt(math.comb(n, k) * (1.0 - T) ** k * T ** (n - k))
+    return LossChannel(T, kraus)
 
 
 def apply_loss(rho: DensityOperator, mode: str, channel: LossChannel) -> DensityOperator:
@@ -235,24 +239,42 @@ def apply_loss_dilated(rho: DensityOperator, mode: str, T: float) -> DensityOper
 
 @dataclass(frozen=True)
 class MeasurementElement:
-    """A labeled measurement operator on named modes.
+    """A labeled detector outcome on one mode, diagonal in the Fock basis.
 
-    kind is 'projector' or 'povm-element'.
+    ``weights[n]`` is the probability that the outcome fires on |n>; the
+    element is the operator sum_n weights[n] |n><n|, which ``operator``
+    builds on demand.
     """
 
     label: str
-    modes: tuple[str, ...]
-    operator: np.ndarray
-    kind: str
+    mode: str
+    weights: np.ndarray
+
+    def __post_init__(self):
+        w = np.asarray(self.weights)
+        if w.ndim != 1 or not np.isrealobj(w) or not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise ValueError(f"weights of {self.label!r} must be a 1-D array of finite numbers >= 0")
+        w = w.astype(float)  # a copy, so the element cannot change under a caller
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+
+    @property
+    def operator(self) -> np.ndarray:
+        return np.diag(self.weights)
+
+
+def _bosonic_dim(register: ModeRegister, mode: str, what: str) -> int:
+    spec = register.spec(mode)
+    if spec.kind is not ModeKind.BOSONIC:
+        raise ValueError(f"{what} requires a bosonic mode")
+    return spec.dim
 
 
 def fock_projector(register: ModeRegister, mode: str, n: int) -> MeasurementElement:
     d = register.spec(mode).dim
     if not 0 <= n < d:
         raise ValueError(f"occupation out of range for mode {mode!r}: {n}")
-    op = np.zeros((d, d), dtype=np.complex128)
-    op[n, n] = 1.0
-    return MeasurementElement(f"{n}", (mode,), op, "projector")
+    return MeasurementElement(f"{n}", mode, np.arange(d) == n)
 
 
 def pnr_elements(register: ModeRegister, mode: str, n_max: int | None = None) -> list[MeasurementElement]:
@@ -260,45 +282,26 @@ def pnr_elements(register: ModeRegister, mode: str, n_max: int | None = None) ->
 
     The default n_max (the mode cutoff) makes the set complete.
     """
-    spec = register.spec(mode)
-    if spec.kind is not ModeKind.BOSONIC:
-        raise ValueError("photon counting requires a bosonic mode")
-    top = spec.cutoff if n_max is None else int(n_max)
-    if not 0 <= top <= spec.cutoff:
+    d = _bosonic_dim(register, mode, "photon counting")
+    top = d - 1 if n_max is None else int(n_max)
+    if not 0 <= top < d:
         raise ValueError("n_max out of range")
     return [fock_projector(register, mode, n) for n in range(top + 1)]
 
 
 def onoff_elements(register: ModeRegister, mode: str) -> list[MeasurementElement]:
     """On-off (bucket) detector: {no click, click} = {P0, 1 - P0}."""
-    spec = register.spec(mode)
-    if spec.kind is not ModeKind.BOSONIC:
-        raise ValueError("on-off detection requires a bosonic mode")
-    d = spec.dim
-    p0 = np.zeros((d, d), dtype=np.complex128)
-    p0[0, 0] = 1.0
-    click = np.eye(d, dtype=np.complex128) - p0
-    return [
-        MeasurementElement("off", (mode,), p0, "projector"),
-        MeasurementElement("click", (mode,), click, "projector"),
-    ]
+    n = np.arange(_bosonic_dim(register, mode, "on-off detection"))
+    return [MeasurementElement("off", mode, n == 0), MeasurementElement("click", mode, n >= 1)]
 
 
 def spd_elements(register: ModeRegister, mode: str) -> list[MeasurementElement]:
     """Single-photon detector: {vacuum, one photon, two or more}."""
-    spec = register.spec(mode)
-    if spec.kind is not ModeKind.BOSONIC:
-        raise ValueError("single-photon detection requires a bosonic mode")
-    d = spec.dim
-    p0 = np.zeros((d, d), dtype=np.complex128)
-    p0[0, 0] = 1.0
-    p1 = np.zeros((d, d), dtype=np.complex128)
-    p1[1, 1] = 1.0
-    rest = np.eye(d, dtype=np.complex128) - p0 - p1
+    n = np.arange(_bosonic_dim(register, mode, "single-photon detection"))
     return [
-        MeasurementElement("0", (mode,), p0, "projector"),
-        MeasurementElement("1", (mode,), p1, "projector"),
-        MeasurementElement("2+", (mode,), rest, "projector"),
+        MeasurementElement("0", mode, n == 0),
+        MeasurementElement("1", mode, n == 1),
+        MeasurementElement("2+", mode, n >= 2),
     ]
 
 
@@ -330,7 +333,10 @@ def _homodyne_grid_cached(x_max: float, points: int) -> tuple[np.ndarray, np.nda
     return nodes, weights
 
 
-def homodyne_grid(x_max: float = 6.0, points: int = 201) -> tuple[np.ndarray, np.ndarray]:
+HOMODYNE_X_MAX, HOMODYNE_POINTS = 6.0, 201  # the default grid: half-width, node count
+
+
+def homodyne_grid(x_max: float = HOMODYNE_X_MAX, points: int = HOMODYNE_POINTS) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-x_max, x_max].
 
     Memoized on (x_max, points); the returned arrays are read-only.
@@ -346,9 +352,10 @@ def with_inefficiency(elements, T_prime: float):
     """Fold detector inefficiency into measurement elements.
 
     An inefficient detector is an ideal one behind a T' loss channel, so
-    each element M becomes the adjoint-channel image sum_k A_k† M A_k.
-    Accepts a single element or a list; projectors degrade to general
-    POVM elements when T' < 1.
+    an outcome fires on |n> with probability sum_m P(n -> m) w[m], where
+    P(n -> m) = C(n, m) T'^m (1 - T')^(n - m) is the binomial survival
+    of the loss.  Accepts a single element or a list; at T' = 1 each
+    element is returned unchanged.
     """
     if not 0.0 <= T_prime <= 1.0:
         raise ValueError("detector efficiency must lie in [0, 1]")
@@ -359,45 +366,31 @@ def with_inefficiency(elements, T_prime: float):
         if T_prime == 1.0:
             out.append(el)
             continue
-        if len(el.modes) != 1:
-            raise ValueError("inefficiency mapping is defined per mode")
-        d = el.operator.shape[0]
-        ch = loss_channel(T_prime, d - 1)
-        m = np.zeros_like(el.operator)
-        for A in ch.kraus:
-            m += A.conj().T @ el.operator @ A
-        out.append(MeasurementElement(el.label, el.modes, m, "povm-element"))
+        kraus = loss_channel(T_prime, el.weights.size - 1).kraus
+        survival = (np.abs(kraus) ** 2).sum(0)  # [m, n] = P(n -> m)
+        out.append(MeasurementElement(el.label, el.mode, el.weights @ survival))
     return out[0] if single else out
-
-
-def _psd_sqrt(M: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(M)
-    w = np.clip(w, 0.0, None)
-    return (V * np.sqrt(w)) @ V.conj().T
 
 
 def measure_and_reduce(state: StateVector, elements: list[MeasurementElement], keep: list[str]) -> tuple[float, DensityOperator]:
     """Joint outcome probability and normalized reduced state on kept modes.
 
-    Each element acts on its own single mode. Projectors filter the state
-    directly; general POVM elements act through their PSD square root, so
-    the returned probability is tr[rho * prod(M)] either way.  The
-    measured and environment modes are traced out.  When the probability
-    underflows the reduced state is returned as the zero matrix.
+    Each element scales the amplitudes along its mode's axis by
+    ``sqrt(weights)``, which for a projector keeps its levels and zeroes
+    the rest, so the returned probability is tr[rho * prod(M)].  The measured and environment modes
+    are traced out.  When the probability underflows the reduced state is
+    returned as the zero matrix.
     """
     reg = state.register
-    flat = state.amplitudes
+    t = state.tensor_view()
     for el in elements:
-        if len(el.modes) != 1:
-            raise ValueError("measure_and_reduce expects single-mode elements")
-        ax = reg.axis(el.modes[0])
-        if el.operator.shape[0] != reg.dims[ax]:
-            raise ValueError(
-                f"element on mode {el.modes[0]!r} has wrong dimension"
-            )
-        filt = el.operator if el.kind == "projector" else _psd_sqrt(el.operator)
-        flat = _apply(flat, reg.dims, (ax,), filt)
-    filtered = StateVector(reg, flat, state.norm_deficit)
+        ax = reg.axis(el.mode)
+        if el.weights.size != reg.dims[ax]:
+            raise ValueError(f"element on mode {el.mode!r} has wrong dimension")
+        shape = [1] * len(reg.dims)
+        shape[ax] = -1
+        t = t * np.sqrt(el.weights).reshape(shape)
+    filtered = StateVector(reg, t.reshape(-1), state.norm_deficit)
     prob = filtered.norm_sq()
     rho = reduced_density(filtered, keep)
     if prob > 1e-290:

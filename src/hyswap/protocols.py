@@ -161,7 +161,7 @@ def _lossy_pairs_at_midpoint(make_pair, param, c: int, tau: float, levels: int |
     first ``levels`` photon numbers of B and D survive the loss (all of
     them for None).
     """
-    kraus = np.stack(loss_channel(tau, c).kraus)[:, :levels]  # (k, m, n)
+    kraus = loss_channel(tau, c).kraus[:, :levels]  # (k, m, n)
     kept = bosonic(kraus.shape[1] - 1)
     pairs = []
     for local, trav in (("A", "B"), ("C", "D")):

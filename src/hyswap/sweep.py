@@ -32,7 +32,7 @@ from .protocols import (
     he_swap_homodyne,
     he_swap_spd,
 )
-from .optics import homodyne_grid
+from .optics import HOMODYNE_POINTS, HOMODYNE_X_MAX, homodyne_grid
 
 __all__ = ["CSV_COLUMNS", "SCHEME_ALIASES", "SweepConfig", "ConfigError",
            "parse_config", "evaluate_point", "run_sweep", "format_value"]
@@ -153,8 +153,8 @@ def parse_config(path: str) -> SweepConfig:
         T_values=ts,
         T_prime=_scalar("T_prime", float, 1.0),
         cutoff=_scalar("cutoff", int, default_cutoff()),
-        x_max=_scalar("homodyne.x_max", float, 6.0),
-        points=_scalar("homodyne.points", int, 201),
+        x_max=_scalar("homodyne.x_max", float, HOMODYNE_X_MAX),
+        points=_scalar("homodyne.points", int, HOMODYNE_POINTS),
         output_path=entries["output_path"],
         parallelism=_scalar("parallelism", int, 1),
     )
@@ -179,7 +179,8 @@ def parse_config(path: str) -> SweepConfig:
 
 
 def evaluate_point(scheme: str, alpha: float, T: float, T_prime: float,
-                   cutoff: int, x_max: float = 6.0, points: int = 201) -> dict:
+                   cutoff: int, x_max: float = HOMODYNE_X_MAX,
+                   points: int = HOMODYNE_POINTS) -> dict:
     """One (scheme, alpha, T) evaluation: simulated and closed-form row."""
     internal = SCHEME_ALIASES.get(scheme)
     if internal is None:

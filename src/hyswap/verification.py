@@ -274,8 +274,8 @@ def _property_detectors(cutoff: int = 10) -> float:
     reg = ModeRegister((("M", bosonic(cutoff)),))
     worst = 0.0
     for els in (pnr_elements(reg, "M"), onoff_elements(reg, "M"), spd_elements(reg, "M")):
-        total = sum(el.operator for el in els)
-        worst = max(worst, float(np.abs(total - np.eye(cutoff + 1)).max()))
+        total = sum(el.weights for el in els)
+        worst = max(worst, float(np.abs(total - 1.0).max()))
     return worst
 
 

@@ -9,6 +9,7 @@ from hyswap import (
     FIFTY_FIFTY,
     BeamSplitterParams,
     DensityOperator,
+    MeasurementElement,
     ModeRegister,
     StateVector,
     apply_bs,
@@ -305,7 +306,7 @@ def test_with_inefficiency_passthrough_and_povm():
     degraded = with_inefficiency(els, 0.55)
     total = sum(el.operator for el in degraded)
     assert np.abs(total - np.eye(7)).max() < 1e-14  # still a POVM
-    assert all(el.kind == "povm-element" for el in degraded)
+    assert any(np.any((el.weights > 0) & (el.weights < 1)) for el in degraded)  # no longer 0/1
     # single-element calling convention
     one = with_inefficiency(els[0], 0.55)
     assert np.abs(one.operator - degraded[0].operator).max() < 1e-15
@@ -423,18 +424,25 @@ def test_measure_matches_direct_slice():
 
 
 def test_measure_povm_element_agrees_with_projector_decomposition():
-    # a POVM element equal to a projector must behave like the projector
+    # a fractional-weight element sum_n w_n |n><n| acts as that mixture of projectors
     rng = np.random.default_rng(47)
     reg = ModeRegister((("A", qubit()), ("B", bosonic(4))))
     psi = random_state(reg, rng)
-    proj = fock_projector(reg, "B", 1)
-    from hyswap import MeasurementElement
+    povm = with_inefficiency(fock_projector(reg, "B", 1), 0.6)
+    w = povm.weights
+    assert np.any((w > 0) & (w < 1))
+    p, rho = measure_and_reduce(psi, [povm], ["A"])
+    cols = psi.tensor_view()  # (A, B)
+    assert abs(p - sum(w[n] * np.vdot(cols[:, n], cols[:, n]).real for n in range(5))) < 1e-14
+    ref = sum(w[n] * np.outer(cols[:, n], cols[:, n].conj()) for n in range(5)) / p
+    assert np.abs(rho.matrix - ref).max() < 1e-12
 
-    povm = MeasurementElement("1", ("B",), proj.operator.copy(), "povm-element")
-    p1, r1 = measure_and_reduce(psi, [proj], ["A"])
-    p2, r2 = measure_and_reduce(psi, [povm], ["A"])
-    assert abs(p1 - p2) < 1e-14
-    assert np.abs(r1.matrix - r2.matrix).max() < 1e-12
+
+@pytest.mark.parametrize("bad", [np.ones((2, 2)), [0.5, -0.1, 1.0], [0.5, math.nan, 1.0]],
+                         ids=["2-D", "negative", "nan"])
+def test_measurement_element_rejects_bad_weights(bad):
+    with pytest.raises(ValueError, match="weights"):
+        MeasurementElement("x", "B", bad)
 
 
 def test_measure_dimension_mismatch():

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -329,13 +330,13 @@ def test_console_script_installed():
 # run the CLI in a subprocess with a timeout
 
 
-def run_cli(*args):
+def run_cli(*args, **kwargs):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     return subprocess.run(
         [sys.executable, "-m", "hyswap", *args],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=env, **kwargs,
     )
 
 
@@ -422,3 +423,24 @@ def test_cli_sweep_rejects_directory_output_path_before_running(tmp_path):
     assert_one_line_error(result)
     assert "invalid value for output_path" in result.stderr
     assert list(out.iterdir()) == []
+
+
+def _cap_address_space():
+    # a cutoff-200 he-ho point asks for about 100 GiB, so under 3 GiB it fails at once
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+def test_cli_reports_allocation_failure_as_one_line(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # keep BLAS buffers well under the cap
+    out = tmp_path / "never.csv"
+    cfg = write_config(
+        tmp_path,
+        f"schemes = he-ho\nalpha_values = 0.3\nT_values = 0.5\ncutoff = 200\noutput_path = {out}\n",
+    )
+    point = ("point", "--scheme", "he-ho", "--alpha", "0.3", "--T", "0.5", "--cutoff", "200")
+    for args in (point, ("sweep", cfg)):
+        result = run_cli(*args, preexec_fn=_cap_address_space)
+        assert result.returncode == 1
+        assert_one_line_error(result)
+        assert result.stdout == ""
+    assert not out.exists()

@@ -211,14 +211,20 @@ def coherent_tail_mass(alpha: complex, cutoff: int) -> float:
     """Photon-number probability above the cutoff for a coherent state.
 
     Summed upward from n = cutoff + 1, so no cancellation occurs even
-    when the tail is far below machine epsilon.  Non-finite amplitudes
-    are rejected, since the loop would never meet its exit test.
+    when the tail is far below machine epsilon.  When the Poisson mode
+    lies above the cutoff the tail is 1 - head, each head term taken in
+    log space, since exp(-|alpha|^2) underflows for |alpha| > ~27.3.
+    Non-finite amplitudes are rejected: the loop would never exit.
     """
     mu = abs(alpha) ** 2
     if not math.isfinite(mu):
         raise ValueError("coherent amplitude must be finite")
     if mu == 0.0:
         return 0.0
+    if mu > cutoff + 1:
+        log_mu = math.log(mu)
+        head = math.fsum(math.exp(n * log_mu - mu - math.lgamma(n + 1)) for n in range(cutoff + 1))
+        return 1.0 - head
     term = math.exp(-mu)
     for n in range(1, cutoff + 1):
         term *= mu / n

@@ -8,10 +8,11 @@ protocol output.
 
 The three schemes differ only in the resource pair and the herald, the
 midpoint measurement.  One private runner does the rest: it validates
-T, T' and the cutoff, forms tau = T * T', builds the lossy pairs at the
-midpoint, calls the herald and sums its outcomes into a ``SwapResult``.
-Each outcome at or below ``_PROB_FLOOR`` carries the zero state; any
-other gets its normalized state and negativity.
+T, T' and the cutoff, forms tau = T * T', builds the lossy pair and
+sums the herald's outcomes, unnormalized A-C matrices whose trace is the
+probability, into a ``SwapResult``.  Each outcome at or below
+``_PROB_FLOOR`` carries the zero state; any other gets its normalized
+state and negativity.
 
 * ``dv_swap``: vacuum/single-photon Bell pairs, counting herald.
 * ``he_swap_spd``: hybrid qubit/coherent pairs, counting herald.
@@ -19,10 +20,10 @@ other gets its normalized state and negativity.
 
 The counting herald accepts the photon counts (0, 1) and (1, 0) on
 (B, D); for the hybrid pairs these are single-photon detectors and "two
-or more" is rejected.  It keeps only levels 0 and 1 of B and D: the
-midpoint splitter conserves photon number, so those outcomes come only
-from the inputs (0, 1) and (1, 0), and a splitter truncated to two
-levels holds that whole one-photon block, so it acts on it exactly.
+or more" is rejected.  It builds no midpoint register: the splitter
+conserves photon number, so those outcomes come only from the inputs
+(0, 1) and (1, 0), mixed by its 2 x 2 one-photon block, and each is two
+index selections on the lossy pair.
 
 The homodyne herald tests B for vacuum against an ancillary coherent
 beam (two on-off detectors must both click) and reads D out along the
@@ -32,15 +33,15 @@ ancilla never enters the register: the vacuum test acts on B as a d x d
 filter R with R†R = M, the test's operator on B.
 
 Channel loss keeps the global state pure until measurement, so the
-reduced A-C state never needs a full-register density matrix.  Each pair
-is built on (local, traveling), and the Kraus operators A_k of
-``loss_channel`` add its environment axis, amp[a, m, k] = sum_n A_k[m, n]
-amp[a, n].  For a vacuum environment this is the splitter dilation up to
-a phase on each |k>, which every trace over the environments removes.
-Detector inefficiency T' enters as the substitution T -> T * T' (loss
-commutes with the balanced midpoint splitter, and an inefficient
-detector is an ideal one behind a loss); the tests check that
-substitution against explicitly modeled inefficient detectors.
+reduced A-C state never needs a full-register density matrix.  Both
+parties hold the same (local, traveling) pair, and the Kraus operators
+A_k of ``loss_channel`` add its environment axis, P[a, m, k] = sum_n
+A_k[m, n] amp[a, n].  For a vacuum environment this is the splitter
+dilation up to a phase on each |k>, which every trace over the
+environments removes.  Detector inefficiency T' enters as the
+substitution T -> T * T' (loss commutes with the balanced midpoint
+splitter, and an inefficient detector is an ideal one behind a loss);
+the tests check it against explicitly modeled inefficient detectors.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .fock import (
     StateVector,
     bosonic,
     make_coherent,
-    make_fock,  # not called here: perfbench's WRAPPED names it and its tests need it bound
     make_hybrid_pair,
     make_vsp_bell,
     qubit,
@@ -68,12 +68,13 @@ from .optics import (
     FIFTY_FIFTY,
     apply_bs,
     bs_unitary,
-    fock_projector,
     homodyne_grid,
     loss_channel,
-    measure_and_reduce,
     quadrature_amplitudes,
 )
+# imported but never called here: perfbench's WRAPPED names both, and its tests need them bound
+from .fock import make_fock  # noqa: F401
+from .optics import measure_and_reduce  # noqa: F401
 
 __all__ = [
     "DEFAULT_CUTOFF",
@@ -152,75 +153,62 @@ def _resolve_cutoff(cutoff: int | None) -> int:
     return c
 
 
-def _lossy_pairs_at_midpoint(make_pair, param, c: int, tau: float, levels: int | None) -> StateVector:
-    """Both pairs through their loss channels, then the 50:50 midpoint.
+def _lossy_pair(make_pair, param, c: int, tau: float) -> np.ndarray:
+    """The resource pair after its loss, as P[local, traveling, loss environment].
 
-    ``make_pair(register, local, traveling, param)`` builds one pair on a
-    (local, traveling) register; the Kraus index of the loss becomes its
-    env mode, and the result is ordered (A, B, Eb, C, D, Ed).  Only the
-    first ``levels`` photon numbers of B and D survive the loss (all of
-    them for None).
+    ``make_pair(register, local, traveling, param)`` builds it at cutoff ``c``.
     """
-    kraus = loss_channel(tau, c).kraus[:, :levels]  # (k, m, n)
-    kept = bosonic(kraus.shape[1] - 1)
-    pairs = []
-    for local, trav in (("A", "B"), ("C", "D")):
-        pair = make_pair(ModeRegister(((local, qubit()), (trav, bosonic(c)))), local, trav, param)
-        amp = np.einsum("kmn,an->amk", kraus, pair.amplitudes.reshape(2, c + 1))
-        reg = ModeRegister(((local, qubit()), (trav, kept), ("E" + trav.lower(), bosonic(c))))
-        pairs.append(StateVector(reg, amp.reshape(-1), pair.norm_deficit))
-    return apply_bs(tensor(*pairs), "B", "D", FIFTY_FIFTY)
+    pair = make_pair(ModeRegister((("A", qubit()), ("B", bosonic(c)))), "A", "B", param)
+    return np.einsum("kmn,an->amk", loss_channel(tau, c).kraus, pair.amplitudes.reshape(2, c + 1))
 
 
-def _outcome(label: str, prob: float, rho: np.ndarray, scale: float) -> SwapOutcome:
-    """One accepted outcome whose normalized A-C state is ``rho / scale``.
+def _outcome(label: str, rho: np.ndarray) -> SwapOutcome:
+    """One accepted outcome from its unnormalized A-C matrix, whose trace is p.
 
     At or below ``_PROB_FLOOR`` the outcome is unreachable: it gets
     probability 0, the zero state and negativity 0.
     """
+    prob = float(np.trace(rho).real)
     if prob <= _PROB_FLOOR:
         return SwapOutcome(label, 0.0, DensityOperator(_AC_REGISTER, np.zeros((4, 4))), 0.0)
-    state = DensityOperator(_AC_REGISTER, rho / scale)
+    state = DensityOperator(_AC_REGISTER, rho / prob)
     return SwapOutcome(label, prob, state, negativity(state, ["C"]).value)
 
 
 def _run_swap(scheme: str, alpha: float | None, T: float, T_prime: float,
               cutoff: int | None, pair, herald, **extra_echo) -> SwapResult:
-    """The part every scheme shares: checks, lossy pairs, herald, totals.
+    """The part every scheme shares: checks, lossy pair, herald, totals.
 
-    ``pair = (make_pair, param, max_cutoff)``: each resource pair is
+    ``pair = (make_pair, param, max_cutoff)``: the resource pair is
     ``make_pair(register, local, traveling, param)`` stored at
-    ``min(cutoff, max_cutoff)``.  ``herald = (read, levels)``:
-    ``read(psi, tau)`` turns the midpoint state, whose B and D keep their
-    first ``levels`` photon numbers (all for None), into the list of
-    accepted outcomes.  ``extra_echo`` joins the parameter echo.
+    ``min(cutoff, max_cutoff)``.  ``herald(P, tau)`` takes the lossy pair
+    P[a, m, k], which both parties hold, and returns the accepted
+    outcomes as ``(label, unnormalized A-C matrix)`` pairs.
+    ``extra_echo`` joins the parameter echo.
     """
     T = _check_unit(T, "T")
     T_prime = _check_unit(T_prime, "T_prime")
     cutoff = _resolve_cutoff(cutoff)
     tau = T * T_prime
     make_pair, param, max_cutoff = pair
-    read, levels = herald
-    # the herald holds the only reference to the midpoint state, so it is freed
-    # with the herald's arrays; a local here cost he-ho a third more page faults
-    outcomes = read(_lossy_pairs_at_midpoint(make_pair, param, min(cutoff, max_cutoff), tau, levels), tau)
+    P = _lossy_pair(make_pair, param, min(cutoff, max_cutoff), tau)
+    outcomes = [_outcome(label, rho) for label, rho in herald(P, tau)]
     total = sum(o.probability for o in outcomes)
     avg = sum(o.probability * o.negativity for o in outcomes) / total if total > _PROB_FLOOR else 0.0
     echo = {"scheme": scheme, "alpha": alpha, "T": T, "T_prime": T_prime, "cutoff": cutoff}
     return SwapResult(scheme, tuple(outcomes), total, avg, echo | extra_echo)
 
 
-def _count_herald(psi: StateVector, tau: float) -> list[SwapOutcome]:
-    """Photon counts (0, 1) and (1, 0) on (B, D), each reduced onto A-C."""
-    outcomes = []
-    for nb, nd in ((0, 1), (1, 0)):
-        els = [fock_projector(psi.register, "B", nb), fock_projector(psi.register, "D", nd)]
-        prob, rho = measure_and_reduce(psi, els, ["A", "C"])
-        outcomes.append(_outcome(f"{nb}{nd}", prob, rho.matrix, 1.0))  # already normalized
-    return outcomes
+def _count_herald(P: np.ndarray, tau: float) -> list[tuple[str, np.ndarray]]:
+    """Photon counts (0, 1) and (1, 0) on (B, D), read off the lossy pair.
 
-
-_COUNTING = (_count_herald, 2)  # levels 0 and 1 of B and D are all it reads
+    Row o of the splitter's one-photon block u maps the inputs (0, 1) and
+    (1, 0) to output o, so its (A, C | Eb, Ed) amplitude is
+    u[o, 0] P[:, 0] ⊗ P[:, 1] + u[o, 1] P[:, 1] ⊗ P[:, 0].
+    """
+    u = bs_unitary(2, 2, FIFTY_FIFTY)[1:3, 1:3]
+    ins = np.stack([np.einsum("ae,cf->acef", P[:, m], P[:, 1 - m]).reshape(4, -1) for m in (0, 1)])
+    return [(label, X @ X.conj().T) for label, X in zip(("01", "10"), np.tensordot(u, ins, axes=1))]
 
 
 def dv_swap(T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapResult:
@@ -234,7 +222,7 @@ def dv_swap(T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapRe
     stored bosonic dimension is capped at three internally; results are
     exactly cutoff-independent for any requested cutoff >= 2.
     """
-    return _run_swap("dv", None, T, T_prime, cutoff, (make_vsp_bell, "phi+", 2), _COUNTING)
+    return _run_swap("dv", None, T, T_prime, cutoff, (make_vsp_bell, "phi+", 2), _count_herald)
 
 
 def he_swap_spd(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapResult:
@@ -246,7 +234,7 @@ def he_swap_spd(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None
     """
     alpha = _check_alpha(alpha)
     return _run_swap("he_spd", alpha, T, T_prime, cutoff, (make_hybrid_pair, alpha, math.inf),
-                     _COUNTING)
+                     _count_herald)
 
 
 def _feed_forward_phase(alpha: float, T: float, x: float) -> float:
@@ -299,8 +287,13 @@ def he_swap_homodyne(
     if xs.size == 0 or xs.size != ws.size:
         raise ValueError("homodyne grid must supply matching nodes and weights")
 
-    def herald(psi: StateVector, tau: float) -> list[SwapOutcome]:
-        d = psi.register.spec("B").dim
+    def herald(P: np.ndarray, tau: float) -> list[tuple[str, np.ndarray]]:
+        d = P.shape[1]
+        mode = bosonic(d - 1)
+        reg = ModeRegister((("A", qubit()), ("B", mode), ("Eb", mode),
+                            ("C", qubit()), ("D", mode), ("Ed", mode)))
+        # kron keeps the amplitudes contiguous, so StateVector takes them uncopied
+        psi = apply_bs(StateVector(reg, np.kron(P.ravel(), P.ravel())), "B", "D", FIFTY_FIFTY)
         # both clicks as R on B, then (A, B, Eb, C, D, Ed) -> (A, C, D | Eb, Ed, B)
         R = _vacuum_test_filter(d, math.sqrt(2.0 * tau) * alpha)
         t = np.tensordot(psi.tensor_view(), R, axes=([1], [1]))
@@ -311,12 +304,10 @@ def he_swap_homodyne(
         phi = _feed_forward_phase(alpha, tau, xs)
         K = np.stack([(V * (ws * np.exp(-1j * k * phi))) @ V.conj().T for k in (-1, 0, 1)])
         cbit = np.arange(4) % 2
-        rho_acc = np.einsum("anbm,abnm->ab", G, K[cbit[:, None] - cbit[None, :] + 1])
-        p_acc = float(np.trace(rho_acc).real)
-        return [_outcome("click_click", p_acc, rho_acc, p_acc)]
+        return [("click_click", np.einsum("anbm,abnm->ab", G, K[cbit[:, None] - cbit[None, :] + 1]))]
 
     return _run_swap("he_ho", alpha, T, T_prime, cutoff, (make_hybrid_pair, alpha, math.inf),
-                     (herald, None), grid_points=int(xs.size))
+                     herald, grid_points=int(xs.size))
 
 
 def feed_forward_correction(target, alpha: float, T: float, x: float, mode: str = "C"):

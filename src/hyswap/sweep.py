@@ -152,7 +152,7 @@ def parse_config(path: str) -> SweepConfig:
         alpha_values=alphas,
         T_values=ts,
         T_prime=_scalar("T_prime", float, 1.0),
-        cutoff=_scalar("cutoff", int, default_cutoff()),
+        cutoff=_scalar("cutoff", int, None) if "cutoff" in entries else default_cutoff(),
         x_max=_scalar("homodyne.x_max", float, HOMODYNE_X_MAX),
         points=_scalar("homodyne.points", int, HOMODYNE_POINTS),
         output_path=entries["output_path"],

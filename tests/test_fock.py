@@ -129,6 +129,22 @@ def test_coherent_tail_mass_matches_poisson_remainder():
     assert coherent_tail_mass(0.0, 5) == 0.0
 
 
+def test_coherent_tail_mass_matches_incomplete_gamma():
+    # P(n > cutoff) for a Poisson mean |alpha|^2 is the regularized P(cutoff + 1, |alpha|^2)
+    mpmath = pytest.importorskip("mpmath")
+    for alpha in (0.5, 5.0, 20.0, 27.5, 30.0):
+        for cutoff in (4, 12, 40):
+            want = float(mpmath.gammainc(cutoff + 1, 0, mpmath.mpf(alpha) ** 2, regularized=True))
+            assert coherent_tail_mass(alpha, cutoff) == pytest.approx(want, rel=1e-13), (alpha, cutoff)
+
+
+def test_coherent_deficit_accounts_for_everything_at_large_alpha():
+    # exp(-|alpha|^2) underflows here, so every stored amplitude is zero
+    psi = make_coherent(ModeRegister((("X", bosonic(12)),)), "X", 30.0)
+    assert psi.norm_sq() == 0.0
+    assert psi.norm_sq() + psi.norm_deficit == pytest.approx(1.0, abs=1e-14)
+
+
 def test_coherent_requires_bosonic_mode():
     reg = ModeRegister((("A", qubit()),))
     with pytest.raises(ValueError):

@@ -503,8 +503,8 @@ def test_counting_schemes_match_full_register_at_large_alpha(scheme, cutoff):
 
 
 def test_midpoint_register_size_per_herald(monkeypatch):
-    """Counting heralds send B and D to the midpoint with levels 0 and 1
-    only, 16 (c+1)^2 amplitudes; he-ho keeps every level, 4 (c+1)^4."""
+    """Counting heralds read the lossy pair and build no midpoint register;
+    he-ho splits B and D once on its 4 (c+1)^4-amplitude register."""
     import hyswap.protocols as protocols
 
     seen = []
@@ -514,17 +514,20 @@ def test_midpoint_register_size_per_herald(monkeypatch):
         seen.append((mode_x, mode_y, reg.spec(mode_x).dim, reg.spec(mode_y).dim, reg.dim))
         return apply_bs(state, mode_x, mode_y, params)
 
-    monkeypatch.setattr(protocols, "apply_bs", recording)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the counting path builds no midpoint register")
+
     cutoff = 9
-    runs = [
-        (lambda: he_swap_spd(0.8, 0.7, 0.9, cutoff), cutoff, 2),
-        (lambda: dv_swap(0.7, 0.9, cutoff), 2, 2),  # dv stores at most cutoff 2
-        (lambda: he_swap_homodyne(0.8, 0.7, 0.9, cutoff), cutoff, cutoff + 1),
-    ]
-    for run, c, d in runs:
-        seen.clear()
-        run()
-        assert seen == [("B", "D", d, d, 4 * d * d * (c + 1) ** 2)]
+    monkeypatch.setattr(protocols, "apply_bs", recording)
+    with monkeypatch.context() as m:
+        m.setattr(protocols, "measure_and_reduce", forbidden)
+        m.setattr(protocols, "tensor", forbidden)
+        he_swap_spd(0.8, 0.7, 0.9, cutoff)
+        dv_swap(0.7, 0.9, cutoff)
+    assert seen == []
+    he_swap_homodyne(0.8, 0.7, 0.9, cutoff)
+    d = cutoff + 1
+    assert seen == [("B", "D", d, d, 4 * d**4)]
 
 
 def test_non_finite_alpha_is_rejected():

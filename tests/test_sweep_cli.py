@@ -85,6 +85,14 @@ def test_parse_config_defaults_and_comments(tmp_path, monkeypatch):
     assert cfg.parallelism == 1
 
 
+def test_parse_config_reads_cutoff_env_only_without_cutoff_key(tmp_path, monkeypatch):
+    monkeypatch.setenv("HYSWAP_CUTOFF", "abc")
+    body = "schemes = dv\nalpha_values = 0.0\nT_values = 1.0\noutput_path = o.csv\n"
+    assert parse_config(write_config(tmp_path, body + "cutoff = 8\n")).cutoff == 8
+    with pytest.raises(ValueError, match="HYSWAP_CUTOFF must be an integer"):
+        parse_config(write_config(tmp_path, body, name="no_cutoff.cfg"))
+
+
 def test_parse_config_unknown_key_named(tmp_path):
     path = write_config(tmp_path, "schemes = dv\nbeta_values = 1\n")
     with pytest.raises(ConfigError, match="unknown config key: beta_values"):

@@ -213,8 +213,12 @@ def coherent_tail_mass(alpha: complex, cutoff: int) -> float:
     Summed upward from n = cutoff + 1, so no cancellation occurs even
     when the tail is far below machine epsilon.  When the Poisson mode
     lies above the cutoff the tail is 1 - head, each head term taken in
-    log space, since exp(-|alpha|^2) underflows for |alpha| > ~27.3.
-    Non-finite amplitudes are rejected: the loop would never exit.
+    log space, since exp(-|alpha|^2) underflows for |alpha| > ~26.6.
+    The upward sum starts from the term at n = cutoff; past that
+    underflow it is taken in log space too, through Stirling's series
+    for log(cutoff!) and log1p for cutoff * log(|alpha|^2 / cutoff), so
+    no log of size cutoff * log|alpha|^2 is rounded.  Non-finite
+    amplitudes are rejected: the loop would never exit.
     """
     mu = abs(alpha) ** 2
     if not math.isfinite(mu):
@@ -225,9 +229,15 @@ def coherent_tail_mass(alpha: complex, cutoff: int) -> float:
         log_mu = math.log(mu)
         head = math.fsum(math.exp(n * log_mu - mu - math.lgamma(n + 1)) for n in range(cutoff + 1))
         return 1.0 - head
-    term = math.exp(-mu)
-    for n in range(1, cutoff + 1):
-        term *= mu / n
+    if mu < 700.0:
+        term = math.exp(-mu)
+        for n in range(1, cutoff + 1):
+            term *= mu / n
+    else:  # cutoff >= mu - 1 > 698, so three terms of Stirling's series are exact
+        c = cutoff
+        stirling = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * c * c)) / (c * c)) / c
+        term = math.exp(c * math.log1p((mu - c) / c) + (c - mu)
+                        - 0.5 * math.log(2.0 * math.pi * c) - stirling)
     tail = 0.0
     n = cutoff
     while True:

@@ -32,6 +32,23 @@ feed-forward phase on C undoes the outcome-dependent rotation.  The
 ancilla never enters the register: the vacuum test acts on B as a d x d
 filter R with R†R = M, the test's operator on B.
 
+Before the midpoint the homodyne herald compresses each lossy pair.
+After loss the pair is sum_a |a>|s_a sqrt(tau) alpha>_B |s_a sqrt(1-tau)
+alpha>_E, so its loss environment E has Schmidt rank 2 apart from
+truncation.  The SVD of P over (A, B | E) gives right-singular vectors
+v_j with Schmidt weights w_j; the herald keeps the fewest r of them the
+rank rule allows and works with Q = P V_r†, so the midpoint holds
+4 d^2 r^2 amplitudes instead of 4 d^4.  This is exact up to the dropped
+weights: loss is an isometry onto (B, E) and E is traced out, so the
+output depends on the pairs only through rho_AB ⊗ rho_CD, and Q Q† is
+P P† less the dropped weights.  Rank rule: a weight is dropped when
+w <= 1e-16 and w <= 1e-14 p, p the success probability but at least
+the 1e-15 below which an outcome counts as unreachable.  The herald
+contracts once at the rank of the first part, reads p, and contracts
+again at a larger rank only when some dropped w exceeds 1e-14 p.  The
+second part is needed because dropping w moves the normalized state by
+about w / p: at p ~ 1e-6 the first part alone is off by ~1e-11.
+
 Channel loss keeps the global state pure until measurement, so the
 reduced A-C state never needs a full-register density matrix.  Both
 parties hold the same (local, traveling) pair, and the Kraus operators
@@ -92,6 +109,10 @@ DEFAULT_CUTOFF = 12
 
 _PROB_FLOOR = 1e-15  # below this an outcome is treated as unreachable
 _AC_REGISTER = ModeRegister((("A", qubit()), ("C", qubit())))
+# he-ho drops a loss environment's Schmidt weight w when w <= _SCHMIDT_FLOOR
+# and w <= _SCHMIDT_REL * p, p the success probability
+_SCHMIDT_FLOOR = 1e-16
+_SCHMIDT_REL = 1e-14
 
 
 def default_cutoff() -> int:
@@ -273,12 +294,16 @@ def he_swap_homodyne(
     the two clicks gate success.  The single reported outcome carries
     the quadrature-averaged corrected state.
 
-    Loss is applied per pair.  The ancilla E never enters the register:
-    splitter, both clicks and the trace over E act on B as the d x d
-    M = <beta| U† (P_B>=1 ⊗ P_E>=1) U |beta>, applied as R with R†R = M,
-    so the register stays at 4 d^4 amplitudes.  The quadrature sum is
-    one Gram matrix G = X X† of the (A, C, D | rest) matrix X, contracted
-    with K_k = V diag(w e^{-i k phi(x)}) V† for C-bit difference k.
+    Loss is applied per pair, and each lossy pair keeps only the r
+    leading Schmidt vectors of its loss environment (the module
+    docstring gives the rank rule and why it is exact), so the midpoint
+    holds 4 d^2 r^2 amplitudes, r = 2 away from truncation.  The ancilla
+    E never enters: splitter, both clicks and the trace over E act on B
+    as the d x d M = <beta| U† (P_B>=1 ⊗ P_E>=1) U |beta>, applied as R
+    with R†R = M, and R and the midpoint splitter U act together as one
+    d^2 x d^2 matrix (R ⊗ 1) U.  The quadrature sum is one Gram matrix
+    G = X X† of the (A, C, D | rest) matrix X, contracted with
+    K_k = V diag(w e^{-i k phi(x)}) V† for C-bit difference k.
     """
     alpha = _check_alpha(alpha)
     if x_grid is None:
@@ -289,22 +314,31 @@ def he_swap_homodyne(
 
     def herald(P: np.ndarray, tau: float) -> list[tuple[str, np.ndarray]]:
         d = P.shape[1]
-        mode = bosonic(d - 1)
-        reg = ModeRegister((("A", qubit()), ("B", mode), ("Eb", mode),
-                            ("C", qubit()), ("D", mode), ("Ed", mode)))
-        # kron keeps the amplitudes contiguous, so StateVector takes them uncopied
-        psi = apply_bs(StateVector(reg, np.kron(P.ravel(), P.ravel())), "B", "D", FIFTY_FIFTY)
-        # both clicks as R on B, then (A, B, Eb, C, D, Ed) -> (A, C, D | Eb, Ed, B)
+        pair = P.reshape(2 * d, d)
+        _, s, Vh = np.linalg.svd(pair, full_matrices=False)
+        schmidt = s**2
+        # midpoint splitter, then both clicks as R on B: one (B, D | B, D) matrix
         R = _vacuum_test_filter(d, math.sqrt(2.0 * tau) * alpha)
-        t = np.tensordot(psi.tensor_view(), R, axes=([1], [1]))
-        X = np.transpose(t, (0, 2, 3, 1, 4, 5)).reshape(4 * d, -1)
-        G = (X @ X.conj().T).reshape(4, d, 4, d)
-
+        W = (R @ bs_unitary(d, d, FIFTY_FIFTY).reshape(d, -1)).reshape(-1, d * d)
         V = quadrature_amplitudes(xs, d, math.pi / 2.0)
         phi = _feed_forward_phase(alpha, tau, xs)
         K = np.stack([(V * (ws * np.exp(-1j * k * phi))) @ V.conj().T for k in (-1, 0, 1)])
         cbit = np.arange(4) % 2
-        return [("click_click", np.einsum("anbm,abnm->ab", G, K[cbit[:, None] - cbit[None, :] + 1]))]
+        K = K[cbit[:, None] - cbit[None, :] + 1]
+
+        def contract(r: int) -> np.ndarray:
+            # P times the kept right-singular vectors, not U S: each Fock row keeps its own rounding
+            Q = (pair @ Vh[:r].conj().T).reshape(2, d, r).transpose(0, 2, 1).reshape(2 * r, d)
+            Y = np.kron(Q, Q) @ W.T  # (A, Eb, C, Ed | B, D)
+            X = Y.reshape(2, r, 2, r, R.shape[0], d).transpose(0, 2, 5, 1, 3, 4).reshape(4 * d, -1)
+            G = (X @ X.conj().T).reshape(4, d, 4, d)
+            return np.einsum("anbm,abnm->ab", G, K)
+
+        r = int(np.count_nonzero(schmidt > _SCHMIDT_FLOOR))
+        rho = contract(r)
+        p = max(float(np.trace(rho).real), _PROB_FLOOR)  # below the floor p is reported as 0
+        r_p = int(np.count_nonzero(schmidt > _SCHMIDT_REL * p))
+        return [("click_click", contract(r_p) if r_p > r else rho)]
 
     return _run_swap("he_ho", alpha, T, T_prime, cutoff, (make_hybrid_pair, alpha, math.inf),
                      herald, grid_points=int(xs.size))

@@ -132,10 +132,12 @@ def test_coherent_tail_mass_matches_poisson_remainder():
 def test_coherent_tail_mass_matches_incomplete_gamma():
     # P(n > cutoff) for a Poisson mean |alpha|^2 is the regularized P(cutoff + 1, |alpha|^2)
     mpmath = pytest.importorskip("mpmath")
-    for alpha in (0.5, 5.0, 20.0, 27.5, 30.0):
-        for cutoff in (4, 12, 40):
-            want = float(mpmath.gammainc(cutoff + 1, 0, mpmath.mpf(alpha) ** 2, regularized=True))
-            assert coherent_tail_mass(alpha, cutoff) == pytest.approx(want, rel=1e-13), (alpha, cutoff)
+    cases = [(alpha, cutoff) for alpha in (0.5, 5.0, 20.0, 27.5, 30.0) for cutoff in (4, 12, 40)]
+    # exp(-|alpha|^2) underflows while the cutoff is above the Poisson mode
+    cases += [(27.2, 800), (28.0, 800)]
+    for alpha, cutoff in cases:
+        want = float(mpmath.gammainc(cutoff + 1, 0, mpmath.mpf(alpha) ** 2, regularized=True))
+        assert coherent_tail_mass(alpha, cutoff) == pytest.approx(want, rel=1e-13), (alpha, cutoff)
 
 
 def test_coherent_deficit_accounts_for_everything_at_large_alpha():

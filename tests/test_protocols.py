@@ -231,6 +231,14 @@ def test_he_ho_matches_closed_form():
         assert abs(res.averaged_negativity - ref.E) < 1e-6, (alpha, T)
 
 
+def test_he_ho_matches_closed_form_at_large_alpha():
+    alpha, T, tp, cutoff = 1.5, 0.9, 1.0, 32
+    res = he_swap_homodyne(alpha, T, tp, cutoff)
+    ref = closed_form("he_ho", alpha, T, tp)
+    assert abs(res.total_success_probability - ref.p) <= 1e-9
+    assert abs(res.averaged_negativity - ref.E) <= 1e-9
+
+
 def test_he_ho_single_outcome_and_echo():
     res = he_swap_homodyne(0.3, 0.9, cutoff=8)
     assert len(res.per_outcome) == 1
@@ -450,10 +458,12 @@ def _assert_outcome_matches(outcome, p_ref, rho_ref):
         assert np.abs(outcome.post_state.matrix).max() == 0.0
 
 
-@pytest.mark.parametrize("cutoff", [4, 5, 6, 7])
+@pytest.mark.parametrize("cutoff", [4, 5, 6, 7, 9])
 def test_he_ho_matches_full_register_reference(cutoff):
+    # (0.2, 0.05, 0.9) keeps Schmidt weights below 1e-16 at cutoffs 6 and 7, since
+    # p is 1.6e-6; (0.8, 0.7, 0.9) keeps the full rank 10 at cutoff 9
     grid = homodyne_grid()
-    for alpha, T, tp in FULL_REGISTER_POINTS:
+    for alpha, T, tp in FULL_REGISTER_POINTS + [(0.8, 0.7, 0.9)]:
         rho_ref = _he_ho_full_register(alpha, T, tp, cutoff, grid)
         p_ref = float(np.trace(rho_ref).real)
         res = he_swap_homodyne(alpha, T, tp, cutoff, grid)
@@ -504,7 +514,9 @@ def test_counting_schemes_match_full_register_at_large_alpha(scheme, cutoff):
 
 def test_midpoint_register_size_per_herald(monkeypatch):
     """Counting heralds read the lossy pair and build no midpoint register;
-    he-ho splits B and D once on its 4 (c+1)^4-amplitude register."""
+    he-ho never holds as much as one 4 (c+1)^4-amplitude register."""
+    import tracemalloc
+
     import hyswap.protocols as protocols
 
     seen = []
@@ -525,9 +537,16 @@ def test_midpoint_register_size_per_herald(monkeypatch):
         he_swap_spd(0.8, 0.7, 0.9, cutoff)
         dv_swap(0.7, 0.9, cutoff)
     assert seen == []
-    he_swap_homodyne(0.8, 0.7, 0.9, cutoff)
-    d = cutoff + 1
-    assert seen == [("B", "D", d, d, 4 * d**4)]
+
+    cutoff = 12
+    he_swap_homodyne(0.3, 0.8, 0.9, cutoff)  # fills the splitter and grid caches
+    tracemalloc.start()
+    try:
+        he_swap_homodyne(0.3, 0.8, 0.9, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (cutoff + 1) ** 4 * np.dtype(np.complex128).itemsize
 
 
 def test_non_finite_alpha_is_rejected():

@@ -24,16 +24,13 @@ from .fock import (
     mean_photon,
     overlap,
     partial_trace,
-    promote_qubit,
     qubit,
     reduced_density,
     tensor,
-    tensor_rho,
 )
 from .optics import (
     FIFTY_FIFTY,
     BeamSplitterParams,
-    LossChannel,
     MeasurementElement,
     apply_bs,
     apply_loss,

@@ -36,14 +36,12 @@ __all__ = [
     "make_hybrid_pair",
     "make_vsp_bell",
     "tensor",
-    "tensor_rho",
     "partial_trace",
     "reduced_density",
     "overlap",
     "fidelity",
     "mean_photon",
     "coherent_tail_mass",
-    "promote_qubit",
 ]
 
 
@@ -207,18 +205,31 @@ def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     return amps
 
 
+def _log_poisson(n: int, mu: float) -> float:
+    """log(e^-mu mu^n / n!) for mu > 0, without rounding a log of size n log mu.
+
+    From n = 20 on, n log(mu / n) is taken as n log1p((mu - n) / n) and
+    log n! through four terms of Stirling's series, whose remainder is
+    below 1/(1188 n^9) < 2e-15 there; below n = 20 every log is small
+    enough for lgamma.
+    """
+    if n < 20:
+        return n * math.log(mu) - mu - math.lgamma(n + 1)
+    r = 1.0 / (n * n)
+    stirling = (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - r / 1680.0) * r) * r) / n
+    return n * math.log1p((mu - n) / n) + (n - mu) - 0.5 * math.log(2.0 * math.pi * n) - stirling
+
+
 def coherent_tail_mass(alpha: complex, cutoff: int) -> float:
     """Photon-number probability above the cutoff for a coherent state.
 
     Summed upward from n = cutoff + 1, so no cancellation occurs even
     when the tail is far below machine epsilon.  When the Poisson mode
     lies above the cutoff the tail is 1 - head, each head term taken in
-    log space, since exp(-|alpha|^2) underflows for |alpha| > ~26.6.
-    The upward sum starts from the term at n = cutoff; past that
-    underflow it is taken in log space too, through Stirling's series
-    for log(cutoff!) and log1p for cutoff * log(|alpha|^2 / cutoff), so
-    no log of size cutoff * log|alpha|^2 is rounded.  Non-finite
-    amplitudes are rejected: the loop would never exit.
+    log space by ``_log_poisson``, since exp(-|alpha|^2) underflows for
+    |alpha| > ~26.6.  The upward sum starts from the term at n = cutoff;
+    past that underflow it is taken from ``_log_poisson`` too.
+    Non-finite amplitudes are rejected: the loop would never exit.
     """
     mu = abs(alpha) ** 2
     if not math.isfinite(mu):
@@ -226,18 +237,13 @@ def coherent_tail_mass(alpha: complex, cutoff: int) -> float:
     if mu == 0.0:
         return 0.0
     if mu > cutoff + 1:
-        log_mu = math.log(mu)
-        head = math.fsum(math.exp(n * log_mu - mu - math.lgamma(n + 1)) for n in range(cutoff + 1))
-        return 1.0 - head
+        return 1.0 - math.fsum(math.exp(_log_poisson(n, mu)) for n in range(cutoff + 1))
     if mu < 700.0:
         term = math.exp(-mu)
         for n in range(1, cutoff + 1):
             term *= mu / n
-    else:  # cutoff >= mu - 1 > 698, so three terms of Stirling's series are exact
-        c = cutoff
-        stirling = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * c * c)) / (c * c)) / c
-        term = math.exp(c * math.log1p((mu - c) / c) + (c - mu)
-                        - 0.5 * math.log(2.0 * math.pi * c) - stirling)
+    else:
+        term = math.exp(_log_poisson(cutoff, mu))
     tail = 0.0
     n = cutoff
     while True:
@@ -382,13 +388,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(reg, np.kron(a.amplitudes, b.amplitudes), deficit)
 
 
-def tensor_rho(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    if set(a.register.names) & set(b.register.names):
-        raise ValueError("duplicate mode name in tensor product")
-    reg = ModeRegister(a.register.modes + b.register.modes)
-    return DensityOperator(reg, np.kron(a.matrix, b.matrix))
-
-
 def partial_trace(rho: DensityOperator, keep: list[str]) -> DensityOperator:
     """Trace out every mode not named in ``keep``.
 
@@ -465,18 +464,3 @@ def mean_photon(state: StateVector, mode: str) -> float:
     t = np.moveaxis(state.tensor_view(), ax, 0)
     probs = np.sum(np.abs(t.reshape(t.shape[0], -1)) ** 2, axis=1)
     return float(np.dot(probs, np.arange(len(probs))))
-
-
-def promote_qubit(state: StateVector, mode: str) -> StateVector:
-    """Relabel a qubit mode as a cutoff-1 bosonic mode (same amplitudes).
-
-    Beam splitters act only on bosonic modes; this is the explicit
-    promotion step required before routing a dual-rail qubit through one.
-    """
-    reg = state.register
-    if reg.spec(mode).kind is not ModeKind.QUBIT:
-        raise ValueError(f"mode {mode!r} is not a qubit mode")
-    modes = tuple(
-        (nm, bosonic(1) if nm == mode else sp) for nm, sp in reg.modes
-    )
-    return StateVector(ModeRegister(modes), state.amplitudes.copy(), state.norm_deficit)

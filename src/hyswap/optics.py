@@ -16,11 +16,13 @@ space.  Blocks that fit under the cutoffs reproduce the infinite-space
 splitter exactly; edge blocks stay exactly unitary on the stored space,
 so no norm leaks through truncation.
 
-Photon loss with survival probability T is the same splitter at
-``cos²(theta/2) = T`` against a vacuum environment mode, or equivalently
-the amplitude-damping Kraus family ``A_k = (1-T)^{k/2} (k!)^{-1/2}
-T^{n/2} a^k``.  Both routes are provided and are checked against each
-other in the tests rather than merged.
+Photon loss with survival probability T is the amplitude-damping Kraus
+family ``A_k = (1-T)^{k/2} (k!)^{-1/2} T^{n/2} a^k``, a ``(d, d, d)``
+stack applied to one mode by a single contraction.  It is also the same
+splitter at ``cos²(theta/2) = T`` against a vacuum environment mode,
+whose Kraus operators ``<e|U|0>_env`` are read off the splitter unitary.
+The two stacks come from independent formulas (binomial elements vs the
+exponentiated splitter blocks) and are checked against each other.
 
 Every detector element is diagonal in the Fock basis and is stored as
 its diagonal ``weights`` (0/1 for ideal counters); an inefficient
@@ -48,10 +50,7 @@ from .fock import (
     ModeKind,
     ModeRegister,
     StateVector,
-    bosonic,
-    partial_trace,
     reduced_density,
-    tensor_rho,
 )
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "FIFTY_FIFTY",
     "bs_unitary",
     "apply_bs",
-    "LossChannel",
     "loss_channel",
     "apply_loss",
     "apply_loss_dilated",
@@ -122,62 +120,34 @@ def bs_unitary(d1: int, d2: int, params: BeamSplitterParams) -> np.ndarray:
     return _bs_unitary_cached(d1, d2, float(params.theta), float(params.phi))
 
 
-def _apply(flat: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...], U: np.ndarray) -> np.ndarray:
-    """Apply an operator U (row-major over ``axes``) to those axes of a flat array."""
-    k = len(dims) - len(axes)
-    tail = tuple(range(k, len(dims)))
-    t = np.moveaxis(flat.reshape(dims), axes, tail)
-    shp = t.shape
-    t = t.reshape(-1, math.prod(shp[k:])) @ U.T
-    return np.moveaxis(t.reshape(shp), tail, axes).reshape(-1)
+def apply_bs(state: StateVector, mode_x: str, mode_y: str, params: BeamSplitterParams) -> StateVector:
+    """Route two bosonic modes of a pure state through a beam splitter.
 
-
-def apply_bs(state, mode_x: str, mode_y: str, params: BeamSplitterParams):
-    """Route two bosonic modes through a beam splitter.
-
-    Accepts a StateVector or a DensityOperator.  Qubit modes are
-    rejected; promote them to cutoff-1 bosonic modes explicitly if a
-    dual-rail mode really needs to pass a splitter.
+    Qubit modes are rejected: beam splitters act only on bosonic modes.
     """
+    if not isinstance(state, StateVector):
+        raise TypeError("state must be a StateVector")
     reg = state.register
     if mode_x == mode_y:
         raise ValueError("beam splitter needs two distinct modes")
     for m in (mode_x, mode_y):
         if reg.spec(m).kind is not ModeKind.BOSONIC:
-            raise ValueError(
-                f"mode {m!r} is not bosonic; promote qubit modes explicitly"
-            )
-    ax, ay = reg.axis(mode_x), reg.axis(mode_y)
-    U = bs_unitary(reg.dims[ax], reg.dims[ay], params)
-    if isinstance(state, StateVector):
-        amps = _apply(state.amplitudes, reg.dims, (ax, ay), U)
-        return StateVector(reg, amps, state.norm_deficit)
-    if isinstance(state, DensityOperator):
-        n = len(reg.dims)
-        dims2 = reg.dims + reg.dims
-        flat = _apply(state.matrix.reshape(-1), dims2, (ax, ay), U)
-        flat = _apply(flat, dims2, (n + ax, n + ay), U.conj())
-        return DensityOperator(reg, flat.reshape(reg.dim, reg.dim))
-    raise TypeError("state must be a StateVector or DensityOperator")
+            raise ValueError(f"mode {m!r} is not bosonic; beam splitters act only on bosonic modes")
+    axes = (reg.axis(mode_x), reg.axis(mode_y))
+    U = bs_unitary(reg.dims[axes[0]], reg.dims[axes[1]], params)
+    tail = (len(reg.dims) - 2, len(reg.dims) - 1)
+    t = np.moveaxis(state.tensor_view(), axes, tail)
+    shp = t.shape
+    t = t.reshape(-1, U.shape[0]) @ U.T
+    amps = np.moveaxis(t.reshape(shp), tail, axes).reshape(-1)
+    return StateVector(reg, amps, state.norm_deficit)
 
 
 # ---------------------------------------------------------------------------
 # photon loss
 
-@dataclass(frozen=True)
-class LossChannel:
-    """Amplitude damping on one bosonic mode: ``kraus[k]`` is A_k, shape (d, d, d)."""
-
-    T: float
-    kraus: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.kraus.shape[1]
-
-
-def loss_channel(T: float, cutoff: int) -> LossChannel:
-    """Kraus family A_k = (1-T)^{k/2} (k!)^{-1/2} T^{n/2} a^k.
+def loss_channel(T: float, cutoff: int) -> np.ndarray:
+    """Kraus stack ``[k] = A_k = (1-T)^{k/2} (k!)^{-1/2} T^{n/2} a^k``, shape (d, d, d).
 
     On the truncated space the family is exactly trace preserving,
     because a^k only moves occupation downward.
@@ -189,49 +159,38 @@ def loss_channel(T: float, cutoff: int) -> LossChannel:
     for k in range(d):
         for n in range(k, d):
             kraus[k, n - k, n] = math.sqrt(math.comb(n, k) * (1.0 - T) ** k * T ** (n - k))
-    return LossChannel(T, kraus)
+    return kraus
 
 
-def apply_loss(rho: DensityOperator, mode: str, channel: LossChannel) -> DensityOperator:
-    """Kraus-sum application of a loss channel to one mode of a mixed state."""
+def apply_loss(rho: DensityOperator, mode: str, kraus: np.ndarray) -> DensityOperator:
+    """Kraus sum ``sum_k A_k rho A_k†`` on one bosonic mode of a mixed state."""
     reg = rho.register
     spec = reg.spec(mode)
     if spec.kind is not ModeKind.BOSONIC:
         raise ValueError("loss channel requires a bosonic mode")
-    if spec.dim != channel.dim:
+    if kraus.shape[1:] != (spec.dim, spec.dim):
         raise ValueError(
-            f"channel dimension {channel.dim} does not match mode {mode!r} "
+            f"channel dimension {kraus.shape[-1]} does not match mode {mode!r} "
             f"dimension {spec.dim}"
         )
     ax = reg.axis(mode)
-    n = len(reg.dims)
-    dims2 = reg.dims + reg.dims
-    out = np.zeros(reg.dim * reg.dim, dtype=np.complex128)
-    for A in channel.kraus:
-        flat = _apply(rho.matrix.reshape(-1), dims2, (ax,), A)
-        out += _apply(flat, dims2, (n + ax,), A.conj())
+    pre, post = math.prod(reg.dims[:ax]), math.prod(reg.dims[ax + 1:])
+    t = rho.matrix.reshape(pre, spec.dim, post, pre, spec.dim, post)
+    out = np.einsum("kmn,anbcpe,kqp->ambcqe", kraus, t, kraus.conj(), optimize=True)
     return DensityOperator(reg, out.reshape(reg.dim, reg.dim))
 
 
 def apply_loss_dilated(rho: DensityOperator, mode: str, T: float) -> DensityOperator:
-    """Loss as a splitter against a vacuum environment, then a trace-out.
+    """Loss as a splitter against a vacuum environment mode.
 
-    Slower twin of :func:`apply_loss`; kept as an independent route so the
-    two loss models can be compared against each other.
+    Its Kraus operators ``B_e = <e|U|0>_env`` are read off
+    :func:`bs_unitary`, so this route checks the binomial elements of
+    :func:`loss_channel` against the exponentiated splitter blocks; the
+    Kraus sum itself is :func:`apply_loss`'s.
     """
-    reg = rho.register
-    spec = reg.spec(mode)
-    if spec.kind is not ModeKind.BOSONIC:
-        raise ValueError("loss channel requires a bosonic mode")
-    env = mode + "_env"
-    while env in reg.names:
-        env += "_"
-    env_reg = ModeRegister(((env, bosonic(spec.cutoff)),))
-    env_vac = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
-    env_vac[0, 0] = 1.0
-    joint = tensor_rho(rho, DensityOperator(env_reg, env_vac))
-    joint = apply_bs(joint, mode, env, BeamSplitterParams.from_transmission(T))
-    return partial_trace(joint, list(reg.names))
+    d = rho.register.spec(mode).dim
+    U = bs_unitary(d, d, BeamSplitterParams.from_transmission(T)).reshape(d, d, d, d)
+    return apply_loss(rho, mode, U[:, :, :, 0].transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +325,7 @@ def with_inefficiency(elements, T_prime: float):
         if T_prime == 1.0:
             out.append(el)
             continue
-        kraus = loss_channel(T_prime, el.weights.size - 1).kraus
+        kraus = loss_channel(T_prime, el.weights.size - 1)
         survival = (np.abs(kraus) ** 2).sum(0)  # [m, n] = P(n -> m)
         out.append(MeasurementElement(el.label, el.mode, el.weights @ survival))
     return out[0] if single else out

@@ -180,7 +180,7 @@ def _lossy_pair(make_pair, param, c: int, tau: float) -> np.ndarray:
     ``make_pair(register, local, traveling, param)`` builds it at cutoff ``c``.
     """
     pair = make_pair(ModeRegister((("A", qubit()), ("B", bosonic(c)))), "A", "B", param)
-    return np.einsum("kmn,an->amk", loss_channel(tau, c).kraus, pair.amplitudes.reshape(2, c + 1))
+    return np.einsum("kmn,an->amk", loss_channel(tau, c), pair.amplitudes.reshape(2, c + 1))
 
 
 def _outcome(label: str, rho: np.ndarray) -> SwapOutcome:

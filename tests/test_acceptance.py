@@ -51,7 +51,7 @@ def test_criterion_07_beam_splitter_fixtures():
 
 
 def test_criterion_08_loss_channel_routes_agree():
-    """Kraus loss equals splitter dilation plus partial trace, 1e-10."""
+    """Binomial Kraus loss equals the Kraus operators read off the splitter, 1e-10."""
     _run(ver.check_loss_routes_agree)
 
 

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from hyswap import (
     measure_and_reduce,
     onoff_elements,
     pnr_elements,
-    promote_qubit,
     qubit,
     quadrature_amplitudes,
     spd_elements,
@@ -139,23 +139,14 @@ def test_apply_bs_coherent_in_coherent_out():
 def test_apply_bs_rejects_qubit_modes():
     reg = ModeRegister((("A", qubit()), ("B", bosonic(2))))
     psi = make_fock(reg)
-    with pytest.raises(ValueError, match="promote qubit modes explicitly"):
+    with pytest.raises(ValueError, match="act only on bosonic modes"):
         apply_bs(psi, "A", "B", FIFTY_FIFTY)
-    # after promotion it goes through
-    apply_bs(promote_qubit(psi, "A"), "A", "B", FIFTY_FIFTY)
 
 
-def test_apply_bs_density_path_matches_pure_path():
-    rng = np.random.default_rng(9)
-    reg = ModeRegister((("X", bosonic(4)), ("Y", bosonic(4))))
-    params = BeamSplitterParams(0.9, 1.7)
-    for _ in range(5):
-        psi = random_state(reg, rng)
-        rho = DensityOperator(reg, np.outer(psi.amplitudes, psi.amplitudes.conj()))
-        out_rho = apply_bs(rho, "X", "Y", params)
-        out_psi = apply_bs(psi, "X", "Y", params)
-        ref = np.outer(out_psi.amplitudes, out_psi.amplitudes.conj())
-        assert np.abs(out_rho.matrix - ref).max() < 1e-13
+def test_apply_bs_rejects_density_operator():
+    reg = ModeRegister((("X", bosonic(2)), ("Y", bosonic(2))))
+    with pytest.raises(TypeError, match="StateVector"):
+        apply_bs(DensityOperator(reg, np.eye(reg.dim) / reg.dim), "X", "Y", FIFTY_FIFTY)
 
 
 def test_bs_inverse_composition():
@@ -177,7 +168,7 @@ def test_bs_inverse_composition():
 def test_loss_kraus_binomial_elements():
     c = 5
     ch = loss_channel(0.7, c)
-    for k, A in enumerate(ch.kraus):
+    for k, A in enumerate(ch):
         for n in range(c + 1):
             m = n - k
             if m < 0:
@@ -193,7 +184,7 @@ def test_loss_kraus_binomial_elements():
 def test_loss_kraus_completeness():
     for T in (0.0, 0.3, 0.85, 1.0):
         ch = loss_channel(T, 6)
-        total = sum(A.conj().T @ A for A in ch.kraus)
+        total = sum(A.conj().T @ A for A in ch)
         assert np.abs(total - np.eye(7)).max() < 1e-14, T
 
 
@@ -247,14 +238,26 @@ def test_loss_endpoints():
 
 def test_loss_dilated_route_agrees():
     rng = np.random.default_rng(31)
-    reg = ModeRegister((("A", qubit()), ("M", bosonic(5))))
-    for _ in range(8):
-        psi = random_state(reg, rng)
-        rho = DensityOperator(reg, np.outer(psi.amplitudes, psi.amplitudes.conj()))
-        T = float(rng.uniform())
-        a = apply_loss(rho, "M", loss_channel(T, 5)).matrix
-        b = apply_loss_dilated(rho, "M", T).matrix
-        assert np.abs(a - b).max() < 1e-13
+    # the lossy mode last, then first, so both routes move the mode's axes;
+    # the Kraus sum over operators lifted by kron checks those moves
+    for reg in (
+        ModeRegister((("A", qubit()), ("M", bosonic(5)))),
+        ModeRegister((("M", bosonic(5)), ("B", bosonic(3)))),
+    ):
+        for _ in range(8):
+            psi = random_state(reg, rng)
+            rho = DensityOperator(reg, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+            T = float(rng.uniform())
+            kraus = loss_channel(T, 5)
+            a = apply_loss(rho, "M", kraus).matrix
+            b = apply_loss_dilated(rho, "M", T).matrix
+            assert np.abs(a - b).max() < 1e-13
+            lifted = [
+                reduce(np.kron, [A if name == "M" else np.eye(d) for name, d in zip(reg.names, reg.dims)])
+                for A in kraus
+            ]
+            ref = sum(L @ rho.matrix @ L.conj().T for L in lifted)
+            assert np.abs(a - ref).max() < 1e-13
 
 
 def test_loss_channel_validation():

@@ -434,7 +434,7 @@ def test_cli_sweep_rejects_directory_output_path_before_running(tmp_path):
 
 
 def _cap_address_space():
-    # a cutoff-200 he-ho point asks for about 100 GiB, so under 3 GiB it fails at once
+    # a cutoff-200 he-ho point asks for about 24 GiB, so under 3 GiB it fails at once
     resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
 

@@ -29,7 +29,9 @@ from hyswap import (
     pnr_elements,
     qubit,
     quadrature_amplitudes,
+    reduced_density,
     spd_elements,
+    tensor,
     with_inefficiency,
 )
 
@@ -258,6 +260,29 @@ def test_loss_dilated_route_agrees():
             ]
             ref = sum(L @ rho.matrix @ L.conj().T for L in lifted)
             assert np.abs(a - ref).max() < 1e-13
+
+
+def test_loss_matches_pure_splitter_with_vacuum_environment():
+    """Oracle: the physical dilation, with no Kraus sum at all.
+
+    Append a vacuum environment mode, send the lossy mode and it through a
+    transmission-T splitter on the pure state, and trace the environment
+    out with reduced_density.
+    """
+    rng = np.random.default_rng(47)
+    env = make_fock(ModeRegister((("E", bosonic(5)),)))
+    for reg in (
+        ModeRegister((("A", qubit()), ("M", bosonic(5)))),
+        ModeRegister((("M", bosonic(5)), ("B", bosonic(3)))),
+    ):
+        for _ in range(6):
+            psi = random_state(reg, rng)
+            rho = DensityOperator(reg, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+            T = float(rng.uniform())
+            joint = apply_bs(tensor(psi, env), "M", "E", BeamSplitterParams.from_transmission(T))
+            ref = reduced_density(joint, list(reg.names)).matrix
+            assert np.abs(apply_loss(rho, "M", loss_channel(T, 5)).matrix - ref).max() < 1e-13
+            assert np.abs(apply_loss_dilated(rho, "M", T).matrix - ref).max() < 1e-13
 
 
 def test_loss_channel_validation():

@@ -146,19 +146,27 @@ def apply_bs(state: StateVector, mode_x: str, mode_y: str, params: BeamSplitterP
 # ---------------------------------------------------------------------------
 # photon loss
 
+@lru_cache(maxsize=64)
+def _binomial_roots(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (k, n) with k <= n < d and its sqrt(C(n, k)), from exact integers."""
+    kn = [(k, n) for n in range(d) for k in range(n + 1)]
+    k, n = np.array(kn).T
+    return k, n, np.array([math.sqrt(math.comb(n, k)) for k, n in kn])
+
+
 def loss_channel(T: float, cutoff: int) -> np.ndarray:
     """Kraus stack ``[k] = A_k = (1-T)^{k/2} (k!)^{-1/2} T^{n/2} a^k``, shape (d, d, d).
 
-    On the truncated space the family is exactly trace preserving,
-    because a^k only moves occupation downward.
+    Its element ``A_k[n-k, n]`` is ``sqrt(C(n, k) (1-T)^k T^(n-k))``.  On
+    the truncated space the family is exactly trace preserving, because
+    a^k only moves occupation downward.
     """
     if not 0.0 <= T <= 1.0:
         raise ValueError("transmission must lie in [0, 1]")
     d = cutoff + 1
+    k, n, roots = _binomial_roots(d)
     kraus = np.zeros((d, d, d), dtype=np.complex128)
-    for k in range(d):
-        for n in range(k, d):
-            kraus[k, n - k, n] = math.sqrt(math.comb(n, k) * (1.0 - T) ** k * T ** (n - k))
+    kraus[k, n - k, n] = roots * np.sqrt((1.0 - T) ** k * T ** (n - k))
     return kraus
 
 

@@ -32,22 +32,24 @@ feed-forward phase on C undoes the outcome-dependent rotation.  The
 ancilla never enters the register: the vacuum test acts on B as a d x d
 filter R with R†R = M, the test's operator on B.
 
-Before the midpoint the homodyne herald compresses each lossy pair.
-After loss the pair is sum_a |a>|s_a sqrt(tau) alpha>_B |s_a sqrt(1-tau)
-alpha>_E, so its loss environment E has Schmidt rank 2 apart from
-truncation.  The SVD of P over (A, B | E) gives right-singular vectors
-v_j with Schmidt weights w_j; the herald keeps the fewest r of them the
-rank rule allows and works with Q = P V_r†, so the midpoint holds
-4 d^2 r^2 amplitudes instead of 4 d^4.  This is exact up to the dropped
-weights: loss is an isometry onto (B, E) and E is traced out, so the
-output depends on the pairs only through rho_AB ⊗ rho_CD, and Q Q† is
-P P† less the dropped weights.  Rank rule: a weight is dropped when
-w <= 1e-16 and w <= 1e-14 p, p the success probability but at least
-the 1e-15 below which an outcome counts as unreachable.  The herald
-contracts once at the rank of the first part, reads p, and contracts
-again at a larger rank only when some dropped w exceeds 1e-14 p.  The
-second part is needed because dropping w moves the normalized state by
-about w / p: at p ~ 1e-6 the first part alone is off by ~1e-11.
+Before the midpoint the homodyne herald splits both lossy pairs by
+their loss environments.  After loss a pair is sum_a |a>|s_a sqrt(tau)
+alpha>_B |s_a sqrt(1-tau) alpha>_E, so its environment E has Schmidt rank
+2 apart from truncation.  The SVD of P over (A, B | E) gives
+right-singular vectors v_i with Schmidt weights w_i and (A, B) blocks
+Q_i = P v_i†.  Both environments are traced out, so the output is a sum
+over environment pairs (i, j), each contracted from the 4 d^2 amplitudes
+of Q_i ⊗ Q_j, and a pair adds at most its joint weight w_i w_j to the
+unnormalized output.  Pair rule: sort the d^2 joint weights, drop the
+longest ascending run that sums to at most 1e-16, contract the rest and
+read p.  When 1e-14 p is smaller, p at least the 1e-15 below which an
+outcome counts as unreachable, only the run within that budget is
+dropped, and the pairs it brings back are contracted and added.  The
+dropped weight is thus bounded in total, not per weight.  The
+p-relative budget is needed because dropping weight w moves the
+normalized state by about w / p: at p ~ 1e-6 the absolute budget alone
+is off by ~1e-11.  Truncation leaves weights near 1e-15 beside the two
+main ones, whose tail x tail pairs (about 1e-29 each) always go.
 
 Channel loss keeps the global state pure until measurement, so the
 reduced A-C state never needs a full-register density matrix.  Both
@@ -109,8 +111,8 @@ DEFAULT_CUTOFF = 12
 
 _PROB_FLOOR = 1e-15  # below this an outcome is treated as unreachable
 _AC_REGISTER = ModeRegister((("A", qubit()), ("C", qubit())))
-# he-ho drops a loss environment's Schmidt weight w when w <= _SCHMIDT_FLOOR
-# and w <= _SCHMIDT_REL * p, p the success probability
+# he-ho drops the lightest loss-environment pairs whose joint Schmidt weights sum to at
+# most _SCHMIDT_FLOOR, or to at most _SCHMIDT_REL * p when smaller, p the success probability
 _SCHMIDT_FLOOR = 1e-16
 _SCHMIDT_REL = 1e-14
 
@@ -275,6 +277,14 @@ def _vacuum_test_filter(d: int, beta: float) -> np.ndarray:
     return np.linalg.qr(C, mode="r")
 
 
+def _drop_lightest_pairs(w: np.ndarray, budget: float) -> tuple[np.ndarray, int]:
+    """Environment pairs (i, j), as i * len(w) + j, in ascending joint weight w_i w_j, and
+    the length n of the longest leading run whose weights sum to at most ``budget``."""
+    joint = np.multiply.outer(w, w).ravel()
+    order = np.argsort(joint)
+    return order, int(np.searchsorted(np.cumsum(joint[order]), budget, side="right"))
+
+
 def he_swap_homodyne(
     alpha: float,
     T: float,
@@ -294,16 +304,17 @@ def he_swap_homodyne(
     the two clicks gate success.  The single reported outcome carries
     the quadrature-averaged corrected state.
 
-    Loss is applied per pair, and each lossy pair keeps only the r
-    leading Schmidt vectors of its loss environment (the module
-    docstring gives the rank rule and why it is exact), so the midpoint
-    holds 4 d^2 r^2 amplitudes, r = 2 away from truncation.  The ancilla
-    E never enters: splitter, both clicks and the trace over E act on B
-    as the d x d M = <beta| U† (P_B>=1 ⊗ P_E>=1) U |beta>, applied as R
-    with R†R = M, and R and the midpoint splitter U act together as one
-    d^2 x d^2 matrix (R ⊗ 1) U.  The quadrature sum is one Gram matrix
-    G = X X† of the (A, C, D | rest) matrix X, contracted with
-    K_k = V diag(w e^{-i k phi(x)}) V† for C-bit difference k.
+    Loss is applied per pair, and only the pairs of loss-environment
+    Schmidt vectors that the pair rule keeps are contracted (the module
+    docstring gives the rule and why it is exact): 4 pairs of 4 d^2
+    amplitudes each away from truncation.  The ancilla E never enters:
+    splitter, both clicks and the trace over E act on B as the d x d
+    M = <beta| U† (P_B>=1 ⊗ P_E>=1) U |beta>, applied as R with R†R = M
+    after the midpoint splitter U, each one matrix product over all kept
+    pairs.  The quadrature sum is one Gram matrix G = X X† of the
+    (A, C, D | rest) matrix X, contracted with
+    K_k = V diag(w e^{-i k phi(x)}) V† for C-bit difference k, and
+    K_{-1} = K_1†.
     """
     alpha = _check_alpha(alpha)
     if x_grid is None:
@@ -316,29 +327,29 @@ def he_swap_homodyne(
         d = P.shape[1]
         pair = P.reshape(2 * d, d)
         _, s, Vh = np.linalg.svd(pair, full_matrices=False)
-        schmidt = s**2
-        # midpoint splitter, then both clicks as R on B: one (B, D | B, D) matrix
+        # P times the right-singular vectors, not U S: each Fock row keeps its own rounding
+        Q = (pair @ Vh.conj().T).T.reshape(-1, 2, d)  # [loss environment vector, A, B]
+        U = bs_unitary(d, d, FIFTY_FIFTY)
         R = _vacuum_test_filter(d, math.sqrt(2.0 * tau) * alpha)
-        W = (R @ bs_unitary(d, d, FIFTY_FIFTY).reshape(d, -1)).reshape(-1, d * d)
         V = quadrature_amplitudes(xs, d, math.pi / 2.0)
         phi = _feed_forward_phase(alpha, tau, xs)
-        K = np.stack([(V * (ws * np.exp(-1j * k * phi))) @ V.conj().T for k in (-1, 0, 1)])
+        K0, K1 = ((V * (ws * np.exp(-1j * k * phi))) @ V.conj().T for k in (0, 1))
         cbit = np.arange(4) % 2
-        K = K[cbit[:, None] - cbit[None, :] + 1]
+        K = np.stack([K1.conj().T, K0, K1])[cbit[:, None] - cbit[None, :] + 1]
 
-        def contract(r: int) -> np.ndarray:
-            # P times the kept right-singular vectors, not U S: each Fock row keeps its own rounding
-            Q = (pair @ Vh[:r].conj().T).reshape(2, d, r).transpose(0, 2, 1).reshape(2 * r, d)
-            Y = np.kron(Q, Q) @ W.T  # (A, Eb, C, Ed | B, D)
-            X = Y.reshape(2, r, 2, r, R.shape[0], d).transpose(0, 2, 5, 1, 3, 4).reshape(4 * d, -1)
+        def contract(pairs: np.ndarray) -> np.ndarray:
+            I, J = np.divmod(pairs, d)
+            Y = np.einsum("pab,pcd->pacbd", Q[I], Q[J]).reshape(-1, d * d)  # (pair, A, C | B, D)
+            Z = R @ (U @ Y.T).reshape(d, -1)  # midpoint splitter, then both clicks as R on B
+            X = Z.reshape(-1, d, len(pairs), 4).transpose(3, 1, 2, 0).reshape(4 * d, -1)
             G = (X @ X.conj().T).reshape(4, d, 4, d)
             return np.einsum("anbm,abnm->ab", G, K)
 
-        r = int(np.count_nonzero(schmidt > _SCHMIDT_FLOOR))
-        rho = contract(r)
+        order, n = _drop_lightest_pairs(s**2, _SCHMIDT_FLOOR)
+        rho = contract(order[n:])
         p = max(float(np.trace(rho).real), _PROB_FLOOR)  # below the floor p is reported as 0
-        r_p = int(np.count_nonzero(schmidt > _SCHMIDT_REL * p))
-        return [("click_click", contract(r_p) if r_p > r else rho)]
+        _, n_p = _drop_lightest_pairs(s**2, _SCHMIDT_REL * p)
+        return [("click_click", rho + contract(order[n_p:n]) if n_p < n else rho)]
 
     return _run_swap("he_ho", alpha, T, T_prime, cutoff, (make_hybrid_pair, alpha, math.inf),
                      herald, grid_points=int(xs.size))

@@ -167,9 +167,10 @@ def test_bs_inverse_composition():
 # loss channel
 
 
-def test_loss_kraus_binomial_elements():
-    c = 5
-    ch = loss_channel(0.7, c)
+@pytest.mark.parametrize("c", [5, 16, 60])
+@pytest.mark.parametrize("T", [0.7, 0.0, 1.0])
+def test_loss_kraus_binomial_elements(c, T):
+    ch = loss_channel(T, c)
     for k, A in enumerate(ch):
         for n in range(c + 1):
             m = n - k
@@ -177,7 +178,7 @@ def test_loss_kraus_binomial_elements():
                 expect = 0.0
             else:
                 expect = math.sqrt(
-                    math.comb(n, k) * (1 - 0.7) ** k * 0.7**m
+                    math.comb(n, k) * (1 - T) ** k * T**m
                 )
             got = A[m, n] if m >= 0 else 0.0
             assert abs(got - expect) < 1e-15, (k, n)

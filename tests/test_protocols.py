@@ -460,14 +460,47 @@ def _assert_outcome_matches(outcome, p_ref, rho_ref):
 
 @pytest.mark.parametrize("cutoff", [4, 5, 6, 7, 9])
 def test_he_ho_matches_full_register_reference(cutoff):
-    # (0.2, 0.05, 0.9) keeps Schmidt weights below 1e-16 at cutoffs 6 and 7, since
-    # p is 1.6e-6; (0.8, 0.7, 0.9) keeps the full rank 10 at cutoff 9
+    # (0.2, 0.05, 0.9) has p 1.6e-6, so at cutoffs 4-7 the p-relative budget brings back
+    # pairs the first pass dropped; (0.8, 0.7, 0.9) keeps all 49 pairs at cutoff 6
     grid = homodyne_grid()
     for alpha, T, tp in FULL_REGISTER_POINTS + [(0.8, 0.7, 0.9)]:
         rho_ref = _he_ho_full_register(alpha, T, tp, cutoff, grid)
         p_ref = float(np.trace(rho_ref).real)
         res = he_swap_homodyne(alpha, T, tp, cutoff, grid)
         _assert_outcome_matches(res.per_outcome[0], p_ref, rho_ref)
+
+
+@pytest.mark.parametrize("budget", [0.0, 1e-30, 1e-16, 1e-12, 0.05, 2.0])
+def test_drop_lightest_pairs_drops_only_what_fits_the_budget(budget):
+    from hyswap.protocols import _drop_lightest_pairs
+
+    w = np.array([0.7, 0.3, 1e-10, 1e-12])
+    joint = np.outer(w, w).ravel()
+    order, n = _drop_lightest_pairs(w, budget)
+    assert sorted(order.tolist()) == list(range(w.size**2))
+    dropped, kept = joint[order[:n]], joint[order[n:]]
+    if n and n < joint.size:
+        assert dropped.max() <= kept.min()
+    assert dropped.sum() <= budget
+    if n < joint.size:
+        assert dropped.sum() + kept.min() > budget
+    assert _drop_lightest_pairs(w, joint.min())[1] == 1  # a run of exactly the budget goes
+    if budget == 1e-16:  # every tail x tail pair goes, every pair with a main vector stays
+        assert sorted(order[n:].tolist()) == [i * 4 + j for i in range(4) for j in range(4)
+                                              if min(i, j) < 2]
+
+
+@pytest.mark.parametrize("alpha,T,tp,cutoff",
+                         [(0.706, 0.5, 1.0, 12), (0.528, 0.6, 1.0, 9), (0.2, 0.05, 0.9, 6)])
+def test_he_ho_pair_rule_matches_all_pairs(monkeypatch, alpha, T, tp, cutoff):
+    import hyswap.protocols as protocols
+
+    kept = he_swap_homodyne(alpha, T, tp, cutoff).per_outcome[0]
+    monkeypatch.setattr(protocols, "_SCHMIDT_FLOOR", 0.0)
+    monkeypatch.setattr(protocols, "_SCHMIDT_REL", 0.0)
+    every = he_swap_homodyne(alpha, T, tp, cutoff).per_outcome[0]
+    assert abs(kept.probability - every.probability) < 1e-15
+    assert np.abs(kept.post_state.matrix - every.post_state.matrix).max() < 1e-13
 
 
 def _counting_full_register(prepare, c, tau):

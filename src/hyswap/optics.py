@@ -10,19 +10,21 @@ transmission ``T = cos²(theta/2)``.  At the 50:50 working point
     |1,1>         ->  (|0,2> - |2,0>)/sqrt(2)
     |alpha,beta>  ->  |(alpha-beta)/sqrt(2)> |(alpha+beta)/sqrt(2)>
 
-The generator conserves total photon number, so the unitary is built by
-exact exponentiation inside each total-number block of the truncated
-space.  Blocks that fit under the cutoffs reproduce the infinite-space
-splitter exactly; edge blocks stay exactly unitary on the stored space,
-so no norm leaks through truncation.
+The generator conserves total photon number, so the splitter is kept as
+its total-number blocks, each exponentiated exactly; ``bs_on_axes``
+applies them to two axes of any array, and ``bs_unitary`` is a dense view
+for checks.  Blocks that fit under the cutoffs reproduce the
+infinite-space splitter exactly; edge blocks stay exactly unitary on the
+stored space, so no norm leaks through truncation.
 
 Photon loss with survival probability T is the amplitude-damping Kraus
-family ``A_k = (1-T)^{k/2} (k!)^{-1/2} T^{n/2} a^k``, a ``(d, d, d)``
-stack applied to one mode by a single contraction.  It is also the same
-splitter at ``cos²(theta/2) = T`` against a vacuum environment mode,
-whose Kraus operators ``<e|U|0>_env`` are read off the splitter unitary.
-The two stacks come from independent formulas (binomial elements vs the
-exponentiated splitter blocks) and are checked against each other.
+family ``A_k = (1-T)^{k/2} (k!)^{-1/2} T^{n/2} a^k``, with d(d+1)/2
+nonzero elements (``loss_band``), applied to one mode as a ``(d, d, d)``
+stack by a single contraction.  It is also the same splitter at
+``cos²(theta/2) = T`` against a vacuum environment mode, whose Kraus
+operators ``<e|U|0>_env`` are read off the splitter blocks.  The two
+stacks come from independent formulas (binomial elements vs the
+exponentiated blocks) and are checked against each other.
 
 Every detector element is diagonal in the Fock basis and is stored as
 its diagonal ``weights`` (0/1 for ideal counters); an inefficient
@@ -57,7 +59,9 @@ __all__ = [
     "BeamSplitterParams",
     "FIFTY_FIFTY",
     "bs_unitary",
+    "bs_on_axes",
     "apply_bs",
+    "loss_band",
     "loss_channel",
     "apply_loss",
     "apply_loss_dilated",
@@ -93,31 +97,37 @@ FIFTY_FIFTY = BeamSplitterParams(math.pi / 2.0, math.pi)
 
 
 @lru_cache(maxsize=256)
-def _bs_unitary_cached(d1: int, d2: int, theta: float, phi: float) -> np.ndarray:
-    U = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
+def _bs_blocks(d1: int, d2: int, theta: float, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The splitter's total-photon-number blocks, zero-padded into one read-only stack;
+    |x, y> sits in block ``block[x, y]`` at slot ``slot[x, y]``."""
+    x, y = np.indices((d1, d2))
+    block, slot = x + y, x - np.maximum(0, x + y - (d2 - 1))
+    blocks = np.zeros((d1 + d2 - 1, min(d1, d2), min(d1, d2)), dtype=np.complex128)
     for n in range(d1 + d2 - 1):
-        ks = list(range(max(0, n - (d2 - 1)), min(n, d1 - 1) + 1))
-        m = len(ks)
-        A = np.zeros((m, m), dtype=np.complex128)
-        for j, k in enumerate(ks[:-1]):
-            # <k+1, n-k-1| x†y |k, n-k> = sqrt((k+1)(n-k))
-            val = math.sqrt((k + 1) * (n - k))
-            A[j + 1, j] += cmath.exp(1j * phi) * val
-            A[j, j + 1] += -cmath.exp(-1j * phi) * val
+        k = np.arange(max(0, n - (d2 - 1)), min(n, d1 - 1))  # every slot but the last
+        # <k+1, n-k-1| x†y |k, n-k> = sqrt((k+1)(n-k))
+        val = np.sqrt((k + 1.0) * (n - k))
+        A = np.diag(cmath.exp(1j * phi) * val, -1) - np.diag(cmath.exp(-1j * phi) * val, 1)
         # A is anti-Hermitian; exponentiate through the Hermitian i(theta/2)A
-        H = 1j * (theta / 2.0) * A
-        w, V = np.linalg.eigh(H)
-        Ub = (V * np.exp(-1j * w)) @ V.conj().T
-        for j, k in enumerate(ks):
-            for l, k2 in enumerate(ks):
-                U[k * d2 + (n - k), k2 * d2 + (n - k2)] = Ub[j, l]
-    U.setflags(write=False)
-    return U
+        w, V = np.linalg.eigh(1j * (theta / 2.0) * A)
+        blocks[n, :k.size + 1, :k.size + 1] = (V * np.exp(-1j * w)) @ V.conj().T
+    for a in (blocks, block, slot):
+        a.setflags(write=False)
+    return blocks, block, slot
+
+
+def bs_on_axes(t: np.ndarray, axes: tuple[int, int], params: BeamSplitterParams) -> np.ndarray:
+    """The splitter applied to axes (x, y) of an array, one matmul per photon-number block."""
+    t = np.moveaxis(t, axes, (0, 1))
+    blocks, block, slot = _bs_blocks(t.shape[0], t.shape[1], float(params.theta), float(params.phi))
+    z = np.zeros(blocks.shape[:2] + (math.prod(t.shape[2:]),), dtype=np.result_type(t, blocks))
+    z[block, slot] = t.reshape(block.shape + (-1,))
+    return np.moveaxis((blocks @ z)[block, slot].reshape(t.shape), (0, 1), axes)
 
 
 def bs_unitary(d1: int, d2: int, params: BeamSplitterParams) -> np.ndarray:
-    """Dense two-mode splitter unitary on the (d1*d2)-dim product space."""
-    return _bs_unitary_cached(d1, d2, float(params.theta), float(params.phi))
+    """Dense two-mode splitter unitary on the (d1*d2)-dim product space, built from the blocks."""
+    return bs_on_axes(np.eye(d1 * d2).reshape(d1, d2, -1), (0, 1), params).reshape(d1 * d2, -1)
 
 
 def apply_bs(state: StateVector, mode_x: str, mode_y: str, params: BeamSplitterParams) -> StateVector:
@@ -134,13 +144,7 @@ def apply_bs(state: StateVector, mode_x: str, mode_y: str, params: BeamSplitterP
         if reg.spec(m).kind is not ModeKind.BOSONIC:
             raise ValueError(f"mode {m!r} is not bosonic; beam splitters act only on bosonic modes")
     axes = (reg.axis(mode_x), reg.axis(mode_y))
-    U = bs_unitary(reg.dims[axes[0]], reg.dims[axes[1]], params)
-    tail = (len(reg.dims) - 2, len(reg.dims) - 1)
-    t = np.moveaxis(state.tensor_view(), axes, tail)
-    shp = t.shape
-    t = t.reshape(-1, U.shape[0]) @ U.T
-    amps = np.moveaxis(t.reshape(shp), tail, axes).reshape(-1)
-    return StateVector(reg, amps, state.norm_deficit)
+    return StateVector(reg, bs_on_axes(state.tensor_view(), axes, params).reshape(-1), state.norm_deficit)
 
 
 # ---------------------------------------------------------------------------
@@ -154,36 +158,41 @@ def _binomial_roots(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return k, n, np.array([math.sqrt(math.comb(n, k)) for k, n in kn])
 
 
+def loss_band(T: float, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero elements ``A_k[n-k, n] = sqrt(C(n, k) (1-T)^k T^(n-k))`` of a
+    T loss on d levels, as ``(k, n, element)`` over every k <= n < d."""
+    if not 0.0 <= T <= 1.0:
+        raise ValueError("transmission must lie in [0, 1]")
+    k, n, roots = _binomial_roots(d)
+    return k, n, roots * np.sqrt((1.0 - T) ** k * T ** (n - k))
+
+
 def loss_channel(T: float, cutoff: int) -> np.ndarray:
     """Kraus stack ``[k] = A_k = (1-T)^{k/2} (k!)^{-1/2} T^{n/2} a^k``, shape (d, d, d).
 
-    Its element ``A_k[n-k, n]`` is ``sqrt(C(n, k) (1-T)^k T^(n-k))``.  On
-    the truncated space the family is exactly trace preserving, because
-    a^k only moves occupation downward.
+    Its nonzero elements are :func:`loss_band`'s.  On the truncated space
+    the family is exactly trace preserving, because a^k only moves
+    occupation downward.
     """
-    if not 0.0 <= T <= 1.0:
-        raise ValueError("transmission must lie in [0, 1]")
     d = cutoff + 1
-    k, n, roots = _binomial_roots(d)
+    k, n, elements = loss_band(T, d)
     kraus = np.zeros((d, d, d), dtype=np.complex128)
-    kraus[k, n - k, n] = roots * np.sqrt((1.0 - T) ** k * T ** (n - k))
+    kraus[k, n - k, n] = elements
     return kraus
 
 
 def apply_loss(rho: DensityOperator, mode: str, kraus: np.ndarray) -> DensityOperator:
     """Kraus sum ``sum_k A_k rho A_k†`` on one bosonic mode of a mixed state."""
     reg = rho.register
-    spec = reg.spec(mode)
-    if spec.kind is not ModeKind.BOSONIC:
-        raise ValueError("loss channel requires a bosonic mode")
-    if kraus.shape[1:] != (spec.dim, spec.dim):
+    d = _bosonic_dim(reg, mode, "loss channel")
+    if kraus.shape[1:] != (d, d):
         raise ValueError(
             f"channel dimension {kraus.shape[-1]} does not match mode {mode!r} "
-            f"dimension {spec.dim}"
+            f"dimension {d}"
         )
     ax = reg.axis(mode)
     pre, post = math.prod(reg.dims[:ax]), math.prod(reg.dims[ax + 1:])
-    t = rho.matrix.reshape(pre, spec.dim, post, pre, spec.dim, post)
+    t = rho.matrix.reshape(pre, d, post, pre, d, post)
     out = np.einsum("kmn,anbcpe,kqp->ambcqe", kraus, t, kraus.conj(), optimize=True)
     return DensityOperator(reg, out.reshape(reg.dim, reg.dim))
 
@@ -191,14 +200,18 @@ def apply_loss(rho: DensityOperator, mode: str, kraus: np.ndarray) -> DensityOpe
 def apply_loss_dilated(rho: DensityOperator, mode: str, T: float) -> DensityOperator:
     """Loss as a splitter against a vacuum environment mode.
 
-    Its Kraus operators ``B_e = <e|U|0>_env`` are read off
-    :func:`bs_unitary`, so this route checks the binomial elements of
-    :func:`loss_channel` against the exponentiated splitter blocks; the
+    Its Kraus operators ``B_e[m, n] = <m, e|U|n, 0>`` are read off the
+    splitter's photon-number blocks, so this route checks the binomial
+    elements of :func:`loss_band` against the exponentiated blocks; the
     Kraus sum itself is :func:`apply_loss`'s.
     """
     d = rho.register.spec(mode).dim
-    U = bs_unitary(d, d, BeamSplitterParams.from_transmission(T)).reshape(d, d, d, d)
-    return apply_loss(rho, mode, U[:, :, :, 0].transpose(1, 0, 2))
+    params = BeamSplitterParams.from_transmission(T)
+    blocks, _, slot = _bs_blocks(d, d, params.theta, params.phi)
+    k, n, _ = _binomial_roots(d)
+    kraus = np.zeros((d, d, d), dtype=np.complex128)
+    kraus[k, n - k, n] = blocks[n, slot[n - k, k], slot[n, 0]]  # n photons in, k lost to e
+    return apply_loss(rho, mode, kraus)
 
 
 # ---------------------------------------------------------------------------

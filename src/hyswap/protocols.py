@@ -53,14 +53,15 @@ main ones, whose tail x tail pairs (about 1e-29 each) always go.
 
 Channel loss keeps the global state pure until measurement, so the
 reduced A-C state never needs a full-register density matrix.  Both
-parties hold the same (local, traveling) pair, and the Kraus operators
-A_k of ``loss_channel`` add its environment axis, P[a, m, k] = sum_n
-A_k[m, n] amp[a, n].  For a vacuum environment this is the splitter
-dilation up to a phase on each |k>, which every trace over the
-environments removes.  Detector inefficiency T' enters as the
-substitution T -> T * T' (loss commutes with the balanced midpoint
-splitter, and an inefficient detector is an ideal one behind a loss);
-the tests check it against explicitly modeled inefficient detectors.
+parties hold the same (local, traveling) pair, and the Kraus elements of
+``loss_band`` add its environment axis, P[a, n-k, k] = A_k[n-k, n]
+amp[a, n].  For a vacuum environment this is the splitter dilation up to
+a phase on each |k>, which every trace over the environments removes.
+Every splitter is applied by ``bs_on_axes``, block by block in total
+photon number.  Detector inefficiency T' enters as the substitution T ->
+T * T' (loss commutes with the balanced midpoint splitter, and an
+inefficient detector is an ideal one behind a loss); the tests check it
+against explicitly modeled inefficient detectors.
 """
 
 from __future__ import annotations
@@ -86,9 +87,9 @@ from .negativity import negativity
 from .optics import (
     FIFTY_FIFTY,
     apply_bs,
-    bs_unitary,
+    bs_on_axes,
     homodyne_grid,
-    loss_channel,
+    loss_band,
     quadrature_amplitudes,
 )
 # imported but never called here: perfbench's WRAPPED names both, and its tests need them bound
@@ -115,6 +116,8 @@ _AC_REGISTER = ModeRegister((("A", qubit()), ("C", qubit())))
 # most _SCHMIDT_FLOOR, or to at most _SCHMIDT_REL * p when smaller, p the success probability
 _SCHMIDT_FLOOR = 1e-16
 _SCHMIDT_REL = 1e-14
+# the midpoint splitter's one-photon block u[o, i], o and i over the counts (0, 1), (1, 0) on (B, D)
+_ONE_PHOTON = bs_on_axes(np.eye(4).reshape(2, 2, 2, 2), (0, 1), FIFTY_FIFTY)[[0, 1], [1, 0]][:, [0, 1], [1, 0]]
 
 
 def default_cutoff() -> int:
@@ -180,9 +183,13 @@ def _lossy_pair(make_pair, param, c: int, tau: float) -> np.ndarray:
     """The resource pair after its loss, as P[local, traveling, loss environment].
 
     ``make_pair(register, local, traveling, param)`` builds it at cutoff ``c``.
+    Only the band P[:, n-k, k] = A_k[n-k, n] amp[:, n] is nonzero.
     """
     pair = make_pair(ModeRegister((("A", qubit()), ("B", bosonic(c)))), "A", "B", param)
-    return np.einsum("kmn,an->amk", loss_channel(tau, c), pair.amplitudes.reshape(2, c + 1))
+    k, n, elements = loss_band(tau, c + 1)
+    P = np.zeros((2, c + 1, c + 1), dtype=np.complex128)
+    P[:, n - k, k] = pair.amplitudes.reshape(2, c + 1)[:, n] * elements
+    return P
 
 
 def _outcome(label: str, rho: np.ndarray) -> SwapOutcome:
@@ -225,13 +232,12 @@ def _run_swap(scheme: str, alpha: float | None, T: float, T_prime: float,
 def _count_herald(P: np.ndarray, tau: float) -> list[tuple[str, np.ndarray]]:
     """Photon counts (0, 1) and (1, 0) on (B, D), read off the lossy pair.
 
-    Row o of the splitter's one-photon block u maps the inputs (0, 1) and
-    (1, 0) to output o, so its (A, C | Eb, Ed) amplitude is
-    u[o, 0] P[:, 0] ⊗ P[:, 1] + u[o, 1] P[:, 1] ⊗ P[:, 0].
+    Row o of the splitter's one-photon block u (``_ONE_PHOTON``) maps the
+    inputs (0, 1) and (1, 0) to output o, so its (A, C | Eb, Ed) amplitude
+    is u[o, 0] P[:, 0] ⊗ P[:, 1] + u[o, 1] P[:, 1] ⊗ P[:, 0].
     """
-    u = bs_unitary(2, 2, FIFTY_FIFTY)[1:3, 1:3]
     ins = np.stack([np.einsum("ae,cf->acef", P[:, m], P[:, 1 - m]).reshape(4, -1) for m in (0, 1)])
-    return [(label, X @ X.conj().T) for label, X in zip(("01", "10"), np.tensordot(u, ins, axes=1))]
+    return [(label, X @ X.conj().T) for label, X in zip(("01", "10"), np.tensordot(_ONE_PHOTON, ins, axes=1))]
 
 
 def dv_swap(T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapResult:
@@ -271,9 +277,9 @@ def _vacuum_test_filter(d: int, beta: float) -> np.ndarray:
     Column k of C holds the clicked outputs of U(|k> ⊗ |beta>), so C†C is
     that operator and C = QR gives R without an eigenvalue square root.
     """
-    U = bs_unitary(d, d, FIFTY_FIFTY).reshape(d, d, d, d)  # (b', e', b, e)
     anc = make_coherent(ModeRegister((("E", bosonic(d - 1)),)), "E", beta)
-    C = (U @ anc.amplitudes)[1:, 1:].reshape(-1, d)
+    cols = np.einsum("bk,e->bek", np.eye(d), anc.amplitudes)  # column k: |k> ⊗ |beta> on (B, E)
+    C = bs_on_axes(cols, (0, 1), FIFTY_FIFTY)[1:, 1:].reshape(-1, d)
     return np.linalg.qr(C, mode="r")
 
 
@@ -310,11 +316,11 @@ def he_swap_homodyne(
     amplitudes each away from truncation.  The ancilla E never enters:
     splitter, both clicks and the trace over E act on B as the d x d
     M = <beta| U† (P_B>=1 ⊗ P_E>=1) U |beta>, applied as R with R†R = M
-    after the midpoint splitter U, each one matrix product over all kept
+    after the midpoint splitter U, which acts on (B, D) block by block in
+    total photon number; U and R are each applied once to all kept
     pairs.  The quadrature sum is one Gram matrix G = X X† of the
-    (A, C, D | rest) matrix X, contracted with
-    K_k = V diag(w e^{-i k phi(x)}) V† for C-bit difference k, and
-    K_{-1} = K_1†.
+    (A, C, D | rest) matrix X, contracted with K_k = V diag(w e^{-i k
+    phi(x)}) V† for C-bit difference k, and K_{-1} = K_1†.
     """
     alpha = _check_alpha(alpha)
     if x_grid is None:
@@ -329,7 +335,6 @@ def he_swap_homodyne(
         _, s, Vh = np.linalg.svd(pair, full_matrices=False)
         # P times the right-singular vectors, not U S: each Fock row keeps its own rounding
         Q = (pair @ Vh.conj().T).T.reshape(-1, 2, d)  # [loss environment vector, A, B]
-        U = bs_unitary(d, d, FIFTY_FIFTY)
         R = _vacuum_test_filter(d, math.sqrt(2.0 * tau) * alpha)
         V = quadrature_amplitudes(xs, d, math.pi / 2.0)
         phi = _feed_forward_phase(alpha, tau, xs)
@@ -339,8 +344,8 @@ def he_swap_homodyne(
 
         def contract(pairs: np.ndarray) -> np.ndarray:
             I, J = np.divmod(pairs, d)
-            Y = np.einsum("pab,pcd->pacbd", Q[I], Q[J]).reshape(-1, d * d)  # (pair, A, C | B, D)
-            Z = R @ (U @ Y.T).reshape(d, -1)  # midpoint splitter, then both clicks as R on B
+            Y = np.einsum("pab,pcd->bdpac", Q[I], Q[J])  # (B, D, pair, A, C)
+            Z = R @ bs_on_axes(Y, (0, 1), FIFTY_FIFTY).reshape(d, -1)  # midpoint splitter, then clicks as R on B
             X = Z.reshape(-1, d, len(pairs), 4).transpose(3, 1, 2, 0).reshape(4 * d, -1)
             G = (X @ X.conj().T).reshape(4, d, 4, d)
             return np.einsum("anbm,abnm->ab", G, K)
@@ -401,13 +406,10 @@ def cv_bsm_failure_prob(alpha: float, cutoff: int | None = None) -> float:
     y = 4.0 * alpha**2
 
     def two_mode_cat(a1, a2, sign):
-        b1 = tensor(
-            make_coherent(ModeRegister(reg.modes[:1]), "m1", a1),
-            make_coherent(ModeRegister(reg.modes[1:]), "m2", a2),
-        )
-        b2 = tensor(
-            make_coherent(ModeRegister(reg.modes[:1]), "m1", -a1),
-            make_coherent(ModeRegister(reg.modes[1:]), "m2", -a2),
+        b1, b2 = (
+            tensor(make_coherent(ModeRegister(reg.modes[:1]), "m1", s * a1),
+                   make_coherent(ModeRegister(reg.modes[1:]), "m2", s * a2))
+            for s in (1, -1)
         )
         if sign > 0:
             norm = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-y))

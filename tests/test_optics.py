@@ -53,18 +53,19 @@ def test_bs_unitary_matches_matrix_exponential():
     """Oracle: exponentiate the generator directly with scipy.
 
     U = exp((theta/2) (e^{i phi} a†b - e^{-i phi} a b†)) on the product
-    basis with the first mode most significant.
+    basis with the first mode most significant.  Unequal dimensions give
+    the photon-number blocks different slot offsets, which a unitarity
+    check would not see if they were permuted.
     """
-    d = 6
-    a = ladder(d)
-    ad = a.conj().T
-    for theta, phi in [(math.pi / 2, math.pi), (0.7, 0.0), (1.3, 2.1), (2.9, -0.4)]:
-        gen = (theta / 2.0) * (
-            np.exp(1j * phi) * np.kron(ad, a) - np.exp(-1j * phi) * np.kron(a, ad)
-        )
-        ref = scipy.linalg.expm(gen)
-        got = bs_unitary(d, d, BeamSplitterParams(theta, phi))
-        assert np.abs(got - ref).max() < 1e-12, (theta, phi)
+    for d1, d2 in [(6, 6), (3, 7), (7, 3)]:
+        a, b = ladder(d1), ladder(d2)
+        for theta, phi in [(math.pi / 2, math.pi), (0.7, 0.0), (1.3, 2.1), (2.9, -0.4)]:
+            gen = (theta / 2.0) * (
+                np.exp(1j * phi) * np.kron(a.T, b) - np.exp(-1j * phi) * np.kron(a, b.T)
+            )
+            ref = scipy.linalg.expm(gen)
+            got = bs_unitary(d1, d2, BeamSplitterParams(theta, phi))
+            assert np.abs(got - ref).max() < 1e-12, (d1, d2, theta, phi)
 
 
 def test_bs_unitary_is_unitary_on_truncated_space():
@@ -105,6 +106,23 @@ def test_apply_bs_hong_ou_mandel():
     assert abs(v[1, 1]) < 1e-14  # coincidences cancel
     assert abs(abs(v[0, 2]) ** 2 - 0.5) < 1e-14
     assert abs(abs(v[2, 0]) ** 2 - 0.5) < 1e-14
+
+
+def test_apply_bs_on_reversed_non_adjacent_modes_of_unequal_dimension():
+    """Oracle: the generator lifted to the whole register by kron, exponentiated by scipy."""
+    rng = np.random.default_rng(11)
+    reg = ModeRegister((("X", bosonic(2)), ("Q", qubit()), ("Y", bosonic(5))))
+    psi = random_state(reg, rng)
+    params = BeamSplitterParams(1.1, 0.6)
+    a_x = np.kron(ladder(3), np.eye(2 * 6))
+    a_y = np.kron(np.eye(3 * 2), ladder(6))
+    # Y is the splitter's first mode and X its second
+    gen = (params.theta / 2.0) * (
+        np.exp(1j * params.phi) * a_y.T @ a_x - np.exp(-1j * params.phi) * a_y @ a_x.T
+    )
+    ref = scipy.linalg.expm(gen) @ psi.amplitudes
+    out = apply_bs(psi, "Y", "X", params)
+    assert np.abs(out.amplitudes - ref).max() < 1e-12
 
 
 def test_apply_bs_conserves_total_photon_number():

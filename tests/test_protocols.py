@@ -231,8 +231,9 @@ def test_he_ho_matches_closed_form():
         assert abs(res.averaged_negativity - ref.E) < 1e-6, (alpha, T)
 
 
-def test_he_ho_matches_closed_form_at_large_alpha():
-    alpha, T, tp, cutoff = 1.5, 0.9, 1.0, 32
+@pytest.mark.parametrize("cutoff", [32, 64])
+def test_he_ho_matches_closed_form_at_large_alpha(cutoff):
+    alpha, T, tp = 1.5, 0.9, 1.0
     res = he_swap_homodyne(alpha, T, tp, cutoff)
     ref = closed_form("he_ho", alpha, T, tp)
     assert abs(res.total_success_probability - ref.p) <= 1e-9
@@ -594,9 +595,54 @@ def test_non_finite_alpha_is_rejected():
 
 def test_loss_builds_no_splitter_per_transmission():
     """Loss goes through Kraus operators, so a T sweep adds no cached splitter."""
-    from hyswap.optics import _bs_unitary_cached
+    from hyswap.optics import _bs_blocks
 
-    before = _bs_unitary_cached.cache_info().currsize
+    before = _bs_blocks.cache_info().currsize
     for i in range(50):
         he_swap_spd(0.5, 0.013 + 0.019 * i, cutoff=5)
-    assert _bs_unitary_cached.cache_info().currsize - before <= 1
+    assert _bs_blocks.cache_info().currsize - before <= 1
+
+
+def _traced_peak(run) -> int:
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_he_ho_memory_at_cutoff_64_without_dense_splitter():
+    """Splitter blocks and a (d, d, d) vacuum test, not a 272 MiB dense d^2 x d^2 unitary."""
+    from hyswap.optics import _bs_blocks
+
+    _bs_blocks.cache_clear()
+    assert _traced_peak(lambda: he_swap_homodyne(1.5, 0.9, 1.0, 64)) < 64 * 2**20
+
+
+def test_he_spd_lossy_pair_is_written_as_its_band():
+    """Only the d(d+1)/2 nonzero Kraus elements, not a (d, d, d) stack (124 MiB at cutoff 200)."""
+    he_swap_spd(1.5, 0.9, 1.0, 200)
+    assert _traced_peak(lambda: he_swap_spd(1.5, 0.9, 1.0, 200)) < 32 * 2**20
+
+
+def test_pipelines_build_no_dense_splitter_or_kraus_stack(monkeypatch):
+    import hyswap.optics as optics
+    import hyswap.protocols as protocols
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a pipeline built a dense splitter or Kraus stack")
+
+    for name in ("bs_unitary", "loss_channel"):
+        monkeypatch.setattr(optics, name, forbidden)
+        assert not hasattr(protocols, name)  # a copy bound there would dodge the patch
+    dv_swap(0.7, 0.9, 6)
+    he_swap_spd(0.8, 0.7, 0.9, 6)
+    he_swap_homodyne(0.8, 0.7, 0.9, 6)
+    cv_bsm_failure_prob(0.8, 6)
+    reg = ModeRegister((("X", bosonic(3)), ("Y", bosonic(4))))
+    apply_bs(make_fock(reg, {"X": 1}), "X", "Y", FIFTY_FIFTY)
+    rho = DensityOperator(reg, np.eye(reg.dim) / reg.dim)
+    optics.apply_loss_dilated(rho, "Y", 0.4)

@@ -434,7 +434,8 @@ def test_cli_sweep_rejects_directory_output_path_before_running(tmp_path):
 
 
 def _cap_address_space():
-    # a cutoff-200 he-ho point asks for about 24 GiB, so under 3 GiB it fails at once
+    # a cutoff-600 he-ho point asks for 3.2 GiB at once (its (d, d, d) vacuum-test columns),
+    # so under 3 GiB it fails within a second; cutoff 200 fits in about 1 GiB
     resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
 
@@ -443,9 +444,9 @@ def test_cli_reports_allocation_failure_as_one_line(tmp_path, monkeypatch):
     out = tmp_path / "never.csv"
     cfg = write_config(
         tmp_path,
-        f"schemes = he-ho\nalpha_values = 0.3\nT_values = 0.5\ncutoff = 200\noutput_path = {out}\n",
+        f"schemes = he-ho\nalpha_values = 0.3\nT_values = 0.5\ncutoff = 600\noutput_path = {out}\n",
     )
-    point = ("point", "--scheme", "he-ho", "--alpha", "0.3", "--T", "0.5", "--cutoff", "200")
+    point = ("point", "--scheme", "he-ho", "--alpha", "0.3", "--T", "0.5", "--cutoff", "600")
     for args in (point, ("sweep", cfg)):
         result = run_cli(*args, preexec_fn=_cap_address_space)
         assert result.returncode == 1

@@ -255,12 +255,9 @@ def coherent_tail_mass(alpha: complex, cutoff: int) -> float:
 
 
 def _product_state(register: ModeRegister, vectors: dict[str, np.ndarray]) -> np.ndarray:
-    """Kron together one vector per mode; unspecified modes get vacuum."""
-    per_mode = []
-    for name, spec in register.modes:
-        v = vectors.get(name)
-        per_mode.append(_basis_vec(spec.dim, 0) if v is None else v)
-    return reduce(np.kron, per_mode)
+    """Flattened outer product of one vector per mode; unspecified modes get vacuum."""
+    per_mode = [vectors[name] if name in vectors else _basis_vec(spec.dim, 0) for name, spec in register.modes]
+    return reduce(lambda a, b: np.multiply.outer(a, b).ravel(), per_mode)
 
 
 def make_fock(register: ModeRegister, occupations: dict[str, int] | None = None) -> StateVector:
@@ -385,7 +382,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
         raise ValueError("duplicate mode name in tensor product")
     reg = ModeRegister(a.register.modes + b.register.modes)
     deficit = a.norm_deficit + b.norm_deficit - a.norm_deficit * b.norm_deficit
-    return StateVector(reg, np.kron(a.amplitudes, b.amplitudes), deficit)
+    return StateVector(reg, np.multiply.outer(a.amplitudes, b.amplitudes).ravel(), deficit)
 
 
 def partial_trace(rho: DensityOperator, keep: list[str]) -> DensityOperator:

@@ -55,10 +55,10 @@ def partial_transpose(rho: DensityOperator, transpose_modes: list[str]) -> Densi
 def negativity(rho: DensityOperator, transpose_modes: list[str], eigen_tolerance: float = 1e-12) -> NegativityReport:
     """Entanglement negativity across the bipartition set by ``transpose_modes``.
 
-    The input is renormalized by its trace first (post-selected states
-    arrive with their outcome probability in the trace); the factor is
-    reported.  Eigenvalues above ``-eigen_tolerance`` are treated as
-    numerical zeros.
+    The eigenvalues are those of the symmetrized partial transpose
+    divided by the input's trace (post-selected states arrive with their
+    outcome probability in the trace); the factor is reported.
+    Eigenvalues above ``-eigen_tolerance`` are treated as numerical zeros.
     """
     defect = rho.hermiticity_defect()
     if defect > 1e-8:
@@ -66,10 +66,9 @@ def negativity(rho: DensityOperator, transpose_modes: list[str], eigen_tolerance
     tr = rho.trace()
     if abs(tr) < 1e-290:
         raise ValueError("density operator has vanishing trace")
-    normalized = DensityOperator(rho.register, rho.matrix / tr)
-    pt = partial_transpose(normalized, transpose_modes).matrix
-    eigs = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)
-    negatives = tuple(float(v) for v in eigs if v < -eigen_tolerance)
+    pt = partial_transpose(rho, transpose_modes).matrix
+    eigs = np.linalg.eigvalsh((pt + pt.conj().T) / (2.0 * tr))
+    negatives = tuple(eigs[eigs < -eigen_tolerance].tolist())
     return NegativityReport(
         value=-2.0 * sum(negatives),
         negative_eigenvalues=negatives,

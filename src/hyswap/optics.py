@@ -182,7 +182,7 @@ def loss_channel(T: float, cutoff: int) -> np.ndarray:
 
 
 def apply_loss(rho: DensityOperator, mode: str, kraus: np.ndarray) -> DensityOperator:
-    """Kraus sum ``sum_k A_k rho A_k†`` on one bosonic mode of a mixed state."""
+    """Kraus sum ``sum_k A_k rho A_k†`` on one bosonic mode, along a fixed contraction path."""
     reg = rho.register
     d = _bosonic_dim(reg, mode, "loss channel")
     if kraus.shape[1:] != (d, d):
@@ -193,7 +193,7 @@ def apply_loss(rho: DensityOperator, mode: str, kraus: np.ndarray) -> DensityOpe
     ax = reg.axis(mode)
     pre, post = math.prod(reg.dims[:ax]), math.prod(reg.dims[ax + 1:])
     t = rho.matrix.reshape(pre, d, post, pre, d, post)
-    out = np.einsum("kmn,anbcpe,kqp->ambcqe", kraus, t, kraus.conj(), optimize=True)
+    out = np.einsum("kmn,anbcpe,kqp->ambcqe", kraus, t, kraus.conj(), optimize=["einsum_path", (0, 1), (0, 1)])
     return DensityOperator(reg, out.reshape(reg.dim, reg.dim))
 
 
@@ -343,12 +343,12 @@ def with_inefficiency(elements, T_prime: float):
     items = [elements] if single else list(elements)
     out = []
     for el in items:
-        if T_prime == 1.0:
-            out.append(el)
-            continue
-        kraus = loss_channel(T_prime, el.weights.size - 1)
-        survival = (np.abs(kraus) ** 2).sum(0)  # [m, n] = P(n -> m)
-        out.append(MeasurementElement(el.label, el.mode, el.weights @ survival))
+        if T_prime < 1.0:
+            k, n, elements = loss_band(T_prime, d := el.weights.size)
+            survival = np.zeros((d, d))
+            survival[n - k, n] = elements**2  # [m, n] = P(n -> m)
+            el = MeasurementElement(el.label, el.mode, el.weights @ survival)
+        out.append(el)
     return out[0] if single else out
 
 

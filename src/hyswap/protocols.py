@@ -22,8 +22,8 @@ The counting herald accepts the photon counts (0, 1) and (1, 0) on
 (B, D); for the hybrid pairs these are single-photon detectors and "two
 or more" is rejected.  It builds no midpoint register: the splitter
 conserves photon number, so those outcomes come only from the inputs
-(0, 1) and (1, 0), mixed by its 2 x 2 one-photon block, and each is two
-index selections on the lossy pair.
+(0, 1) and (1, 0), mixed by its 2 x 2 one-photon block, and each is a sum
+of four Kronecker products of g[m, n] = tr_env P[:, m] P[:, n]†, m, n <= 1.
 
 The homodyne herald tests B for vacuum against an ancillary coherent
 beam (two on-off detectors must both click) and reads D out along the
@@ -69,6 +69,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,6 +119,7 @@ _SCHMIDT_FLOOR = 1e-16
 _SCHMIDT_REL = 1e-14
 # the midpoint splitter's one-photon block u[o, i], o and i over the counts (0, 1), (1, 0) on (B, D)
 _ONE_PHOTON = bs_on_axes(np.eye(4).reshape(2, 2, 2, 2), (0, 1), FIFTY_FIFTY)[[0, 1], [1, 0]][:, [0, 1], [1, 0]]
+_ONE_PHOTON_GRAM = np.einsum("om,on->omn", _ONE_PHOTON, _ONE_PHOTON.conj())  # u[o, m] u*[o, n]
 
 
 def default_cutoff() -> int:
@@ -179,13 +181,18 @@ def _resolve_cutoff(cutoff: int | None) -> int:
     return c
 
 
+@lru_cache(maxsize=64)
+def _pair_register(c: int) -> ModeRegister:
+    return ModeRegister((("A", qubit()), ("B", bosonic(c))))
+
+
 def _lossy_pair(make_pair, param, c: int, tau: float) -> np.ndarray:
     """The resource pair after its loss, as P[local, traveling, loss environment].
 
     ``make_pair(register, local, traveling, param)`` builds it at cutoff ``c``.
     Only the band P[:, n-k, k] = A_k[n-k, n] amp[:, n] is nonzero.
     """
-    pair = make_pair(ModeRegister((("A", qubit()), ("B", bosonic(c)))), "A", "B", param)
+    pair = make_pair(_pair_register(c), "A", "B", param)
     k, n, elements = loss_band(tau, c + 1)
     P = np.zeros((2, c + 1, c + 1), dtype=np.complex128)
     P[:, n - k, k] = pair.amplitudes.reshape(2, c + 1)[:, n] * elements
@@ -233,11 +240,13 @@ def _count_herald(P: np.ndarray, tau: float) -> list[tuple[str, np.ndarray]]:
     """Photon counts (0, 1) and (1, 0) on (B, D), read off the lossy pair.
 
     Row o of the splitter's one-photon block u (``_ONE_PHOTON``) maps the
-    inputs (0, 1) and (1, 0) to output o, so its (A, C | Eb, Ed) amplitude
-    is u[o, 0] P[:, 0] ⊗ P[:, 1] + u[o, 1] P[:, 1] ⊗ P[:, 0].
+    inputs (0, 1) and (1, 0) to output o, whose (A, C | Eb, Ed) amplitude
+    is u[o, 0] P[:, 0] ⊗ P[:, 1] + u[o, 1] P[:, 1] ⊗ P[:, 0].  Its Gram
+    matrix is G_o = sum_{m,n} u[o,m] u*[o,n] g[m,n] ⊗ g[1-m,1-n], with
+    g[m, n] = P[:, m] P[:, n]† traced over the loss environment.
     """
-    ins = np.stack([np.einsum("ae,cf->acef", P[:, m], P[:, 1 - m]).reshape(4, -1) for m in (0, 1)])
-    return [(label, X @ X.conj().T) for label, X in zip(("01", "10"), np.tensordot(_ONE_PHOTON, ins, axes=1))]
+    g = np.einsum("amk,bnk->mnab", P[:, :2], P[:, :2].conj())
+    return list(zip(("01", "10"), np.einsum("omn,mnab,mncd->oacbd", _ONE_PHOTON_GRAM, g, g[::-1, ::-1]).reshape(2, 4, 4)))
 
 
 def dv_swap(T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapResult:

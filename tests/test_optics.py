@@ -369,6 +369,24 @@ def test_with_inefficiency_off_element_closed_form():
     assert np.abs(diag - expect).max() < 1e-14
 
 
+def test_with_inefficiency_builds_no_kraus_stack_at_cutoff_200():
+    """The survival map comes from the d(d+1)/2 band elements, not a (d, d, d)
+    Kraus stack (248.6 MiB on this on/off pair when built from ``loss_channel``)."""
+    import tracemalloc
+
+    els = onoff_elements(ModeRegister((("M", bosonic(200)),)), "M")
+    with_inefficiency(els, 0.6)
+    tracemalloc.start()
+    try:
+        degraded = with_inefficiency(els, 0.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert np.abs(degraded[0].weights - 0.4 ** np.arange(201)).max() < 1e-14
+    assert np.abs(degraded[0].weights + degraded[1].weights - 1.0).max() < 1e-14
+
+
 def test_with_inefficiency_range_check():
     reg = ModeRegister((("M", bosonic(3)),))
     with pytest.raises(ValueError):

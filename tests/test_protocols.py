@@ -628,6 +628,38 @@ def test_he_spd_lossy_pair_is_written_as_its_band():
     assert _traced_peak(lambda: he_swap_spd(1.5, 0.9, 1.0, 200)) < 32 * 2**20
 
 
+def test_he_spd_herald_holds_no_environment_amplitudes_at_cutoff_200():
+    """The counting herald contracts 2 x 2 environment Gram blocks, not (2, 4, d^2)
+    amplitude arrays (13.6 MiB at this point when it built them)."""
+    he_swap_spd(1.5, 0.9, 1.0, 200)
+    assert _traced_peak(lambda: he_swap_spd(1.5, 0.9, 1.0, 200)) < 4 * 2**20
+
+
+def test_counting_points_cross_the_traced_layers(monkeypatch):
+    """Each counting point calls its pair builder once and negativity once per
+    outcome, through the module names a layer trace wraps."""
+    import hyswap.protocols as protocols
+
+    calls = {}
+
+    def counting(name):
+        fn = getattr(protocols, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, name, counted)
+
+    for name in ("negativity", "make_hybrid_pair", "make_vsp_bell"):
+        counting(name)
+    he_swap_spd(0.8, 0.7, 0.9, 6)
+    assert calls == {"negativity": 2, "make_hybrid_pair": 1}
+    calls.clear()
+    dv_swap(0.7, 0.9, 6)
+    assert calls == {"negativity": 2, "make_vsp_bell": 1}
+
+
 def test_pipelines_build_no_dense_splitter_or_kraus_stack(monkeypatch):
     import hyswap.optics as optics
     import hyswap.protocols as protocols

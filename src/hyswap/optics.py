@@ -20,7 +20,7 @@ stored space, so no norm leaks through truncation.
 Photon loss with survival probability T is the amplitude-damping Kraus
 family ``A_k = (1-T)^{k/2} (k!)^{-1/2} T^{n/2} a^k``, with d(d+1)/2
 nonzero elements (``loss_band``), applied to one mode as a ``(d, d, d)``
-stack by a single contraction.  It is also the same splitter at
+stack by two matmuls.  It is also the same splitter at
 ``cos²(theta/2) = T`` against a vacuum environment mode, whose Kraus
 operators ``<e|U|0>_env`` are read off the splitter blocks.  The two
 stacks come from independent formulas (binomial elements vs the
@@ -182,7 +182,7 @@ def loss_channel(T: float, cutoff: int) -> np.ndarray:
 
 
 def apply_loss(rho: DensityOperator, mode: str, kraus: np.ndarray) -> DensityOperator:
-    """Kraus sum ``sum_k A_k rho A_k†`` on one bosonic mode, along a fixed contraction path."""
+    """Kraus sum ``sum_k (A_k rho) A_k†`` on one bosonic mode, as two matmuls."""
     reg = rho.register
     d = _bosonic_dim(reg, mode, "loss channel")
     if kraus.shape[1:] != (d, d):
@@ -192,8 +192,11 @@ def apply_loss(rho: DensityOperator, mode: str, kraus: np.ndarray) -> DensityOpe
         )
     ax = reg.axis(mode)
     pre, post = math.prod(reg.dims[:ax]), math.prod(reg.dims[ax + 1:])
-    t = rho.matrix.reshape(pre, d, post, pre, d, post)
-    out = np.einsum("kmn,anbcpe,kqp->ambcqe", kraus, t, kraus.conj(), optimize=["einsum_path", (0, 1), (0, 1)])
+    # the mode's ket axis first and its bra axis last, t[n, rest, p]; A_k rho as [(m, rest), k, p]
+    t = rho.matrix.reshape(pre, d, post, pre, d, post).transpose(1, 0, 2, 3, 5, 4).reshape(d, -1)
+    kt = (kraus.reshape(-1, d) @ t).reshape(len(kraus), -1, d).transpose(1, 0, 2)
+    out = kt.reshape(len(kt), -1) @ kraus.conj().transpose(0, 2, 1).reshape(-1, d)  # sums over (k, p)
+    out = out.reshape(d, pre, post, pre, post, d).transpose(1, 0, 2, 3, 5, 4)
     return DensityOperator(reg, out.reshape(reg.dim, reg.dim))
 
 

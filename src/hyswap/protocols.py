@@ -30,7 +30,11 @@ beam (two on-off detectors must both click) and reads D out along the
 x_{pi/2} quadrature; every quadrature value is accepted and a
 feed-forward phase on C undoes the outcome-dependent rotation.  The
 ancilla never enters the register: the vacuum test acts on B as a d x d
-filter R with R†R = M, the test's operator on B.
+filter R with R†R = M, the test's operator on B: the QR factor of the
+clicked amplitudes <b, e|U|k, beta>, b, e >= 1, each one cached block
+entry <b, e|U|k, b+e-k> times beta's amplitude at level b+e-k.  The
+quadrature amplitudes V and K_0 = V diag(w) V† are cached per grid and
+cutoff.
 
 Before the midpoint the homodyne herald splits both lossy pairs by
 their loss environments.  After loss a pair is sum_a |a>|s_a sqrt(tau)
@@ -57,17 +61,18 @@ parties hold the same (local, traveling) pair, and the Kraus elements of
 ``loss_band`` add its environment axis, P[a, n-k, k] = A_k[n-k, n]
 amp[a, n].  For a vacuum environment this is the splitter dilation up to
 a phase on each |k>, which every trace over the environments removes.
-Every splitter is applied by ``bs_on_axes``, block by block in total
-photon number.  Detector inefficiency T' enters as the substitution T ->
-T * T' (loss commutes with the balanced midpoint splitter, and an
-inefficient detector is an ideal one behind a loss); the tests check it
-against explicitly modeled inefficient detectors.
+Every splitter acts block by block in total photon number, from the
+blocks ``optics`` caches.  Detector inefficiency T' enters as the
+substitution T -> T * T' (loss commutes with the balanced midpoint
+splitter, and an inefficient detector is an ideal one behind a loss);
+the tests check it against explicitly modeled inefficient detectors.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,6 +88,7 @@ from .fock import (
     make_vsp_bell,
     qubit,
     tensor,
+    _coherent_amplitudes,
 )
 from .negativity import negativity
 from .optics import (
@@ -92,6 +98,7 @@ from .optics import (
     homodyne_grid,
     loss_band,
     quadrature_amplitudes,
+    _bs_blocks,
 )
 # imported but never called here: perfbench's WRAPPED names both, and its tests need them bound
 from .fock import make_fock  # noqa: F401
@@ -280,24 +287,51 @@ def _feed_forward_phase(alpha: float, T: float, x: float) -> float:
     return 4.0 * math.sqrt(T) * alpha * x
 
 
+@lru_cache(maxsize=64)
+def _vacuum_test_gather(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (flat, anc, entry): the vacuum test's C[(b, e), k], b, e >= 1, is zero but for
+    C.flat[flat] = entry * beta_anc, with anc = b + e - k and entry = <b, e|U|k, anc>."""
+    blocks, _, slot = _bs_blocks(d, d, FIFTY_FIFTY.theta, FIFTY_FIFTY.phi)
+    b, e, k = np.ogrid[1:d, 1:d, :d]
+    anc = (b + e - k).ravel()
+    flat = np.flatnonzero((anc >= 0) & (anc < d))  # the ancilla levels stored
+    anc = anc[flat]
+    b, e, k = np.unravel_index(flat, (d - 1, d - 1, d))
+    entry = blocks[anc + k, slot[b + 1, e + 1], slot[k, anc]]
+    for a in (flat, anc, entry):
+        a.setflags(write=False)
+    return flat, anc, entry
+
+
 def _vacuum_test_filter(d: int, beta: float) -> np.ndarray:
     """Factor R of the two-click test on B: R†R = <beta| U† (P_B>=1 ⊗ P_E>=1) U |beta>.
 
     Column k of C holds the clicked outputs of U(|k> ⊗ |beta>), so C†C is
     that operator and C = QR gives R without an eigenvalue square root.
     """
-    anc = make_coherent(ModeRegister((("E", bosonic(d - 1)),)), "E", beta)
-    cols = np.einsum("bk,e->bek", np.eye(d), anc.amplitudes)  # column k: |k> ⊗ |beta> on (B, E)
-    C = bs_on_axes(cols, (0, 1), FIFTY_FIFTY)[1:, 1:].reshape(-1, d)
-    return np.linalg.qr(C, mode="r")
+    flat, anc, entry = _vacuum_test_gather(d)
+    C = np.zeros((d - 1) ** 2 * d, dtype=np.complex128)
+    C[flat] = entry * _coherent_amplitudes(beta, d - 1)[anc]
+    return np.linalg.qr(C.reshape(-1, d), mode="r")
 
 
-def _drop_lightest_pairs(w: np.ndarray, budget: float) -> tuple[np.ndarray, int]:
+@lru_cache(maxsize=64)
+def _grid_kernels(xs: bytes, ws: bytes, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only V[n, i] = <x_i at angle pi/2|n> on the grid and K_0 = V diag(w) V†."""
+    V = quadrature_amplitudes(np.frombuffer(xs), d, math.pi / 2.0)
+    K0 = (V * np.frombuffer(ws)) @ V.conj().T
+    for a in (V, K0):
+        a.setflags(write=False)
+    return V, K0
+
+
+def _drop_lightest_pairs(w: np.ndarray) -> tuple[np.ndarray, Callable[[float], int]]:
     """Environment pairs (i, j), as i * len(w) + j, in ascending joint weight w_i w_j, and
-    the length n of the longest leading run whose weights sum to at most ``budget``."""
+    ``run(budget)``, the length of the longest leading run whose weights sum to at most budget."""
     joint = np.multiply.outer(w, w).ravel()
     order = np.argsort(joint)
-    return order, int(np.searchsorted(np.cumsum(joint[order]), budget, side="right"))
+    cum = np.cumsum(joint[order])
+    return order, lambda budget: int(np.searchsorted(cum, budget, side="right"))
 
 
 def he_swap_homodyne(
@@ -345,24 +379,26 @@ def he_swap_homodyne(
         # P times the right-singular vectors, not U S: each Fock row keeps its own rounding
         Q = (pair @ Vh.conj().T).T.reshape(-1, 2, d)  # [loss environment vector, A, B]
         R = _vacuum_test_filter(d, math.sqrt(2.0 * tau) * alpha)
-        V = quadrature_amplitudes(xs, d, math.pi / 2.0)
-        phi = _feed_forward_phase(alpha, tau, xs)
-        K0, K1 = ((V * (ws * np.exp(-1j * k * phi))) @ V.conj().T for k in (0, 1))
+        V, K0 = _grid_kernels(xs.tobytes(), ws.tobytes(), d)
+        K1 = (V * (ws * np.exp(-1j * _feed_forward_phase(alpha, tau, xs)))) @ V.conj().T
         cbit = np.arange(4) % 2
         K = np.stack([K1.conj().T, K0, K1])[cbit[:, None] - cbit[None, :] + 1]
+        blocks, block, slot = _bs_blocks(d, d, FIFTY_FIFTY.theta, FIFTY_FIFTY.phi)  # the midpoint splitter
 
         def contract(pairs: np.ndarray) -> np.ndarray:
             I, J = np.divmod(pairs, d)
-            Y = np.einsum("pab,pcd->bdpac", Q[I], Q[J])  # (B, D, pair, A, C)
-            Z = R @ bs_on_axes(Y, (0, 1), FIFTY_FIFTY).reshape(d, -1)  # midpoint splitter, then clicks as R on B
+            z = np.zeros(blocks.shape[:2] + (len(pairs), 2, 2), dtype=np.complex128)
+            z[block, slot] = np.einsum("pab,pcd->bdpac", Q[I], Q[J])  # (B, D, pair, A, C) by block and slot
+            Z = R @ (blocks @ z.reshape(blocks.shape[:2] + (-1,)))[block, slot].reshape(d, -1)  # then clicks as R on B
             X = Z.reshape(-1, d, len(pairs), 4).transpose(3, 1, 2, 0).reshape(4 * d, -1)
             G = (X @ X.conj().T).reshape(4, d, 4, d)
             return np.einsum("anbm,abnm->ab", G, K)
 
-        order, n = _drop_lightest_pairs(s**2, _SCHMIDT_FLOOR)
+        order, run = _drop_lightest_pairs(s**2)
+        n = run(_SCHMIDT_FLOOR)
         rho = contract(order[n:])
         p = max(float(np.trace(rho).real), _PROB_FLOOR)  # below the floor p is reported as 0
-        _, n_p = _drop_lightest_pairs(s**2, _SCHMIDT_REL * p)
+        n_p = run(_SCHMIDT_REL * p)
         return [("click_click", rho + contract(order[n_p:n]) if n_p < n else rho)]
 
     return _run_swap("he_ho", alpha, T, T_prime, cutoff, (make_hybrid_pair, alpha, math.inf),
@@ -385,18 +421,13 @@ def feed_forward_correction(target, alpha: float, T: float, x: float, mode: str 
     ax = reg.axis(mode)
     if reg.dims[ax] != 2:
         raise ValueError(f"feed-forward target mode {mode!r} must have dimension 2")
-    phase = np.array([1.0, np.exp(-1j * _feed_forward_phase(alpha, T, x))])
     shape = [1] * len(reg.dims)
     shape[ax] = 2
-    diag = phase.reshape(shape)
+    phase = np.array([1.0, np.exp(-1j * _feed_forward_phase(alpha, T, x))]).reshape(shape)
+    diag = np.broadcast_to(phase, reg.dims).reshape(-1)  # the correction's diagonal on the register
     if isinstance(target, StateVector):
-        return StateVector(reg, (target.tensor_view() * diag).reshape(-1), target.norm_deficit)
-    n = len(reg.dims)
-    t = target.matrix.reshape(reg.dims + reg.dims)
-    kshape = shape + [1] * n
-    bshape = [1] * n + shape
-    t = t * phase.reshape(kshape) * phase.conj().reshape(bshape)
-    return DensityOperator(reg, t.reshape(reg.dim, reg.dim))
+        return StateVector(reg, target.amplitudes * diag, target.norm_deficit)
+    return DensityOperator(reg, target.matrix * diag[:, None] * diag.conj())
 
 
 def cv_bsm_failure_prob(alpha: float, cutoff: int | None = None) -> float:
@@ -415,21 +446,11 @@ def cv_bsm_failure_prob(alpha: float, cutoff: int | None = None) -> float:
     y = 4.0 * alpha**2
 
     def two_mode_cat(a1, a2, sign):
-        b1, b2 = (
-            tensor(make_coherent(ModeRegister(reg.modes[:1]), "m1", s * a1),
-                   make_coherent(ModeRegister(reg.modes[1:]), "m2", s * a2))
-            for s in (1, -1)
-        )
-        if sign > 0:
-            norm = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-y))
-        else:
-            norm = 1.0 / math.sqrt(-2.0 * math.expm1(-y))
+        b1, b2 = (tensor(make_coherent(ModeRegister(reg.modes[:1]), "m1", s * a1),
+                         make_coherent(ModeRegister(reg.modes[1:]), "m2", s * a2)) for s in (1, -1))
+        norm = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-y) if sign > 0 else -2.0 * math.expm1(-y))
         return StateVector(reg, norm * (b1.amplitudes + sign * b2.amplitudes))
 
-    total = 0.0
-    for a2 in (alpha, -alpha):
-        for sign in (1, -1):
-            state = two_mode_cat(alpha, a2, sign)
-            out = apply_bs(state, "m1", "m2", FIFTY_FIFTY)
-            total += 0.25 * abs(out.amplitudes[0]) ** 2  # both counters at zero
-    return total
+    # both counters at zero
+    return sum(0.25 * abs(apply_bs(two_mode_cat(alpha, a2, sign), "m1", "m2", FIFTY_FIFTY).amplitudes[0]) ** 2
+               for a2 in (alpha, -alpha) for sign in (1, -1))

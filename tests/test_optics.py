@@ -259,11 +259,12 @@ def test_loss_endpoints():
 
 def test_loss_dilated_route_agrees():
     rng = np.random.default_rng(31)
-    # the lossy mode last, then first, so both routes move the mode's axes;
-    # the Kraus sum over operators lifted by kron checks those moves
+    # the lossy mode last, first, then between two modes, so both routes move the
+    # mode's axes; the Kraus sum over operators lifted by kron checks those moves
     for reg in (
         ModeRegister((("A", qubit()), ("M", bosonic(5)))),
         ModeRegister((("M", bosonic(5)), ("B", bosonic(3)))),
+        ModeRegister((("A", qubit()), ("M", bosonic(5)), ("B", bosonic(2)))),
     ):
         for _ in range(8):
             psi = random_state(reg, rng)

@@ -477,7 +477,8 @@ def test_drop_lightest_pairs_drops_only_what_fits_the_budget(budget):
 
     w = np.array([0.7, 0.3, 1e-10, 1e-12])
     joint = np.outer(w, w).ravel()
-    order, n = _drop_lightest_pairs(w, budget)
+    order, run = _drop_lightest_pairs(w)
+    n = run(budget)
     assert sorted(order.tolist()) == list(range(w.size**2))
     dropped, kept = joint[order[:n]], joint[order[n:]]
     if n and n < joint.size:
@@ -485,7 +486,7 @@ def test_drop_lightest_pairs_drops_only_what_fits_the_budget(budget):
     assert dropped.sum() <= budget
     if n < joint.size:
         assert dropped.sum() + kept.min() > budget
-    assert _drop_lightest_pairs(w, joint.min())[1] == 1  # a run of exactly the budget goes
+    assert run(joint.min()) == 1  # a run of exactly the budget goes
     if budget == 1e-16:  # every tail x tail pair goes, every pair with a main vector stays
         assert sorted(order[n:].tolist()) == [i * 4 + j for i in range(4) for j in range(4)
                                               if min(i, j) < 2]
@@ -615,11 +616,88 @@ def _traced_peak(run) -> int:
 
 
 def test_he_ho_memory_at_cutoff_64_without_dense_splitter():
-    """Splitter blocks and a (d, d, d) vacuum test, not a 272 MiB dense d^2 x d^2 unitary."""
+    """Splitter blocks and the vacuum test's block entries, not a 272 MiB dense d^2 x d^2 unitary."""
     from hyswap.optics import _bs_blocks
 
     _bs_blocks.cache_clear()
     assert _traced_peak(lambda: he_swap_homodyne(1.5, 0.9, 1.0, 64)) < 64 * 2**20
+
+
+def test_he_ho_warm_point_at_cutoff_64_pushes_no_vacuum_test_columns():
+    """The vacuum test gathers one block entry per clicked amplitude; pushing the (d, d, d)
+    columns |k> ⊗ |beta> through the splitter peaked at 25 MiB here."""
+    he_swap_homodyne(0.3, 0.5, 1.0, 64)
+    assert _traced_peak(lambda: he_swap_homodyne(0.3, 0.5, 1.0, 64)) < 16 * 2**20
+
+
+def _vacuum_test_filter_by_splitter(d, beta):
+    """R the direct way: push the columns |k> ⊗ |beta> through the splitter, keep the
+    clicked outputs (b, e >= 1) and take the QR."""
+    from hyswap.optics import bs_on_axes
+
+    anc = make_coherent(ModeRegister((("E", bosonic(d - 1)),)), "E", beta)
+    cols = np.einsum("bk,e->bek", np.eye(d), anc.amplitudes)  # column k: |k> ⊗ |beta> on (B, E)
+    C = bs_on_axes(cols, (0, 1), FIFTY_FIFTY)[1:, 1:].reshape(-1, d)
+    return np.linalg.qr(C, mode="r")
+
+
+@pytest.mark.parametrize("d", list(range(2, 18)) + [33])
+def test_vacuum_test_filter_matches_columns_through_the_splitter(d):
+    from hyswap.protocols import _vacuum_test_filter
+
+    for beta in (0.0, 0.3, 1.1, 2.5):
+        R_ref = _vacuum_test_filter_by_splitter(d, beta)
+        M = R_ref.conj().T @ R_ref
+        R = _vacuum_test_filter(d, beta)
+        assert R.shape == R_ref.shape
+        assert np.abs(R.conj().T @ R - M).max() <= 1e-15 * np.linalg.norm(M)
+
+
+def test_vacuum_test_filter_reads_the_blocks_without_the_splitter(monkeypatch):
+    import hyswap.optics as optics
+    import hyswap.protocols as protocols
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the vacuum test pushed columns through the splitter")
+
+    protocols._vacuum_test_gather.cache_clear()
+    monkeypatch.setattr(optics, "bs_on_axes", forbidden)
+    monkeypatch.setattr(protocols, "bs_on_axes", forbidden)
+    for d in (2, 7, 13):
+        protocols._vacuum_test_filter(d, 0.8)
+        assert all(not a.flags.writeable for a in protocols._vacuum_test_gather(d))
+
+
+def test_grid_kernels_are_computed_once_per_grid_and_cutoff(monkeypatch):
+    import hyswap.protocols as protocols
+
+    calls = []
+
+    def counted(xs, dim, theta):
+        calls.append((xs.size, dim))
+        return quadrature_amplitudes(xs, dim, theta)
+
+    monkeypatch.setattr(protocols, "quadrature_amplitudes", counted)
+    protocols._grid_kernels.cache_clear()
+    he_swap_homodyne(0.4, 0.7, 0.9, 8)
+    he_swap_homodyne(0.6, 0.3, 1.0, 8)
+    default = homodyne_grid()
+    he_swap_homodyne(0.5, 0.5, 1.0, 8, (default[0].copy(), default[1].copy()))  # same grid, new arrays
+    assert calls == [(201, 9)]
+    small = homodyne_grid(6.0, 67)
+    on_small = he_swap_homodyne(0.4, 0.7, 0.9, 8, small)
+    he_swap_homodyne(0.4, 0.7, 0.9, 10, small)
+    assert calls == [(201, 9), (67, 9), (67, 11)]
+    for xs, ws in (default, small):  # each entry holds its own grid's kernels
+        V, K0 = protocols._grid_kernels(xs.tobytes(), ws.tobytes(), 9)
+        assert not V.flags.writeable and not K0.flags.writeable
+        assert np.array_equal(V, quadrature_amplitudes(xs, 9, math.pi / 2.0))
+    assert len(calls) == 3
+
+    protocols._grid_kernels.cache_clear()  # a cold cache gives the same numbers
+    again = he_swap_homodyne(0.4, 0.7, 0.9, 8, small).per_outcome[0]
+    assert again.probability == on_small.per_outcome[0].probability
+    assert np.array_equal(again.post_state.matrix, on_small.per_outcome[0].post_state.matrix)
 
 
 def test_he_spd_lossy_pair_is_written_as_its_band():

@@ -434,8 +434,8 @@ def test_cli_sweep_rejects_directory_output_path_before_running(tmp_path):
 
 
 def _cap_address_space():
-    # a cutoff-600 he-ho point asks for 3.2 GiB at once (its (d, d, d) vacuum-test columns),
-    # so under 3 GiB it fails within a second; cutoff 200 fits in about 1 GiB
+    # a cutoff-600 he-ho point asks for 6.46 GiB at once (its stack of splitter blocks),
+    # so under 3 GiB it fails within a second; cutoff 200 fits in about 0.8 GiB
     resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
 

@@ -118,11 +118,14 @@ def _bs_blocks(d1: int, d2: int, theta: float, phi: float) -> tuple[np.ndarray, 
 
 def bs_on_axes(t: np.ndarray, axes: tuple[int, int], params: BeamSplitterParams) -> np.ndarray:
     """The splitter applied to axes (x, y) of an array, one matmul per photon-number block."""
-    t = np.moveaxis(t, axes, (0, 1))
+    if tuple(axes) != (0, 1):  # np.moveaxis costs as much as a small block matmul: only when needed
+        return np.moveaxis(bs_on_axes(np.moveaxis(t, axes, (0, 1)), (0, 1), params), (0, 1), axes)
     blocks, block, slot = _bs_blocks(t.shape[0], t.shape[1], float(params.theta), float(params.phi))
     z = np.zeros(blocks.shape[:2] + (math.prod(t.shape[2:]),), dtype=np.result_type(t, blocks))
     z[block, slot] = t.reshape(block.shape + (-1,))
-    return np.moveaxis((blocks @ z)[block, slot].reshape(t.shape), (0, 1), axes)
+    shape = t.shape
+    del t  # a temporary handed in is freed before the matmul allocates
+    return (blocks @ z)[block, slot].reshape(shape)
 
 
 def bs_unitary(d1: int, d2: int, params: BeamSplitterParams) -> np.ndarray:

@@ -298,6 +298,7 @@ def _vacuum_test_gather(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     anc = anc[flat]
     b, e, k = np.unravel_index(flat, (d - 1, d - 1, d))
     entry = blocks[anc + k, slot[b + 1, e + 1], slot[k, anc]]
+    flat, anc = flat.astype(np.int32), anc.astype(np.int32)  # (d - 1)² d < 2³¹ below cutoff 1290
     for a in (flat, anc, entry):
         a.setflags(write=False)
     return flat, anc, entry
@@ -383,13 +384,12 @@ def he_swap_homodyne(
         K1 = (V * (ws * np.exp(-1j * _feed_forward_phase(alpha, tau, xs)))) @ V.conj().T
         cbit = np.arange(4) % 2
         K = np.stack([K1.conj().T, K0, K1])[cbit[:, None] - cbit[None, :] + 1]
-        blocks, block, slot = _bs_blocks(d, d, FIFTY_FIFTY.theta, FIFTY_FIFTY.phi)  # the midpoint splitter
 
         def contract(pairs: np.ndarray) -> np.ndarray:
             I, J = np.divmod(pairs, d)
-            z = np.zeros(blocks.shape[:2] + (len(pairs), 2, 2), dtype=np.complex128)
-            z[block, slot] = np.einsum("pab,pcd->bdpac", Q[I], Q[J])  # (B, D, pair, A, C) by block and slot
-            Z = R @ (blocks @ z.reshape(blocks.shape[:2] + (-1,)))[block, slot].reshape(d, -1)  # then clicks as R on B
+            # (B, D, pair, A, C) through the midpoint splitter, handed over as a temporary it can free
+            Y = bs_on_axes(np.einsum("pab,pcd->bdpac", Q[I], Q[J]), (0, 1), FIFTY_FIFTY)
+            Z = R @ Y.reshape(d, -1)  # then clicks as R on B
             X = Z.reshape(-1, d, len(pairs), 4).transpose(3, 1, 2, 0).reshape(4 * d, -1)
             G = (X @ X.conj().T).reshape(4, d, 4, d)
             return np.einsum("anbm,abnm->ab", G, K)
@@ -421,13 +421,18 @@ def feed_forward_correction(target, alpha: float, T: float, x: float, mode: str 
     ax = reg.axis(mode)
     if reg.dims[ax] != 2:
         raise ValueError(f"feed-forward target mode {mode!r} must have dimension 2")
+    phase = np.array([1.0, np.exp(-1j * _feed_forward_phase(alpha, T, x))])
     shape = [1] * len(reg.dims)
     shape[ax] = 2
-    phase = np.array([1.0, np.exp(-1j * _feed_forward_phase(alpha, T, x))]).reshape(shape)
-    diag = np.broadcast_to(phase, reg.dims).reshape(-1)  # the correction's diagonal on the register
+    diag = phase.reshape(shape)
     if isinstance(target, StateVector):
-        return StateVector(reg, target.amplitudes * diag, target.norm_deficit)
-    return DensityOperator(reg, target.matrix * diag[:, None] * diag.conj())
+        return StateVector(reg, (target.tensor_view() * diag).reshape(-1), target.norm_deficit)
+    n = len(reg.dims)
+    t = target.matrix.reshape(reg.dims + reg.dims)
+    kshape = shape + [1] * n
+    bshape = [1] * n + shape
+    t = t * phase.reshape(kshape) * phase.conj().reshape(bshape)
+    return DensityOperator(reg, t.reshape(reg.dim, reg.dim))
 
 
 def cv_bsm_failure_prob(alpha: float, cutoff: int | None = None) -> float:
@@ -446,11 +451,21 @@ def cv_bsm_failure_prob(alpha: float, cutoff: int | None = None) -> float:
     y = 4.0 * alpha**2
 
     def two_mode_cat(a1, a2, sign):
-        b1, b2 = (tensor(make_coherent(ModeRegister(reg.modes[:1]), "m1", s * a1),
-                         make_coherent(ModeRegister(reg.modes[1:]), "m2", s * a2)) for s in (1, -1))
-        norm = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-y) if sign > 0 else -2.0 * math.expm1(-y))
+        b1, b2 = (
+            tensor(make_coherent(ModeRegister(reg.modes[:1]), "m1", s * a1),
+                   make_coherent(ModeRegister(reg.modes[1:]), "m2", s * a2))
+            for s in (1, -1)
+        )
+        if sign > 0:
+            norm = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-y))
+        else:
+            norm = 1.0 / math.sqrt(-2.0 * math.expm1(-y))
         return StateVector(reg, norm * (b1.amplitudes + sign * b2.amplitudes))
 
-    # both counters at zero
-    return sum(0.25 * abs(apply_bs(two_mode_cat(alpha, a2, sign), "m1", "m2", FIFTY_FIFTY).amplitudes[0]) ** 2
-               for a2 in (alpha, -alpha) for sign in (1, -1))
+    total = 0.0
+    for a2 in (alpha, -alpha):
+        for sign in (1, -1):
+            state = two_mode_cat(alpha, a2, sign)
+            out = apply_bs(state, "m1", "m2", FIFTY_FIFTY)
+            total += 0.25 * abs(out.amplitudes[0]) ** 2  # both counters at zero
+    return total

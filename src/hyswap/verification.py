@@ -92,10 +92,14 @@ def check_closed_form_grid(cutoff: int = 12) -> CriterionResult:
         for loss in np.arange(0.0, 0.91, 0.1):
             T = 1.0 - float(loss)
             for tp in (0.7, 1.0):
-                for scheme, sim in (("dv", dv_swap(T, tp, cutoff)), ("he_spd", he_swap_spd(alpha, T, tp, cutoff))):
-                    ref = closed_form(scheme, alpha, T, tp)
-                    worst_p = max(worst_p, abs(sim.total_success_probability - ref.p))
-                    worst_e = max(worst_e, abs(sim.averaged_negativity - ref.E))
+                ref = closed_form("dv", alpha, T, tp)
+                sim = dv_swap(T, tp, cutoff)
+                worst_p = max(worst_p, abs(sim.total_success_probability - ref.p))
+                worst_e = max(worst_e, abs(sim.averaged_negativity - ref.E))
+                ref = closed_form("he_spd", alpha, T, tp)
+                sim = he_swap_spd(alpha, T, tp, cutoff)
+                worst_p = max(worst_p, abs(sim.total_success_probability - ref.p))
+                worst_e = max(worst_e, abs(sim.averaged_negativity - ref.E))
     elapsed = time.perf_counter() - t0
     ok = worst_p <= 1e-6 and worst_e <= 1e-6 and elapsed < 60.0
     return _result(

@@ -34,6 +34,7 @@ from hyswap import (
     tensor,
     with_inefficiency,
 )
+from hyswap.optics import bs_on_axes
 
 
 def random_state(reg, rng):
@@ -179,6 +180,21 @@ def test_bs_inverse_composition():
         "X", "Y", BeamSplitterParams(params.theta, params.phi + math.pi),
     )
     assert np.abs(back.amplitudes - psi.amplitudes).max() < 1e-13
+
+
+def test_bs_on_axes_leading_axes_of_a_strided_array_match_the_dense_unitary():
+    """Leading axes skip np.moveaxis; a strided input is left untouched, and any other
+    axis pair gives the same numbers once moved."""
+    rng = np.random.default_rng(23)
+    params = BeamSplitterParams(0.9, 0.4)
+    t = (rng.normal(size=(3, 4, 5, 2)) + 1j * rng.normal(size=(3, 4, 5, 2))).transpose(0, 2, 3, 1)
+    before = t.copy()
+    out = bs_on_axes(t, (0, 1), params)  # splitter on (3, 5), rest (2, 4) strided
+    ref = (bs_unitary(3, 5, params) @ t.reshape(15, -1)).reshape(t.shape)
+    assert np.abs(out - ref).max() < 1e-13
+    assert np.array_equal(t, before)
+    moved = bs_on_axes(np.moveaxis(t, (0, 1), (3, 1)), (3, 1), params)
+    assert np.array_equal(np.moveaxis(moved, (3, 1), (0, 1)), out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 The midpoint keeps only the two-click event of the vacuum test, reads the
 remaining arm along x_{pi/2}, and feeds the measured value forward as a
 phase correction on one qubit. Every quadrature value is accepted, so the
-scheme pays no extra probability for the readout itself.
+scheme pays no extra probability for the readout itself, and the integral
+over the readout is an operator: the displacement D(-g/sqrt(2)) on D, with
+g = 4 sqrt(T) alpha the feed-forward slope.
 """
 
 import math
@@ -19,8 +21,10 @@ from hyswap import (
     feed_forward_correction,
     he_swap_homodyne,
     homodyne_grid,
+    quadrature_amplitudes,
     qubit,
 )
+from hyswap.protocols import _displacement  # the exact kernel he_swap_homodyne contracts
 
 
 def bell_fid(rho: DensityOperator, vec: StateVector) -> float:
@@ -47,11 +51,18 @@ reg2 = ModeRegister((("A", qubit()), ("C", qubit())))
 bell = StateVector(reg2, np.array([1.0, 0, 0, 1.0]) / math.sqrt(2.0))
 print(f"  F(rho_AC, psi+) = {bell_fid(rho1, bell):.8f}")
 
-print("\nquadrature grid convergence of the success probability:")
+print("\nGauss-Legendre sums converge to the exact readout kernel, max |K_1 - D(-g/sqrt(2))|:")
+# K_1 = int dx |x_{pi/2}><x_{pi/2}| e^{-i g x} = D(-g/sqrt(2)) on the stored levels;
+# the [-6, 6] window stalls where the higher Fock levels reach past it
+g = 4.0 * math.sqrt(T) * alpha
+exact = _displacement(-g / math.sqrt(2.0), cutoff + 1)
 for pts in (25, 51, 101, 201):
-    r = he_swap_homodyne(alpha, T, cutoff=cutoff, x_grid=homodyne_grid(points=pts))
-    print(f"  {pts:3d} points: p = {r.per_outcome[0].probability:.12f}  "
-          f"err {abs(r.per_outcome[0].probability - ref.p):.1e}")
+    errs = []
+    for x_max in (6.0, 10.0):
+        xs, ws = homodyne_grid(x_max, pts)
+        V = quadrature_amplitudes(xs, cutoff + 1, math.pi / 2.0)
+        errs.append(np.abs((V * (ws * np.exp(-1j * g * xs))) @ V.conj().T - exact).max())
+    print(f"  {pts:3d} points: on [-6, 6] {errs[0]:.1e}   on [-10, 10] {errs[1]:.1e}")
 
 print("\n=== feed-forward in isolation ===")
 # a readout value x leaves the pair as (|00> + e^{i phi_c}|11>)/sqrt(2)

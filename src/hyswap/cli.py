@@ -7,7 +7,6 @@ import sys
 
 from . import sweep as sweep_mod
 from . import verification
-from .optics import HOMODYNE_POINTS, HOMODYNE_X_MAX
 from .protocols import default_cutoff
 
 
@@ -27,8 +26,6 @@ def _build_parser() -> argparse.ArgumentParser:
     point.add_argument("--Tp", type=float, default=1.0, help="detector efficiency")
     point.add_argument("--cutoff", type=int, default=None,
                        help="Fock cutoff (default: HYSWAP_CUTOFF or 12)")
-    point.add_argument("--x-max", type=float, default=HOMODYNE_X_MAX, help="homodyne grid half-width")
-    point.add_argument("--points", type=int, default=HOMODYNE_POINTS, help="homodyne grid size")
 
     swp = sub.add_parser("sweep", help="run a config-driven sweep to CSV")
     swp.add_argument("config", help="path to a key = value sweep config")
@@ -44,9 +41,7 @@ def _cmd_point(args) -> int:
     alpha = 0.0 if args.alpha is None else args.alpha
     try:
         cutoff = default_cutoff() if args.cutoff is None else args.cutoff
-        row = sweep_mod.evaluate_point(
-            args.scheme, alpha, args.T, args.Tp, cutoff, args.x_max, args.points
-        )
+        row = sweep_mod.evaluate_point(args.scheme, alpha, args.T, args.Tp, cutoff)
     except (ValueError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc or 'out of memory'}\n")
         return 1
@@ -59,7 +54,7 @@ def _cmd_sweep(args) -> int:
     try:
         config = sweep_mod.parse_config(args.config)
         count = sweep_mod.run_sweep(config)
-    except (ValueError, MemoryError) as exc:  # ConfigError, a bad point, or a cutoff too large
+    except (ValueError, MemoryError, OSError) as exc:  # ConfigError, a bad point, too large, unwritable
         sys.stderr.write(f"error: {exc or 'out of memory'}\n")
         return 1
     sys.stderr.write(f"wrote {count} rows to {config.output_path}\n")

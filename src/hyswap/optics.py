@@ -35,7 +35,7 @@ survival map of a T' loss.  Measuring scales a mode's axis by
 Homodyne detection is represented by quadrature bra vectors
 ``<x_theta|n> = e^{-i n theta} pi^{-1/4} (2^n n!)^{-1/2} H_n(x)
 e^{-x^2/2}`` evaluated by the stable normalized Hermite recurrence; a
-Gauss-Legendre grid plays the role of the continuum.
+Gauss-Legendre sum over them checks the exact readout kernel of ``protocols``.
 """
 
 from __future__ import annotations
@@ -319,10 +319,7 @@ def _homodyne_grid_cached(x_max: float, points: int) -> tuple[np.ndarray, np.nda
     return nodes, weights
 
 
-HOMODYNE_X_MAX, HOMODYNE_POINTS = 6.0, 201  # the default grid: half-width, node count
-
-
-def homodyne_grid(x_max: float = HOMODYNE_X_MAX, points: int = HOMODYNE_POINTS) -> tuple[np.ndarray, np.ndarray]:
+def homodyne_grid(x_max: float = 6.0, points: int = 201) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-x_max, x_max].
 
     Memoized on (x_max, points); the returned arrays are read-only.

@@ -27,14 +27,15 @@ of four Kronecker products of g[m, n] = tr_env P[:, m] P[:, n]†, m, n <= 1.
 
 The homodyne herald tests B for vacuum against an ancillary coherent
 beam (two on-off detectors must both click) and reads D out along the
-x_{pi/2} quadrature; every quadrature value is accepted and a
-feed-forward phase on C undoes the outcome-dependent rotation.  The
-ancilla never enters the register: the vacuum test acts on B as a d x d
-filter R with R†R = M, the test's operator on B: the QR factor of the
-clicked amplitudes <b, e|U|k, beta>, b, e >= 1, each one cached block
-entry <b, e|U|k, b+e-k> times beta's amplitude at level b+e-k.  The
-quadrature amplitudes V and K_0 = V diag(w) V† are cached per grid and
-cutoff.
+x_{pi/2} quadrature; every value x is accepted and a feed-forward phase
+e^{-i g x}, g = 4 sqrt(tau) alpha, on C undoes the outcome-dependent
+rotation, so the integral over x is an operator on D, not a grid sum:
+K_1 = int dx |x><x| e^{-i g x} = D(-g/sqrt(2)), a real displacement whose
+d x d corner is exact.  The ancilla never enters the register: the
+vacuum test acts on B as a d x d filter R with R†R = M, the test's
+operator on B: the QR factor of the clicked amplitudes <b, e|U|k, beta>,
+b, e >= 1, each one cached block entry <b, e|U|k, b+e-k> times beta's
+amplitude at level b+e-k.
 
 Before the midpoint the homodyne herald splits both lossy pairs by
 their loss environments.  After loss a pair is sum_a |a>|s_a sqrt(tau)
@@ -95,14 +96,12 @@ from .optics import (
     FIFTY_FIFTY,
     apply_bs,
     bs_on_axes,
-    homodyne_grid,
     loss_band,
-    quadrature_amplitudes,
     _bs_blocks,
 )
-# imported but never called here: perfbench's WRAPPED names both, and its tests need them bound
+# imported but never called here: perfbench's WRAPPED names them all, and its tests need them bound
 from .fock import make_fock  # noqa: F401
-from .optics import measure_and_reduce  # noqa: F401
+from .optics import homodyne_grid, measure_and_reduce, quadrature_amplitudes  # noqa: F401
 
 __all__ = [
     "DEFAULT_CUTOFF",
@@ -220,7 +219,7 @@ def _outcome(label: str, rho: np.ndarray) -> SwapOutcome:
 
 
 def _run_swap(scheme: str, alpha: float | None, T: float, T_prime: float,
-              cutoff: int | None, pair, herald, **extra_echo) -> SwapResult:
+              cutoff: int | None, pair, herald) -> SwapResult:
     """The part every scheme shares: checks, lossy pair, herald, totals.
 
     ``pair = (make_pair, param, max_cutoff)``: the resource pair is
@@ -228,7 +227,6 @@ def _run_swap(scheme: str, alpha: float | None, T: float, T_prime: float,
     ``min(cutoff, max_cutoff)``.  ``herald(P, tau)`` takes the lossy pair
     P[a, m, k], which both parties hold, and returns the accepted
     outcomes as ``(label, unnormalized A-C matrix)`` pairs.
-    ``extra_echo`` joins the parameter echo.
     """
     T = _check_unit(T, "T")
     T_prime = _check_unit(T_prime, "T_prime")
@@ -240,7 +238,7 @@ def _run_swap(scheme: str, alpha: float | None, T: float, T_prime: float,
     total = sum(o.probability for o in outcomes)
     avg = sum(o.probability * o.negativity for o in outcomes) / total if total > _PROB_FLOOR else 0.0
     echo = {"scheme": scheme, "alpha": alpha, "T": T, "T_prime": T_prime, "cutoff": cutoff}
-    return SwapResult(scheme, tuple(outcomes), total, avg, echo | extra_echo)
+    return SwapResult(scheme, tuple(outcomes), total, avg, echo)
 
 
 def _count_herald(P: np.ndarray, tau: float) -> list[tuple[str, np.ndarray]]:
@@ -317,13 +315,37 @@ def _vacuum_test_filter(d: int, beta: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _grid_kernels(xs: bytes, ws: bytes, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only V[n, i] = <x_i at angle pi/2|n> on the grid and K_0 = V diag(w) V†."""
-    V = quadrature_amplitudes(np.frombuffer(xs), d, math.pi / 2.0)
-    K0 = (V * np.frombuffer(ws)) @ V.conj().T
-    for a in (V, K0):
+def _displacement_steps(d: int) -> tuple[np.ndarray, ...]:
+    """Read-only (b, s, c, place, sign) for ``_displacement``: b = (2n+1+k) s, s and c = sqrt(n(n+k)) s
+    at [n, k], s = 1/sqrt((n+1)(n+1+k)); D.flat = E.flat[place] * sign puts E[n, k] at [n+k, n]."""
+    n, k = np.ogrid[:d, :d]
+    s = 1.0 / np.sqrt((n + 1) * (n + 1 + k))
+    lower = n >= k  # as (row, column) of the matrix
+    place = np.where(lower, k * d + n - k, n * d + k - n)
+    sign = np.where(lower | ((k - n) % 2 == 0), 1.0, -1.0)
+    tables = ((2 * n + 1 + k) * s, s, np.sqrt(n * (n + k)) * s, place, sign)
+    for a in tables:
         a.setflags(write=False)
-    return V, K0
+    return tables
+
+
+def _displacement(gamma: float, d: int) -> np.ndarray:
+    """The d x d corner of the real displacement D(gamma) = exp(gamma (a† - a)).
+
+    E[n, k] = <n+k|D|n> = (-1)^k <n|D|n+k> = sqrt(n!/(n+k)!) gamma^k e^{-gamma²/2} L_n^(k)(gamma²)
+    (Cahill and Glauber, Phys. Rev. 177, 1857 (1969)).  Row E[0] is the coherent amplitude
+    <k|gamma>; the normalized forward Laguerre recurrence E[n+1] = ((2n+1+k-gamma²) E[n]
+    - sqrt(n(n+k)) E[n-1]) s runs down every diagonal at once.  (The column recurrence
+    a D = D (a + gamma) is 1e11 off at d 65, gamma 8.5.)
+    """
+    b, s, c, place, sign = _displacement_steps(d)
+    E = np.zeros((d + 1, d))  # row d stays zero as E[-1]
+    E[0] = _coherent_amplitudes(gamma, d - 1).real
+    rows, steps, back = list(E), list(b - gamma * gamma * s), list(c)
+    for n in range(d - 1):
+        np.multiply(steps[n], rows[n], out=rows[n + 1])
+        rows[n + 1] -= back[n] * rows[n - 1]
+    return E.ravel()[place] * sign
 
 
 def _drop_lightest_pairs(w: np.ndarray) -> tuple[np.ndarray, Callable[[float], int]]:
@@ -335,24 +357,18 @@ def _drop_lightest_pairs(w: np.ndarray) -> tuple[np.ndarray, Callable[[float], i
     return order, lambda budget: int(np.searchsorted(cum, budget, side="right"))
 
 
-def he_swap_homodyne(
-    alpha: float,
-    T: float,
-    T_prime: float = 1.0,
-    cutoff: int | None = None,
-    x_grid: tuple[np.ndarray, np.ndarray] | None = None,
-) -> SwapResult:
+def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapResult:
     """Hybrid swap with a vacuum test on B and homodyne readout on D.
 
     After the midpoint splitter, mode B interferes on a second 50:50
     splitter with an ancillary coherent beam of amplitude
     beta = sqrt(2 * T * T') * alpha; a click on both output on-off
     detectors certifies that B carried the (near-)vacuum branch.  Mode D
-    is then read out along the x_{pi/2} quadrature on a Gauss-Legendre
-    grid, and the outcome-dependent phase is undone on C by the
-    feed-forward correction.  All quadrature values are accepted: only
-    the two clicks gate success.  The single reported outcome carries
-    the quadrature-averaged corrected state.
+    is then read out along the x_{pi/2} quadrature, and the
+    outcome-dependent phase is undone on C by the feed-forward
+    correction.  All quadrature values are accepted: only the two clicks
+    gate success.  The single reported outcome carries the
+    quadrature-averaged corrected state, integrated exactly.
 
     Loss is applied per pair, and only the pairs of loss-environment
     Schmidt vectors that the pair rule keeps are contracted (the module
@@ -362,16 +378,11 @@ def he_swap_homodyne(
     M = <beta| U† (P_B>=1 ⊗ P_E>=1) U |beta>, applied as R with R†R = M
     after the midpoint splitter U, which acts on (B, D) block by block in
     total photon number; U and R are each applied once to all kept
-    pairs.  The quadrature sum is one Gram matrix G = X X† of the
-    (A, C, D | rest) matrix X, contracted with K_k = V diag(w e^{-i k
-    phi(x)}) V† for C-bit difference k, and K_{-1} = K_1†.
+    pairs.  The quadrature integral is one Gram matrix G = X X† of the
+    (A, C, D | rest) matrix X, contracted with K_0 = I for equal C bits,
+    K_1 = D(-g/sqrt(2)) for C bits (1, 0) and K_{-1} = K_1^T for (0, 1).
     """
     alpha = _check_alpha(alpha)
-    if x_grid is None:
-        x_grid = homodyne_grid()
-    xs, ws = np.asarray(x_grid[0], dtype=float), np.asarray(x_grid[1], dtype=float)
-    if xs.size == 0 or xs.size != ws.size:
-        raise ValueError("homodyne grid must supply matching nodes and weights")
 
     def herald(P: np.ndarray, tau: float) -> list[tuple[str, np.ndarray]]:
         d = P.shape[1]
@@ -380,10 +391,9 @@ def he_swap_homodyne(
         # P times the right-singular vectors, not U S: each Fock row keeps its own rounding
         Q = (pair @ Vh.conj().T).T.reshape(-1, 2, d)  # [loss environment vector, A, B]
         R = _vacuum_test_filter(d, math.sqrt(2.0 * tau) * alpha)
-        V, K0 = _grid_kernels(xs.tobytes(), ws.tobytes(), d)
-        K1 = (V * (ws * np.exp(-1j * _feed_forward_phase(alpha, tau, xs)))) @ V.conj().T
+        K1 = _displacement(-_feed_forward_phase(alpha, tau, 1.0) / math.sqrt(2.0), d)
         cbit = np.arange(4) % 2
-        K = np.stack([K1.conj().T, K0, K1])[cbit[:, None] - cbit[None, :] + 1]
+        K = np.stack([K1.T, np.eye(d), K1])[cbit[:, None] - cbit[None, :] + 1]
 
         def contract(pairs: np.ndarray) -> np.ndarray:
             I, J = np.divmod(pairs, d)
@@ -401,8 +411,7 @@ def he_swap_homodyne(
         n_p = run(_SCHMIDT_REL * p)
         return [("click_click", rho + contract(order[n_p:n]) if n_p < n else rho)]
 
-    return _run_swap("he_ho", alpha, T, T_prime, cutoff, (make_hybrid_pair, alpha, math.inf),
-                     herald, grid_points=int(xs.size))
+    return _run_swap("he_ho", alpha, T, T_prime, cutoff, (make_hybrid_pair, alpha, math.inf), herald)
 
 
 def feed_forward_correction(target, alpha: float, T: float, x: float, mode: str = "C"):

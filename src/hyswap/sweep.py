@@ -8,14 +8,13 @@ Example config::
     one_minus_T_range = 0:1:0.05
     T_prime = 1.0
     cutoff = 12
-    homodyne.x_max = 6.0
-    homodyne.points = 201
     output_path = sweep.csv
 
 ``T_values`` may be given instead of ``one_minus_T_range``.  Rows are
 computed in-process and emitted in config order (schemes outermost, then
-alpha, then T).  ``parallelism`` is accepted and validated (>= 1) but ignored,
-so the output is the same for any value of it.
+alpha, then T).  ``parallelism`` (>= 1) and ``homodyne.x_max`` / ``.points``
+(> 0 and finite / >= 1) are validated but ignored, as the homodyne integral
+is exact, so the output is the same for any value of them.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .protocols import (
     he_swap_homodyne,
     he_swap_spd,
 )
-from .optics import HOMODYNE_POINTS, HOMODYNE_X_MAX, homodyne_grid
+from .optics import homodyne_grid  # noqa: F401  (never called here: perfbench's WRAPPED names it)
 
 __all__ = ["CSV_COLUMNS", "SCHEME_ALIASES", "SweepConfig", "ConfigError",
            "parse_config", "evaluate_point", "run_sweep", "format_value"]
@@ -59,8 +58,6 @@ class SweepConfig:
     T_values: tuple[float, ...]
     T_prime: float
     cutoff: int
-    x_max: float
-    points: int
     output_path: str
     parallelism: int
 
@@ -97,7 +94,7 @@ def _parse_range(raw: str, key: str) -> tuple[float, ...]:
     if not span < _MAX_RANGE_POINTS:  # an inf span too
         raise ConfigError(f"invalid value for {key}: {raw!r} (more than {_MAX_RANGE_POINTS} values)")
     count = math.floor(span) + 1
-    return tuple(start + i * step for i in range(count))
+    return tuple(min(start + i * step, stop) for i in range(count))  # i * step may round past stop
 
 
 def parse_config(path: str) -> SweepConfig:
@@ -107,6 +104,8 @@ def parse_config(path: str) -> SweepConfig:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"no such config file: {path}") from None
+    except OSError as exc:  # a directory, a name too long, no permission
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -153,8 +152,6 @@ def parse_config(path: str) -> SweepConfig:
         T_values=ts,
         T_prime=_scalar("T_prime", float, 1.0),
         cutoff=_scalar("cutoff", int, None) if "cutoff" in entries else default_cutoff(),
-        x_max=_scalar("homodyne.x_max", float, HOMODYNE_X_MAX),
-        points=_scalar("homodyne.points", int, HOMODYNE_POINTS),
         output_path=entries["output_path"],
         parallelism=_scalar("parallelism", int, 1),
     )
@@ -166,8 +163,8 @@ def parse_config(path: str) -> SweepConfig:
         ("T_values", all(0.0 <= t <= 1.0 for t in cfg.T_values), "must lie in [0, 1]"),
         ("T_prime", 0.0 <= cfg.T_prime <= 1.0, "must lie in [0, 1]"),
         ("cutoff", cfg.cutoff >= 2, "must be >= 2"),
-        ("homodyne.x_max", 0.0 < cfg.x_max < math.inf, "must be positive and finite"),
-        ("homodyne.points", cfg.points >= 1, "must be >= 1"),
+        ("homodyne.x_max", 0.0 < _scalar("homodyne.x_max", float, 1.0) < math.inf, "must be positive and finite"),
+        ("homodyne.points", _scalar("homodyne.points", int, 1) >= 1, "must be >= 1"),
         ("parallelism", cfg.parallelism >= 1, "must be >= 1"),
         ("output_path", Path(cfg.output_path).parent.is_dir(), "its directory does not exist"),
         ("output_path", not Path(cfg.output_path).is_dir(), "it is a directory"),
@@ -179,9 +176,8 @@ def parse_config(path: str) -> SweepConfig:
 
 
 def evaluate_point(scheme: str, alpha: float, T: float, T_prime: float,
-                   cutoff: int, x_max: float = HOMODYNE_X_MAX,
-                   points: int = HOMODYNE_POINTS) -> dict:
-    """One (scheme, alpha, T) evaluation: simulated and closed-form row."""
+                   cutoff: int, x_max: float | None = None, points: int | None = None) -> dict:
+    """One (scheme, alpha, T) evaluation: simulated and closed-form row; the grid arguments are ignored."""
     internal = SCHEME_ALIASES.get(scheme)
     if internal is None:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -190,7 +186,7 @@ def evaluate_point(scheme: str, alpha: float, T: float, T_prime: float,
     elif internal == "he_spd":
         sim = he_swap_spd(alpha, T, T_prime, cutoff)
     else:
-        sim = he_swap_homodyne(alpha, T, T_prime, cutoff, homodyne_grid(x_max, points))
+        sim = he_swap_homodyne(alpha, T, T_prime, cutoff)
     ref = closed_form(internal, alpha, T, T_prime)
     p_sim = sim.total_success_probability
     e_sim = sim.averaged_negativity
@@ -221,13 +217,8 @@ def run_sweep(config: SweepConfig) -> int:
     Points are computed in-process, one after another, and written in
     config order; ``config.parallelism`` is ignored.
     """
-    jobs = [
-        (scheme, alpha, T, config.T_prime, config.cutoff, config.x_max, config.points)
-        for scheme in config.schemes
-        for alpha in config.alpha_values
-        for T in config.T_values
-    ]
-    rows = [evaluate_point(*job) for job in jobs]
+    rows = [evaluate_point(scheme, alpha, T, config.T_prime, config.cutoff)
+            for scheme in config.schemes for alpha in config.alpha_values for T in config.T_values]
     out = Path(config.output_path)
     with out.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

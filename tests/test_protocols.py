@@ -3,6 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hyswap import (
     FIFTY_FIFTY,
@@ -246,13 +247,12 @@ def test_he_ho_single_outcome_and_echo():
     assert res.per_outcome[0].label == "click_click"
     echo = res.parameters_echo
     assert echo["scheme"] == "he_ho"
-    assert echo["grid_points"] == 201
     assert abs(res.per_outcome[0].post_state.trace() - 1.0) < 1e-12
 
 
 def test_he_ho_corrected_state_is_bell_at_full_transmission():
     # with no loss every quadrature outcome heralds the same Bell state
-    # (tolerance is set by the cutoff and the [-6, 6] window truncation)
+    # (tolerance is set by the cutoff)
     res = he_swap_homodyne(0.5, 1.0, cutoff=10)
     rho = res.per_outcome[0].post_state.matrix
     fid = float(np.real(np.trace(rho @ bell_rho("psi+"))))
@@ -260,36 +260,11 @@ def test_he_ho_corrected_state_is_bell_at_full_transmission():
     assert abs(res.averaged_negativity - 1.0) < 1e-6
 
 
-def test_he_ho_every_single_quadrature_point_heralds_bell():
-    # E(x) = 1 pointwise, not only on grid average: the feed-forward
-    # phase has to cancel the outcome dependence exactly.  The residual
-    # is pure truncation; it collapses by four orders between cutoffs
-    # 10 and 14, so 14 with a tight bound pins the identity.
-    for x in (-2.0, -0.3, 0.0, 1.1, 3.7):
-        res = he_swap_homodyne(
-            0.5, 1.0, cutoff=14, x_grid=(np.array([x]), np.array([1.0]))
-        )
-        assert abs(res.averaged_negativity - 1.0) < 1e-8, x
-
-
-def test_he_ho_custom_grid_convergence():
-    # a third of the default grid still lands on the same closed form
-    res = he_swap_homodyne(0.3, 1.0, cutoff=8, x_grid=homodyne_grid(6.0, 67))
-    ref = closed_form("he_ho", 0.3, 1.0)
-    assert abs(res.total_success_probability - ref.p) < 1e-6
-    assert abs(res.averaged_negativity - ref.E) < 1e-4
-
-
 def test_he_ho_substitution_consistency():
     a = he_swap_homodyne(0.5, 0.8, 0.7, cutoff=8)
     b = he_swap_homodyne(0.5, 0.8 * 0.7, 1.0, cutoff=8)
     assert abs(a.total_success_probability - b.total_success_probability) < 1e-12
     assert abs(a.averaged_negativity - b.averaged_negativity) < 1e-12
-
-
-def test_he_ho_grid_validation():
-    with pytest.raises(ValueError, match="matching nodes and weights"):
-        he_swap_homodyne(0.3, 1.0, cutoff=6, x_grid=(np.zeros(3), np.zeros(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +395,8 @@ def _full_register(prepare, c, tau, ancilla=None):
     return apply_bs(psi, "B", "D", FIFTY_FIFTY)
 
 
-def _he_ho_full_register(alpha, T, tp, cutoff, x_grid):
-    """Unnormalized quadrature-averaged A-C state, node by node."""
+def _he_ho_full_register(alpha, T, tp, cutoff, xs):
+    """Unnormalized corrected A-C state at each quadrature node in xs, shape (len(xs), 4, 4)."""
     tau = T * tp
     anc = make_coherent(
         ModeRegister((("E", bosonic(cutoff)),)), "E", math.sqrt(2.0 * tau) * alpha
@@ -439,15 +414,14 @@ def _he_ho_full_register(alpha, T, tp, cutoff, x_grid):
     rest = [nm for nm in reg.names if nm not in ("A", "C", "D")]
     perm = [reg.axis(nm) for nm in ["A", "C"] + rest + ["D"]]
     flat = np.transpose(t, perm).reshape(-1, cutoff + 1)
-    xs, ws = x_grid
     V = quadrature_amplitudes(xs, cutoff + 1, math.pi / 2.0)
     ac = ModeRegister((("A", qubit()), ("C", qubit())))
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    for i in range(xs.size):
+    nodes = []
+    for i, x in enumerate(xs):
         col = (flat @ V[:, i]).reshape(4, -1)
         node = DensityOperator(ac, col @ col.conj().T)
-        rho += ws[i] * feed_forward_correction(node, alpha, tau, xs[i]).matrix
-    return rho
+        nodes.append(feed_forward_correction(node, alpha, tau, x).matrix)
+    return np.array(nodes)
 
 
 def _assert_outcome_matches(outcome, p_ref, rho_ref):
@@ -463,12 +437,24 @@ def _assert_outcome_matches(outcome, p_ref, rho_ref):
 def test_he_ho_matches_full_register_reference(cutoff):
     # (0.2, 0.05, 0.9) has p 1.6e-6, so at cutoffs 4-7 the p-relative budget brings back
     # pairs the first pass dropped; (0.8, 0.7, 0.9) keeps all 49 pairs at cutoff 6
-    grid = homodyne_grid()
+    xs, ws = homodyne_grid()
     for alpha, T, tp in FULL_REGISTER_POINTS + [(0.8, 0.7, 0.9)]:
-        rho_ref = _he_ho_full_register(alpha, T, tp, cutoff, grid)
+        rho_ref = np.einsum("i,iab->ab", ws, _he_ho_full_register(alpha, T, tp, cutoff, xs))
         p_ref = float(np.trace(rho_ref).real)
-        res = he_swap_homodyne(alpha, T, tp, cutoff, grid)
+        res = he_swap_homodyne(alpha, T, tp, cutoff)
         _assert_outcome_matches(res.per_outcome[0], p_ref, rho_ref)
+
+
+def test_he_ho_every_single_quadrature_point_heralds_bell():
+    # E(x) = 1 pointwise, not only on average over x: the feed-forward
+    # phase has to cancel the outcome dependence exactly.  The residual
+    # is pure truncation; it collapses by four orders between cutoffs
+    # 10 and 14, so 14 with a tight bound pins the identity.
+    xs = np.array([-2.0, -0.3, 0.0, 1.1, 3.7])
+    ac = ModeRegister((("A", qubit()), ("C", qubit())))
+    for x, rho in zip(xs, _he_ho_full_register(0.5, 1.0, 1.0, 14, xs)):
+        state = DensityOperator(ac, rho / np.trace(rho).real)
+        assert abs(negativity(state, ["C"]).value - 1.0) < 1e-8, x
 
 
 @pytest.mark.parametrize("budget", [0.0, 1e-30, 1e-16, 1e-12, 0.05, 2.0])
@@ -574,7 +560,7 @@ def test_midpoint_register_size_per_herald(monkeypatch):
     assert seen == []
 
     cutoff = 12
-    he_swap_homodyne(0.3, 0.8, 0.9, cutoff)  # fills the splitter and grid caches
+    he_swap_homodyne(0.3, 0.8, 0.9, cutoff)  # fills the splitter and kernel caches
     tracemalloc.start()
     try:
         he_swap_homodyne(0.3, 0.8, 0.9, cutoff)
@@ -668,36 +654,40 @@ def test_vacuum_test_filter_reads_the_blocks_without_the_splitter(monkeypatch):
         assert all(not a.flags.writeable for a in protocols._vacuum_test_gather(d))
 
 
-def test_grid_kernels_are_computed_once_per_grid_and_cutoff(monkeypatch):
-    import hyswap.protocols as protocols
+@pytest.mark.parametrize("gamma,d", [(0.0, 5), (0.7, 9), (-2.2, 17), (8.5, 65), (-8.5, 201)])
+def test_displacement_kernel_matches_expm(gamma, d):
+    """The d x d corner of exp(gamma (a† - a)), exponentiated on 2d + 250 levels."""
+    from hyswap.protocols import _displacement
 
-    calls = []
+    a = np.diag(np.sqrt(np.arange(1.0, 2 * d + 250)), 1)
+    ref = scipy.linalg.expm(gamma * (a.T - a))[:d, :d]
+    assert np.abs(_displacement(gamma, d) - ref).max() <= 1e-14
 
-    def counted(xs, dim, theta):
-        calls.append((xs.size, dim))
-        return quadrature_amplitudes(xs, dim, theta)
 
-    monkeypatch.setattr(protocols, "quadrature_amplitudes", counted)
-    protocols._grid_kernels.cache_clear()
-    he_swap_homodyne(0.4, 0.7, 0.9, 8)
-    he_swap_homodyne(0.6, 0.3, 1.0, 8)
-    default = homodyne_grid()
-    he_swap_homodyne(0.5, 0.5, 1.0, 8, (default[0].copy(), default[1].copy()))  # same grid, new arrays
-    assert calls == [(201, 9)]
-    small = homodyne_grid(6.0, 67)
-    on_small = he_swap_homodyne(0.4, 0.7, 0.9, 8, small)
-    he_swap_homodyne(0.4, 0.7, 0.9, 10, small)
-    assert calls == [(201, 9), (67, 9), (67, 11)]
-    for xs, ws in (default, small):  # each entry holds its own grid's kernels
-        V, K0 = protocols._grid_kernels(xs.tobytes(), ws.tobytes(), 9)
-        assert not V.flags.writeable and not K0.flags.writeable
-        assert np.array_equal(V, quadrature_amplitudes(xs, 9, math.pi / 2.0))
-    assert len(calls) == 3
+@pytest.mark.parametrize("d", [2, 5, 9, 13])
+def test_displacement_kernel_is_the_integrated_feed_forward_phase(d):
+    """K_1 = int dx |x_{pi/2}><x_{pi/2}| e^{-i g x} as a wide Gauss-Legendre sum of quadrature
+    amplitudes, which shares no code with the Laguerre recurrence."""
+    from hyswap.protocols import _displacement, _feed_forward_phase
 
-    protocols._grid_kernels.cache_clear()  # a cold cache gives the same numbers
-    again = he_swap_homodyne(0.4, 0.7, 0.9, 8, small).per_outcome[0]
-    assert again.probability == on_small.per_outcome[0].probability
-    assert np.array_equal(again.post_state.matrix, on_small.per_outcome[0].post_state.matrix)
+    xs, ws = homodyne_grid(12.0, 801)
+    V = quadrature_amplitudes(xs, d, math.pi / 2.0)
+    for alpha, tau in ((0.5, 0.7), (0.8, 1.0), (-0.3, 0.2)):
+        g = _feed_forward_phase(alpha, tau, 1.0)
+        K1 = (V * (ws * np.exp(-1j * g * xs))) @ V.conj().T
+        assert np.abs(_displacement(-g / math.sqrt(2.0), d) - K1).max() <= 1e-13
+    assert np.abs((V * ws) @ V.conj().T - np.eye(d)).max() <= 1e-13  # K_0 = I
+
+
+def test_displacement_tables_are_cached_and_read_only():
+    from hyswap.protocols import _displacement, _displacement_steps
+
+    _displacement_steps.cache_clear()
+    first = _displacement(1.3, 11)
+    tables = _displacement_steps(11)
+    assert all(not t.flags.writeable for t in tables)
+    assert np.array_equal(_displacement(1.3, 11), first)
+    assert _displacement_steps.cache_info().misses == 1
 
 
 def test_he_spd_lossy_pair_is_written_as_its_band():

@@ -63,7 +63,6 @@ def test_parse_config_full(tmp_path):
     assert np.allclose(cfg.T_values, (1.0, 0.9, 0.8))
     assert cfg.T_prime == 0.9
     assert cfg.cutoff == 8
-    assert (cfg.x_max, cfg.points) == (5.0, 101)
     assert cfg.parallelism == 2
 
 
@@ -80,8 +79,6 @@ def test_parse_config_defaults_and_comments(tmp_path, monkeypatch):
     cfg = parse_config(write_config(tmp_path, body))
     assert cfg.T_prime == 1.0
     assert cfg.cutoff == 12  # falls back to the ambient default
-    assert cfg.x_max == 6.0
-    assert cfg.points == 201
     assert cfg.parallelism == 1
 
 
@@ -159,6 +156,15 @@ def test_range_never_passes_stop(tmp_path, spec, want):
     assert np.allclose(cfg.T_values, want, rtol=0.0, atol=1e-12)
 
 
+def test_range_value_that_rounds_past_stop_is_clamped(tmp_path):
+    # 0.09 + 13 * 0.07 rounds to 1.0000000000000002, which would be T = -2.2e-16
+    body = "schemes = dv\nalpha_values = 0.0\none_minus_T_range = 0.09:1.0:0.07\noutput_path = o\n"
+    cfg = parse_config(write_config(tmp_path, body))
+    assert len(cfg.T_values) == 14
+    assert cfg.T_values[-1] == 0.0
+    assert all(0.0 <= t <= 1.0 for t in cfg.T_values)
+
+
 # ---------------------------------------------------------------------------
 # point evaluation and formatting
 
@@ -172,6 +178,22 @@ def test_evaluate_point_row():
     assert row["p_closed"] == ref.p
     assert row["err_p"] == abs(row["p_sim"] - row["p_closed"])
     assert row["err_p"] < 1e-12
+
+
+def test_he_ho_one_node_grid_argument_is_ignored():
+    # one Gauss-Legendre node once gave p_sim 0.0872 here, err_p 7.4e-2
+    row = evaluate_point("he-ho", 0.5, 0.7, 1.0, 12, 6.0, 1)
+    assert row["err_p"] < 1e-4 and row["err_E"] < 2e-3
+
+
+def test_benchmark_grid_arguments_and_keys_are_still_accepted(tmp_path):
+    """perfbench passes evaluate_point two trailing grid arguments and writes
+    homodyne.points into its sweep config; both are accepted and ignored."""
+    row = evaluate_point("he-ho", 0.3, 0.7, 0.9, 8)
+    for points in (1, 101, 201):
+        assert evaluate_point("he-ho", 0.3, 0.7, 0.9, 8, 6.0, points) == row
+    body = "schemes = he-ho\nalpha_values = 0.3\nT_values = 0.7\nhomodyne.points = 101\noutput_path = o\n"
+    assert parse_config(write_config(tmp_path, body)).schemes == ("he-ho",)
 
 
 def test_evaluate_point_uses_cli_scheme_names():
@@ -236,7 +258,7 @@ def test_run_sweep_parallel_output_is_identical(tmp_path):
 
 
 def test_sweep_config_is_frozen():
-    cfg = SweepConfig(("dv",), (0.0,), (1.0,), 1.0, 4, 6.0, 201, "o.csv", 1)
+    cfg = SweepConfig(("dv",), (0.0,), (1.0,), 1.0, 4, "o.csv", 1)
     with pytest.raises(Exception):
         cfg.cutoff = 8
 
@@ -431,6 +453,30 @@ def test_cli_sweep_rejects_directory_output_path_before_running(tmp_path):
     assert_one_line_error(result)
     assert "invalid value for output_path" in result.stderr
     assert list(out.iterdir()) == []
+
+
+def test_cli_sweep_reports_unreadable_config_as_one_line(tmp_path):
+    result = run_cli("sweep", str(tmp_path))  # a directory, not a file
+    assert result.returncode == 1
+    assert_one_line_error(result)
+    assert "cannot read config file" in result.stderr
+
+
+@pytest.mark.parametrize("name", ["x" * 300 + ".csv", "dangling.csv"])
+def test_cli_sweep_reports_unusable_output_path_as_one_line(tmp_path, name):
+    # a file name too long for the file system fails in parse_config's checks; a symlink
+    # into a missing directory passes them and fails when the CSV is opened
+    out = tmp_path / name
+    if name == "dangling.csv":
+        out.symlink_to(tmp_path / "missing" / "target.csv")
+    cfg = write_config(
+        tmp_path,
+        f"schemes = dv\nalpha_values = 0.0\nT_values = 1.0\noutput_path = {out}\n",
+    )
+    result = run_cli("sweep", cfg)
+    assert result.returncode == 1
+    assert_one_line_error(result)
+    assert result.stdout == ""
 
 
 def _cap_address_space():

@@ -46,8 +46,8 @@ def closed_form(scheme: str, alpha: float, T: float, T_prime: float = 1.0) -> Cl
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+    if not math.isfinite(alpha * alpha):  # |alpha|² overflows from about 1.3e154
+        raise ValueError(f"alpha must be finite, with |alpha|^2 finite too, got {alpha!r}")
     T = _check_range(T, "T")
     T_prime = _check_range(T_prime, "T_prime")
     tau = T * T_prime

@@ -31,11 +31,9 @@ x_{pi/2} quadrature; every value x is accepted and a feed-forward phase
 e^{-i g x}, g = 4 sqrt(tau) alpha, on C undoes the outcome-dependent
 rotation, so the integral over x is an operator on D, not a grid sum:
 K_1 = int dx |x><x| e^{-i g x} = D(-g/sqrt(2)), a real displacement whose
-d x d corner is exact.  The ancilla never enters the register: the
-vacuum test acts on B as a d x d filter R with R†R = M, the test's
-operator on B: the QR factor of the clicked amplitudes <b, e|U|k, beta>,
-b, e >= 1, each one cached block entry <b, e|U|k, b+e-k> times beta's
-amplitude at level b+e-k.
+d x d corner is exact.  The ancilla never enters the register: the vacuum
+test acts on B as the d x d corner of its operator M, exact in closed
+form, with no ancilla or output level cut.
 
 Before the midpoint the homodyne herald splits both lossy pairs by
 their loss environments.  After loss a pair is sum_a |a>|s_a sqrt(tau)
@@ -97,7 +95,6 @@ from .optics import (
     apply_bs,
     bs_on_axes,
     loss_band,
-    _bs_blocks,
 )
 # imported but never called here: perfbench's WRAPPED names them all, and its tests need them bound
 from .fock import make_fock  # noqa: F401
@@ -175,8 +172,8 @@ def _check_unit(value: float, name: str) -> float:
 
 
 def _check_alpha(alpha: float) -> float:
-    if not math.isfinite(alpha := float(alpha)):
-        raise ValueError("alpha must be finite")
+    if not math.isfinite((alpha := float(alpha)) * alpha):  # |alpha|² overflows from about 1.3e154
+        raise ValueError(f"alpha must be finite, with |alpha|^2 finite too, got {alpha!r}")
     return alpha
 
 
@@ -234,6 +231,8 @@ def _run_swap(scheme: str, alpha: float | None, T: float, T_prime: float,
     tau = T * T_prime
     make_pair, param, max_cutoff = pair
     P = _lossy_pair(make_pair, param, min(cutoff, max_cutoff), tau)
+    if not P.any():  # every amplitude the cutoff keeps has underflowed
+        raise ValueError(f"the pair at alpha = {alpha!r} has no amplitude at or below cutoff {cutoff}")
     outcomes = [_outcome(label, rho) for label, rho in herald(P, tau)]
     total = sum(o.probability for o in outcomes)
     avg = sum(o.probability * o.negativity for o in outcomes) / total if total > _PROB_FLOOR else 0.0
@@ -285,33 +284,28 @@ def _feed_forward_phase(alpha: float, T: float, x: float) -> float:
     return 4.0 * math.sqrt(T) * alpha * x
 
 
-@lru_cache(maxsize=64)
-def _vacuum_test_gather(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (flat, anc, entry): the vacuum test's C[(b, e), k], b, e >= 1, is zero but for
-    C.flat[flat] = entry * beta_anc, with anc = b + e - k and entry = <b, e|U|k, anc>."""
-    blocks, _, slot = _bs_blocks(d, d, FIFTY_FIFTY.theta, FIFTY_FIFTY.phi)
-    b, e, k = np.ogrid[1:d, 1:d, :d]
-    anc = (b + e - k).ravel()
-    flat = np.flatnonzero((anc >= 0) & (anc < d))  # the ancilla levels stored
-    anc = anc[flat]
-    b, e, k = np.unravel_index(flat, (d - 1, d - 1, d))
-    entry = blocks[anc + k, slot[b + 1, e + 1], slot[k, anc]]
-    flat, anc = flat.astype(np.int32), anc.astype(np.int32)  # (d - 1)² d < 2³¹ below cutoff 1290
-    for a in (flat, anc, entry):
-        a.setflags(write=False)
-    return flat, anc, entry
+def _vacuum_test(d: int, beta: float) -> np.ndarray:
+    """The d x d two-click operator on B, M = <beta| U† (P_B>=1 ⊗ P_E>=1) U |beta>, in closed form.
 
-
-def _vacuum_test_filter(d: int, beta: float) -> np.ndarray:
-    """Factor R of the two-click test on B: R†R = <beta| U† (P_B>=1 ⊗ P_E>=1) U |beta>.
-
-    Column k of C holds the clicked outputs of U(|k> ⊗ |beta>), so C†C is
-    that operator and C = QR gives R without an eigenvalue square root.
+    No click at one output of the 50:50 splitter U is the normal-ordered :exp(-(b† ± beta)(b ±
+    beta)/2): = A(±beta) = E† diag(2^-n) E, and at both e^{-beta²}|0><0| (Cahill and Glauber,
+    Phys. Rev. 177, 1857 (1969)), so M = I - A(beta) - A(-beta) + e^{-beta²}|0><0|.  E[m, l] =
+    e^{-beta²/4} (-beta/2)^{l-m} sqrt(l!/m!) / (l-m)!, a cumulative product along each row, is
+    upper triangular, so the corner is exact with no level cut; A(-beta) is A(beta) with its odd
+    m + l entries negated.  M[0, 0] = (1 - e^{-x})² and M[1, 1] = 1 - (1 + x) e^{-x}, x = beta²/2,
+    vanish as beta -> 0, so they are not taken as 1 minus order-1 terms.
     """
-    flat, anc, entry = _vacuum_test_gather(d)
-    C = np.zeros((d - 1) ** 2 * d, dtype=np.complex128)
-    C[flat] = entry * _coherent_amplitudes(beta, d - 1)[anc]
-    return np.linalg.qr(C.reshape(-1, d), mode="r")
+    n = np.arange(d)
+    j = n - n[:, None]  # l - m at [m, l]
+    steps = np.where(j > 0, -0.5 * beta * np.sqrt(n) / np.maximum(j, 1), 1.0)  # E[m, l] / E[m, l-1]
+    steps[:, 0] = math.exp(-0.25 * beta * beta)
+    F = np.cumprod(steps, axis=1) * np.where(j < 0, 0.0, np.sqrt(0.5) ** n[:, None])  # diag(2^-n/2) E: A = F† F
+    M = np.eye(d) - np.where(j % 2, 0.0, 2.0 * (F.T @ F))
+    x = 0.5 * beta * beta
+    M[0, 0] = math.expm1(-x) ** 2
+    # P(n >= 2) for a Poisson mean x, summed upward below x = 1
+    M[1, 1] = math.exp(-x) * sum(x**k / math.factorial(k) for k in range(2, 20)) if x < 1 else -math.expm1(-x) - x * math.exp(-x)
+    return M
 
 
 @lru_cache(maxsize=64)
@@ -375,12 +369,12 @@ def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int |
     docstring gives the rule and why it is exact): 4 pairs of 4 d^2
     amplitudes each away from truncation.  The ancilla E never enters:
     splitter, both clicks and the trace over E act on B as the d x d
-    M = <beta| U† (P_B>=1 ⊗ P_E>=1) U |beta>, applied as R with R†R = M
-    after the midpoint splitter U, which acts on (B, D) block by block in
-    total photon number; U and R are each applied once to all kept
-    pairs.  The quadrature integral is one Gram matrix G = X X† of the
-    (A, C, D | rest) matrix X, contracted with K_0 = I for equal C bits,
-    K_1 = D(-g/sqrt(2)) for C bits (1, 0) and K_{-1} = K_1^T for (0, 1).
+    M = <beta| U† (P_B>=1 ⊗ P_E>=1) U |beta>, in closed form.  The
+    midpoint splitter acts on (B, D) block by block in total photon
+    number, once on all kept pairs, giving Y.  The quadrature integral is
+    one matrix G = X(M Y) X(Y)† of the (A, C, D | pair, B) matrices X,
+    contracted with K_0 = I for equal C bits, K_1 = D(-g/sqrt(2)) for C
+    bits (1, 0) and K_{-1} = K_1^T for (0, 1).
     """
     alpha = _check_alpha(alpha)
 
@@ -390,7 +384,7 @@ def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int |
         _, s, Vh = np.linalg.svd(pair, full_matrices=False)
         # P times the right-singular vectors, not U S: each Fock row keeps its own rounding
         Q = (pair @ Vh.conj().T).T.reshape(-1, 2, d)  # [loss environment vector, A, B]
-        R = _vacuum_test_filter(d, math.sqrt(2.0 * tau) * alpha)
+        M = _vacuum_test(d, math.sqrt(2.0 * tau) * alpha)
         K1 = _displacement(-_feed_forward_phase(alpha, tau, 1.0) / math.sqrt(2.0), d)
         cbit = np.arange(4) % 2
         K = np.stack([K1.T, np.eye(d), K1])[cbit[:, None] - cbit[None, :] + 1]
@@ -398,10 +392,10 @@ def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int |
         def contract(pairs: np.ndarray) -> np.ndarray:
             I, J = np.divmod(pairs, d)
             # (B, D, pair, A, C) through the midpoint splitter, handed over as a temporary it can free
-            Y = bs_on_axes(np.einsum("pab,pcd->bdpac", Q[I], Q[J]), (0, 1), FIFTY_FIFTY)
-            Z = R @ Y.reshape(d, -1)  # then clicks as R on B
-            X = Z.reshape(-1, d, len(pairs), 4).transpose(3, 1, 2, 0).reshape(4 * d, -1)
-            G = (X @ X.conj().T).reshape(4, d, 4, d)
+            Y = bs_on_axes(np.einsum("pab,pcd->bdpac", Q[I], Q[J]), (0, 1), FIFTY_FIFTY).reshape(d, -1)
+            # both clicks as M on B; M Y and Y each as the (A, C, D | pair, B) matrix X
+            Z, Y = (a.reshape(d, d, len(pairs), 4).transpose(3, 1, 2, 0).reshape(4 * d, -1) for a in (M @ Y, Y))
+            G = (Z @ Y.conj().T).reshape(4, d, 4, d)
             return np.einsum("anbm,abnm->ab", G, K)
 
         order, run = _drop_lightest_pairs(s**2)

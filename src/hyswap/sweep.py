@@ -20,6 +20,7 @@ is exact, so the output is the same for any value of them.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -159,7 +160,7 @@ def parse_config(path: str) -> SweepConfig:
         ("schemes", bool(cfg.schemes), "must not be empty"),
         ("alpha_values", bool(cfg.alpha_values), "must not be empty"),
         ("T_values", bool(cfg.T_values), "must not be empty"),
-        ("alpha_values", all(math.isfinite(a) for a in cfg.alpha_values), "must be finite"),
+        ("alpha_values", all(math.isfinite(a * a) for a in cfg.alpha_values), "must be finite, with |alpha|^2 finite too"),
         ("T_values", all(0.0 <= t <= 1.0 for t in cfg.T_values), "must lie in [0, 1]"),
         ("T_prime", 0.0 <= cfg.T_prime <= 1.0, "must lie in [0, 1]"),
         ("cutoff", cfg.cutoff >= 2, "must be >= 2"),
@@ -214,15 +215,20 @@ def format_value(v) -> str:
 def run_sweep(config: SweepConfig) -> int:
     """Run every configured point and write the CSV; returns the row count.
 
-    Points are computed in-process, one after another, and written in
-    config order; ``config.parallelism`` is ignored.
+    Points are computed in-process, one after another, and written in config order;
+    ``config.parallelism`` is ignored.  The output is opened before the first point
+    and removed if any point fails, so a failed sweep leaves no CSV.
     """
-    rows = [evaluate_point(scheme, alpha, T, config.T_prime, config.cutoff)
-            for scheme in config.schemes for alpha in config.alpha_values for T in config.T_values]
     out = Path(config.output_path)
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([format_value(row[col]) for col in CSV_COLUMNS])
-    return len(rows)
+    fh = out.open("w", newline="", encoding="utf-8")
+    try:
+        with fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
+            for scheme, alpha, T in itertools.product(config.schemes, config.alpha_values, config.T_values):
+                row = evaluate_point(scheme, alpha, T, config.T_prime, config.cutoff)
+                writer.writerow([format_value(row[col]) for col in CSV_COLUMNS])
+    except BaseException:  # a bad point, out of memory, an interrupt: re-raised
+        out.unlink(missing_ok=True)
+        raise
+    return len(config.schemes) * len(config.alpha_values) * len(config.T_values)

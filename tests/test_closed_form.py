@@ -97,6 +97,6 @@ def test_schemes_tuple():
 
 def test_non_finite_alpha_is_rejected():
     for scheme in SCHEMES:
-        for bad in (float("nan"), float("inf")):
+        for bad in (float("nan"), float("inf"), 1e200, -1e155):  # |alpha|² overflows from 1.3e154
             with pytest.raises(ValueError, match="finite"):
                 closed_form(scheme, bad, 0.5)

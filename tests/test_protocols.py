@@ -364,9 +364,9 @@ def test_default_cutoff_env_validation(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# full-register references: both loss splitters, the ancilla and the
+# full-register references: both loss splitters, the vacuum test and the
 # per-node quadrature loop on one register, as the explicit route that
-# the per-pair loss, the vacuum-test filter and the Gram-form
+# the per-pair loss, the closed-form vacuum test and the Gram-form
 # contraction must reproduce
 
 
@@ -379,15 +379,13 @@ FULL_REGISTER_POINTS = [
 ]
 
 
-def _full_register(prepare, c, tau, ancilla=None):
-    """Pairs, optional ancilla and both environments on one register,
+def _full_register(prepare, c, tau):
+    """Pairs and both environments on one register,
     through both loss splitters and the midpoint splitter."""
     psi = tensor(
         prepare(ModeRegister((("A", qubit()), ("B", bosonic(c)))), "A", "B"),
         prepare(ModeRegister((("C", qubit()), ("D", bosonic(c)))), "C", "D"),
     )
-    if ancilla is not None:
-        psi = tensor(psi, ancilla)
     psi = tensor(psi, make_fock(ModeRegister((("Eb", bosonic(c)), ("Ed", bosonic(c))))))
     loss = BeamSplitterParams.from_transmission(tau)
     psi = apply_bs(psi, "B", "Eb", loss)
@@ -395,22 +393,27 @@ def _full_register(prepare, c, tau, ancilla=None):
     return apply_bs(psi, "B", "D", FIFTY_FIFTY)
 
 
+def _vacuum_test_by_splitter(d, beta):
+    """The clicked amplitudes C[(b, e), k] = <b, e|U|k, beta>, b, e >= 1, the direct way:
+    the columns |k> ⊗ |beta> pushed through the splitter with B and the ancilla E on
+    d + 40 levels, so that C†C is the test's operator on B with no level cut that shows."""
+    from hyswap.optics import bs_on_axes
+
+    n = d + 40
+    anc = make_coherent(ModeRegister((("E", bosonic(n - 1)),)), "E", beta)
+    cols = np.einsum("bk,e->bek", np.eye(n, d), anc.amplitudes)  # column k: |k> ⊗ |beta> on (B, E)
+    return bs_on_axes(cols, (0, 1), FIFTY_FIFTY)[1:, 1:].reshape(-1, d)
+
+
 def _he_ho_full_register(alpha, T, tp, cutoff, xs):
-    """Unnormalized corrected A-C state at each quadrature node in xs, shape (len(xs), 4, 4)."""
+    """Unnormalized corrected A-C state at each quadrature node in xs, shape (len(xs), 4, 4).
+
+    Both clicks act on B as R, the QR factor of the uncut ancilla's clicked amplitudes."""
     tau = T * tp
-    anc = make_coherent(
-        ModeRegister((("E", bosonic(cutoff)),)), "E", math.sqrt(2.0 * tau) * alpha
-    )
-    psi = _full_register(
-        lambda reg, q, t: make_hybrid_pair(reg, q, t, alpha), cutoff, tau, anc
-    )
-    psi = apply_bs(psi, "B", "E", FIFTY_FIFTY)
+    psi = _full_register(lambda reg, q, t: make_hybrid_pair(reg, q, t, alpha), cutoff, tau)
+    R = np.linalg.qr(_vacuum_test_by_splitter(cutoff + 1, math.sqrt(2.0 * tau) * alpha), mode="r")
     reg = psi.register
-    t = psi.tensor_view().copy()
-    for mode in ("B", "E"):  # both on-off detectors click
-        idx = [slice(None)] * len(reg.dims)
-        idx[reg.axis(mode)] = 0
-        t[tuple(idx)] = 0.0
+    t = np.moveaxis(np.tensordot(R, psi.tensor_view(), (1, reg.axis("B"))), 0, reg.axis("B"))
     rest = [nm for nm in reg.names if nm not in ("A", "C", "D")]
     perm = [reg.axis(nm) for nm in ["A", "C"] + rest + ["D"]]
     flat = np.transpose(t, perm).reshape(-1, cutoff + 1)
@@ -571,7 +574,7 @@ def test_midpoint_register_size_per_herald(monkeypatch):
 
 
 def test_non_finite_alpha_is_rejected():
-    for bad in (float("nan"), float("inf"), -float("inf")):
+    for bad in (float("nan"), float("inf"), -float("inf"), 1e200, -1e155):  # |alpha|² overflows too
         with pytest.raises(ValueError, match="finite"):
             he_swap_spd(bad, 0.5)
         with pytest.raises(ValueError, match="finite"):
@@ -602,56 +605,63 @@ def _traced_peak(run) -> int:
 
 
 def test_he_ho_memory_at_cutoff_64_without_dense_splitter():
-    """Splitter blocks and the vacuum test's block entries, not a 272 MiB dense d^2 x d^2 unitary."""
+    """Splitter blocks and a d x d vacuum test, not a 272 MiB dense d^2 x d^2 unitary."""
     from hyswap.optics import _bs_blocks
 
     _bs_blocks.cache_clear()
     assert _traced_peak(lambda: he_swap_homodyne(1.5, 0.9, 1.0, 64)) < 64 * 2**20
 
 
-def test_he_ho_warm_point_at_cutoff_64_pushes_no_vacuum_test_columns():
-    """The vacuum test gathers one block entry per clicked amplitude; pushing the (d, d, d)
-    columns |k> ⊗ |beta> through the splitter peaked at 25 MiB here."""
-    he_swap_homodyne(0.3, 0.5, 1.0, 64)
-    assert _traced_peak(lambda: he_swap_homodyne(0.3, 0.5, 1.0, 64)) < 16 * 2**20
-
-
-def _vacuum_test_filter_by_splitter(d, beta):
-    """R the direct way: push the columns |k> ⊗ |beta> through the splitter, keep the
-    clicked outputs (b, e >= 1) and take the QR."""
-    from hyswap.optics import bs_on_axes
-
-    anc = make_coherent(ModeRegister((("E", bosonic(d - 1)),)), "E", beta)
-    cols = np.einsum("bk,e->bek", np.eye(d), anc.amplitudes)  # column k: |k> ⊗ |beta> on (B, E)
-    C = bs_on_axes(cols, (0, 1), FIFTY_FIFTY)[1:, 1:].reshape(-1, d)
-    return np.linalg.qr(C, mode="r")
+@pytest.mark.parametrize("cutoff,mib", [(64, 16), (100, 24)])
+def test_he_ho_warm_point_builds_no_vacuum_test_columns(cutoff, mib):
+    """The vacuum test is d x d in closed form.  Pushing the (d, d, d) columns |k> ⊗ |beta>
+    through the splitter peaked at 25 MiB at cutoff 64, and a (d-1)² x d matrix of their
+    clicked amplitudes with its QR copy at 32 MiB at cutoff 100."""
+    he_swap_homodyne(0.3, 0.5, 1.0, cutoff)
+    assert _traced_peak(lambda: he_swap_homodyne(0.3, 0.5, 1.0, cutoff)) < mib * 2**20
 
 
 @pytest.mark.parametrize("d", list(range(2, 18)) + [33])
-def test_vacuum_test_filter_matches_columns_through_the_splitter(d):
-    from hyswap.protocols import _vacuum_test_filter
+def test_vacuum_test_matches_columns_through_the_splitter(d):
+    from hyswap.protocols import _vacuum_test
 
     for beta in (0.0, 0.3, 1.1, 2.5):
-        R_ref = _vacuum_test_filter_by_splitter(d, beta)
-        M = R_ref.conj().T @ R_ref
-        R = _vacuum_test_filter(d, beta)
-        assert R.shape == R_ref.shape
-        assert np.abs(R.conj().T @ R - M).max() <= 1e-15 * np.linalg.norm(M)
+        C = _vacuum_test_by_splitter(d, beta)
+        assert np.abs(_vacuum_test(d, beta) - C.conj().T @ C).max() <= 2e-15
 
 
-def test_vacuum_test_filter_reads_the_blocks_without_the_splitter(monkeypatch):
-    import hyswap.optics as optics
-    import hyswap.protocols as protocols
+def test_vacuum_test_is_hermitian_finite_and_keeps_small_beta_digits():
+    from hyswap.protocols import _vacuum_test
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the vacuum test pushed columns through the splitter")
+    for beta in (1e-3, 1e-5):  # M[0, 0] = (1 - e^{-beta²/2})², not a cancellation of order-1 terms
+        assert _vacuum_test(4, beta)[0, 0] == pytest.approx(math.expm1(-0.5 * beta * beta) ** 2, rel=1e-14)
+    M = _vacuum_test(201, 6.0)
+    assert np.isfinite(M).all()
+    for M in (M, _vacuum_test(13, 0.7), _vacuum_test(9, 0.0)):
+        assert np.abs(M - M.conj().T).max() <= 1e-16
 
-    protocols._vacuum_test_gather.cache_clear()
-    monkeypatch.setattr(optics, "bs_on_axes", forbidden)
-    monkeypatch.setattr(protocols, "bs_on_axes", forbidden)
-    for d in (2, 7, 13):
-        protocols._vacuum_test_filter(d, 0.8)
-        assert all(not a.flags.writeable for a in protocols._vacuum_test_gather(d))
+
+def test_vacuum_test_entries_keep_their_relative_digits():
+    """Every entry against the same normal-ordered form in 50 digits.  M[0, 0] and M[1, 1] vanish
+    as beta -> 0; taken as 1 minus order-1 terms, M[1, 1] lost 1e-9 of itself at beta 0.02."""
+    mpmath = pytest.importorskip("mpmath")
+    from hyswap.protocols import _vacuum_test
+
+    d = 7
+    with mpmath.workdps(50):
+        for beta in (0.0, 1e-5, 0.02, 0.155, 1.0, 1.42, 2.5, 6.0):
+            b = mpmath.mpf(beta)
+            E = mpmath.matrix(d, d)
+            for m in range(d):
+                for n in range(m, d):
+                    E[m, n] = (mpmath.exp(-b * b / 4) * (-b / 2) ** (n - m)
+                               * mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(m)) / mpmath.factorial(n - m))
+            A = E.T * mpmath.diag([mpmath.mpf(2) ** -n for n in range(d)]) * E
+            M = _vacuum_test(d, beta)
+            for k in range(d):
+                for n in range(d):
+                    want = 0 if (k + n) % 2 else (k == n) - 2 * A[k, n] + (k == n == 0) * mpmath.exp(-b * b)
+                    assert abs(M[k, n] - want) <= 1e-14 * abs(want), (beta, k, n)
 
 
 @pytest.mark.parametrize("gamma,d", [(0.0, 5), (0.7, 9), (-2.2, 17), (8.5, 65), (-8.5, 201)])

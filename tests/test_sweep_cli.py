@@ -378,11 +378,23 @@ def assert_one_line_error(out):
 
 
 def test_cli_point_rejects_non_finite_alpha():
+    # 1e200 is finite, but |alpha|² is not: it ended in an OverflowError traceback
     for scheme in ("he-spd", "he-ho"):
-        out = run_cli("point", "--scheme", scheme, "--alpha", "nan", "--T", "0.5",
-                      "--cutoff", "4")
+        for alpha in ("nan", "1e200"):
+            out = run_cli("point", "--scheme", scheme, "--alpha", alpha, "--T", "0.5",
+                          "--cutoff", "4")
+            assert_one_line_error(out)
+            assert "finite" in out.stderr
+
+
+def test_cli_point_reports_a_pair_with_no_amplitude_below_the_cutoff():
+    # at alpha 40 every amplitude up to cutoff 12 underflows to zero; he-ho failed on an
+    # empty reshape and he-spd reported p = 0
+    for scheme in ("he-spd", "he-ho"):
+        out = run_cli("point", "--scheme", scheme, "--alpha", "40", "--T", "0.9", "--cutoff", "12")
+        assert out.returncode == 1
         assert_one_line_error(out)
-        assert "finite" in out.stderr
+        assert "alpha = 40.0" in out.stderr and "cutoff 12" in out.stderr
 
 
 BAD_SWEEP_VALUES = [
@@ -477,6 +489,42 @@ def test_cli_sweep_reports_unusable_output_path_as_one_line(tmp_path, name):
     assert result.returncode == 1
     assert_one_line_error(result)
     assert result.stdout == ""
+
+
+def test_sweep_opens_the_output_before_the_first_point(tmp_path, monkeypatch, capsys):
+    import hyswap.sweep as sweep
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a point ran before the output was opened")
+
+    out = tmp_path / "dangling.csv"
+    out.symlink_to(tmp_path / "missing" / "target.csv")
+    cfg = write_config(tmp_path, f"schemes = dv\nalpha_values = 0.0\nT_values = 1.0\noutput_path = {out}\n")
+    monkeypatch.setattr(sweep, "evaluate_point", forbidden)
+    assert main(["sweep", cfg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_failed_sweep_removes_its_partial_csv(tmp_path, monkeypatch):
+    import hyswap.sweep as sweep
+
+    calls = []
+
+    def second_point_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("bad point")
+        return evaluate_point(*args, **kwargs)
+
+    out = tmp_path / "out.csv"
+    out.write_text("an earlier sweep\n")
+    cfg = parse_config(write_config(tmp_path, BASE_CONFIG.format(out=out)))
+    monkeypatch.setattr(sweep, "evaluate_point", second_point_fails)
+    with pytest.raises(ValueError, match="bad point"):
+        run_sweep(cfg)
+    assert len(calls) == 2
+    assert not out.exists()
 
 
 def _cap_address_space():

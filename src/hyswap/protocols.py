@@ -35,31 +35,18 @@ d x d corner is exact.  The ancilla never enters the register: the vacuum
 test acts on B as the d x d corner of its operator M, exact in closed
 form, with no ancilla or output level cut.
 
-Before the midpoint the homodyne herald splits both lossy pairs by
-their loss environments.  After loss a pair is sum_a |a>|s_a sqrt(tau)
-alpha>_B |s_a sqrt(1-tau) alpha>_E, so its environment E has Schmidt rank
-2 apart from truncation.  The SVD of P over (A, B | E) gives
-right-singular vectors v_i with Schmidt weights w_i and (A, B) blocks
-Q_i = P v_i†.  Both environments are traced out, so the output is a sum
-over environment pairs (i, j), each contracted from the 4 d^2 amplitudes
-of Q_i ⊗ Q_j, and a pair adds at most its joint weight w_i w_j to the
-unnormalized output.  Pair rule: sort the d^2 joint weights, drop the
-longest ascending run that sums to at most 1e-16, contract the rest and
-read p.  When 1e-14 p is smaller, p at least the 1e-15 below which an
-outcome counts as unreachable, only the run within that budget is
-dropped, and the pairs it brings back are contracted and added.  The
-dropped weight is thus bounded in total, not per weight.  The
-p-relative budget is needed because dropping weight w moves the
-normalized state by about w / p: at p ~ 1e-6 the absolute budget alone
-is off by ~1e-11.  Truncation leaves weights near 1e-15 beside the two
-main ones, whose tail x tail pairs (about 1e-29 each) always go.
-
 Channel loss keeps the global state pure until measurement, so the
 reduced A-C state never needs a full-register density matrix.  Both
-parties hold the same (local, traveling) pair, and the Kraus elements of
-``loss_band`` add its environment axis, P[a, n-k, k] = A_k[n-k, n]
-amp[a, n].  For a vacuum environment this is the splitter dilation up to
-a phase on each |k>, which every trace over the environments removes.
+parties hold the same lossy pair, written in closed form over its loss
+environment E.  After a loss tau the hybrid pair is (|0>|beta>|eps> +
+|1>|-beta>|-eps>)/sqrt(2), beta = sqrt(tau) alpha, eps = sqrt(1-tau)
+alpha, and |±eps> = c+ |even> ± c- |odd> over the orthonormal even and
+odd parts of |eps>, c± = sqrt((1 ± e^{-2 eps²})/2).  So P[a, m, i] holds
+E in that two-state basis and only the traveling mode is cut; the dv
+pair is three numbers.  Any phase the splitter dilation puts on E is
+removed by every trace over E.  The homodyne herald contracts all four
+pairs (i, j) of environment states, exactly, and the counting herald
+reads only levels 0 and 1 of B and D, so it is exact at every cutoff.
 Every splitter acts block by block in total photon number, from the
 blocks ``optics`` caches.  Detector inefficiency T' enters as the
 substitution T -> T * T' (loss commutes with the balanced midpoint
@@ -71,9 +58,8 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -83,8 +69,6 @@ from .fock import (
     StateVector,
     bosonic,
     make_coherent,
-    make_hybrid_pair,
-    make_vsp_bell,
     qubit,
     tensor,
     _coherent_amplitudes,
@@ -94,10 +78,9 @@ from .optics import (
     FIFTY_FIFTY,
     apply_bs,
     bs_on_axes,
-    loss_band,
 )
 # imported but never called here: perfbench's WRAPPED names them all, and its tests need them bound
-from .fock import make_fock  # noqa: F401
+from .fock import make_fock, make_hybrid_pair, make_vsp_bell  # noqa: F401
 from .optics import homodyne_grid, measure_and_reduce, quadrature_amplitudes  # noqa: F401
 
 __all__ = [
@@ -116,10 +99,6 @@ DEFAULT_CUTOFF = 12
 
 _PROB_FLOOR = 1e-15  # below this an outcome is treated as unreachable
 _AC_REGISTER = ModeRegister((("A", qubit()), ("C", qubit())))
-# he-ho drops the lightest loss-environment pairs whose joint Schmidt weights sum to at
-# most _SCHMIDT_FLOOR, or to at most _SCHMIDT_REL * p when smaller, p the success probability
-_SCHMIDT_FLOOR = 1e-16
-_SCHMIDT_REL = 1e-14
 # the midpoint splitter's one-photon block u[o, i], o and i over the counts (0, 1), (1, 0) on (B, D)
 _ONE_PHOTON = bs_on_axes(np.eye(4).reshape(2, 2, 2, 2), (0, 1), FIFTY_FIFTY)[[0, 1], [1, 0]][:, [0, 1], [1, 0]]
 _ONE_PHOTON_GRAM = np.einsum("om,on->omn", _ONE_PHOTON, _ONE_PHOTON.conj())  # u[o, m] u*[o, n]
@@ -184,21 +163,22 @@ def _resolve_cutoff(cutoff: int | None) -> int:
     return c
 
 
-@lru_cache(maxsize=64)
-def _pair_register(c: int) -> ModeRegister:
-    return ModeRegister((("A", qubit()), ("B", bosonic(c))))
+def _lossy_hybrid_pair(alpha: float, c: int, tau: float) -> np.ndarray:
+    """The hybrid pair after a loss tau as P[a, m, i]: B cut at c, E in its two-state basis.
 
-
-def _lossy_pair(make_pair, param, c: int, tau: float) -> np.ndarray:
-    """The resource pair after its loss, as P[local, traveling, loss environment].
-
-    ``make_pair(register, local, traveling, param)`` builds it at cutoff ``c``.
-    Only the band P[:, n-k, k] = A_k[n-k, n] amp[:, n] is nonzero.
+    P[0, m] = amp[m] (c+, c-) / sqrt(2) and P[1, m] = (-1)^m amp[m] (c+, -c-) / sqrt(2), with
+    amp the amplitudes of |sqrt(tau) alpha> and c± those of |±eps> on |even>, |odd>.
     """
-    pair = make_pair(_pair_register(c), "A", "B", param)
-    k, n, elements = loss_band(tau, c + 1)
-    P = np.zeros((2, c + 1, c + 1), dtype=np.complex128)
-    P[:, n - k, k] = pair.amplitudes.reshape(2, c + 1)[:, n] * elements
+    x = 2.0 * (1.0 - tau) * alpha * alpha  # 2 eps²
+    env = np.array([math.sqrt(0.5 + 0.5 * math.exp(-x)), math.sqrt(-0.5 * math.expm1(-x))]) / math.sqrt(2.0)
+    amp = _coherent_amplitudes(math.sqrt(tau) * alpha, c)
+    return np.stack([np.outer(amp, env), np.outer(amp * (-1.0) ** np.arange(c + 1), env * [1.0, -1.0])])
+
+
+def _lossy_dv_pair(c: int, tau: float) -> np.ndarray:
+    """(|01> + |10>)/sqrt(2) after a loss tau as P[a, m, i], i the photons lost: B needs two levels."""
+    P = np.zeros((2, 2, 2))
+    P[0, 1, 0], P[0, 0, 1], P[1, 0, 0] = math.sqrt(0.5 * tau), math.sqrt(0.5 * (1.0 - tau)), math.sqrt(0.5)
     return P
 
 
@@ -219,21 +199,16 @@ def _run_swap(scheme: str, alpha: float | None, T: float, T_prime: float,
               cutoff: int | None, pair, herald) -> SwapResult:
     """The part every scheme shares: checks, lossy pair, herald, totals.
 
-    ``pair = (make_pair, param, max_cutoff)``: the resource pair is
-    ``make_pair(register, local, traveling, param)`` stored at
-    ``min(cutoff, max_cutoff)``.  ``herald(P, tau)`` takes the lossy pair
-    P[a, m, k], which both parties hold, and returns the accepted
-    outcomes as ``(label, unnormalized A-C matrix)`` pairs.
+    ``pair(cutoff, tau)`` is the lossy pair P[a, m, i] both parties hold,
+    over (local, traveling, loss environment).  ``herald(P, tau)``
+    returns the accepted outcomes as ``(label, unnormalized A-C matrix)``
+    pairs.
     """
     T = _check_unit(T, "T")
     T_prime = _check_unit(T_prime, "T_prime")
     cutoff = _resolve_cutoff(cutoff)
     tau = T * T_prime
-    make_pair, param, max_cutoff = pair
-    P = _lossy_pair(make_pair, param, min(cutoff, max_cutoff), tau)
-    if not P.any():  # every amplitude the cutoff keeps has underflowed
-        raise ValueError(f"the pair at alpha = {alpha!r} has no amplitude at or below cutoff {cutoff}")
-    outcomes = [_outcome(label, rho) for label, rho in herald(P, tau)]
+    outcomes = [_outcome(label, rho) for label, rho in herald(pair(cutoff, tau), tau)]
     total = sum(o.probability for o in outcomes)
     avg = sum(o.probability * o.negativity for o in outcomes) / total if total > _PROB_FLOOR else 0.0
     echo = {"scheme": scheme, "alpha": alpha, "T": T, "T_prime": T_prime, "cutoff": cutoff}
@@ -260,11 +235,11 @@ def dv_swap(T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapRe
     modes; the midpoint accepts the photon-counting outcomes (0,1) and
     (1,0), heralding (|01>+|10>)/sqrt(2) and (|01>-|10>)/sqrt(2) on A-C.
 
-    Total occupation never exceeds two anywhere in this pipeline, so the
-    stored bosonic dimension is capped at three internally; results are
-    exactly cutoff-independent for any requested cutoff >= 2.
+    The traveling mode holds at most one photon, so the lossy pair is
+    three numbers and the results are exactly cutoff-independent for any
+    requested cutoff >= 2.
     """
-    return _run_swap("dv", None, T, T_prime, cutoff, (make_vsp_bell, "phi+", 2), _count_herald)
+    return _run_swap("dv", None, T, T_prime, cutoff, _lossy_dv_pair, _count_herald)
 
 
 def he_swap_spd(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapResult:
@@ -275,8 +250,7 @@ def he_swap_spd(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None
     A-C states are Bell-like with coherences damped by channel loss.
     """
     alpha = _check_alpha(alpha)
-    return _run_swap("he_spd", alpha, T, T_prime, cutoff, (make_hybrid_pair, alpha, math.inf),
-                     _count_herald)
+    return _run_swap("he_spd", alpha, T, T_prime, cutoff, partial(_lossy_hybrid_pair, alpha), _count_herald)
 
 
 def _feed_forward_phase(alpha: float, T: float, x: float) -> float:
@@ -342,15 +316,6 @@ def _displacement(gamma: float, d: int) -> np.ndarray:
     return E.ravel()[place] * sign
 
 
-def _drop_lightest_pairs(w: np.ndarray) -> tuple[np.ndarray, Callable[[float], int]]:
-    """Environment pairs (i, j), as i * len(w) + j, in ascending joint weight w_i w_j, and
-    ``run(budget)``, the length of the longest leading run whose weights sum to at most budget."""
-    joint = np.multiply.outer(w, w).ravel()
-    order = np.argsort(joint)
-    cum = np.cumsum(joint[order])
-    return order, lambda budget: int(np.searchsorted(cum, budget, side="right"))
-
-
 def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapResult:
     """Hybrid swap with a vacuum test on B and homodyne readout on D.
 
@@ -364,14 +329,14 @@ def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int |
     gate success.  The single reported outcome carries the
     quadrature-averaged corrected state, integrated exactly.
 
-    Loss is applied per pair, and only the pairs of loss-environment
-    Schmidt vectors that the pair rule keeps are contracted (the module
-    docstring gives the rule and why it is exact): 4 pairs of 4 d^2
-    amplitudes each away from truncation.  The ancilla E never enters:
-    splitter, both clicks and the trace over E act on B as the d x d
+    Loss is applied per pair, and the 4 pairs of loss-environment states
+    are contracted, 4 d^2 amplitudes each (the module docstring gives the
+    pair in closed form).  A pair whose kept weight is at most 1e-15
+    raises ``ValueError``: the cutoff is starved.  The ancilla never enters:
+    splitter, both clicks and the trace over it act on B as the d x d
     M = <beta| U† (P_B>=1 ⊗ P_E>=1) U |beta>, in closed form.  The
     midpoint splitter acts on (B, D) block by block in total photon
-    number, once on all kept pairs, giving Y.  The quadrature integral is
+    number, once on all four pairs, giving Y.  The quadrature integral is
     one matrix G = X(M Y) X(Y)† of the (A, C, D | pair, B) matrices X,
     contracted with K_0 = I for equal C bits, K_1 = D(-g/sqrt(2)) for C
     bits (1, 0) and K_{-1} = K_1^T for (0, 1).
@@ -380,32 +345,21 @@ def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int |
 
     def herald(P: np.ndarray, tau: float) -> list[tuple[str, np.ndarray]]:
         d = P.shape[1]
-        pair = P.reshape(2 * d, d)
-        _, s, Vh = np.linalg.svd(pair, full_matrices=False)
-        # P times the right-singular vectors, not U S: each Fock row keeps its own rounding
-        Q = (pair @ Vh.conj().T).T.reshape(-1, 2, d)  # [loss environment vector, A, B]
+        if np.vdot(P, P).real <= _PROB_FLOOR:  # the cutoff keeps (almost) none of the pair
+            raise ValueError(f"the pair at alpha = {alpha!r} has no amplitude at or below cutoff {d - 1}")
+        Q = P.transpose(2, 0, 1)  # [loss environment state, A, B]
         M = _vacuum_test(d, math.sqrt(2.0 * tau) * alpha)
         K1 = _displacement(-_feed_forward_phase(alpha, tau, 1.0) / math.sqrt(2.0), d)
         cbit = np.arange(4) % 2
         K = np.stack([K1.T, np.eye(d), K1])[cbit[:, None] - cbit[None, :] + 1]
+        # (B, D, pair, A, C) through the midpoint splitter, handed over as a temporary it can free
+        Y = bs_on_axes(np.einsum("iab,jcd->bdijac", Q, Q), (0, 1), FIFTY_FIFTY).reshape(d, -1)
+        # both clicks as M on B; M Y and Y each as the (A, C, D | pair, B) matrix X
+        Z, Y = (a.reshape(d, d, 4, 4).transpose(3, 1, 2, 0).reshape(4 * d, -1) for a in (M @ Y, Y))
+        G = (Z @ Y.conj().T).reshape(4, d, 4, d)
+        return [("click_click", np.einsum("anbm,abnm->ab", G, K))]
 
-        def contract(pairs: np.ndarray) -> np.ndarray:
-            I, J = np.divmod(pairs, d)
-            # (B, D, pair, A, C) through the midpoint splitter, handed over as a temporary it can free
-            Y = bs_on_axes(np.einsum("pab,pcd->bdpac", Q[I], Q[J]), (0, 1), FIFTY_FIFTY).reshape(d, -1)
-            # both clicks as M on B; M Y and Y each as the (A, C, D | pair, B) matrix X
-            Z, Y = (a.reshape(d, d, len(pairs), 4).transpose(3, 1, 2, 0).reshape(4 * d, -1) for a in (M @ Y, Y))
-            G = (Z @ Y.conj().T).reshape(4, d, 4, d)
-            return np.einsum("anbm,abnm->ab", G, K)
-
-        order, run = _drop_lightest_pairs(s**2)
-        n = run(_SCHMIDT_FLOOR)
-        rho = contract(order[n:])
-        p = max(float(np.trace(rho).real), _PROB_FLOOR)  # below the floor p is reported as 0
-        n_p = run(_SCHMIDT_REL * p)
-        return [("click_click", rho + contract(order[n_p:n]) if n_p < n else rho)]
-
-    return _run_swap("he_ho", alpha, T, T_prime, cutoff, (make_hybrid_pair, alpha, math.inf), herald)
+    return _run_swap("he_ho", alpha, T, T_prime, cutoff, partial(_lossy_hybrid_pair, alpha), herald)
 
 
 def feed_forward_correction(target, alpha: float, T: float, x: float, mode: str = "C"):

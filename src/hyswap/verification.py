@@ -320,13 +320,14 @@ def check_property_suite() -> CriterionResult:
 def check_cutoff_convergence(alpha: float = 0.7, cutoff: int = 10, step: int = 4, T: float = 0.7) -> CriterionResult:
     """Scalar outputs must be cutoff-stable at |alpha| <= 0.7.
 
-    Compares a protocol point and a constructor-level negativity at
+    Compares a he-ho point (he-spd reads only levels 0 and 1, so it does
+    not move with the cutoff) and a constructor-level negativity at
     ``cutoff`` and ``cutoff + step``.  Driving this with a starved
     cutoff (for example 4 at alpha = 0.7) makes it flag the truncation.
     """
     worst = 0.0
-    lo = he_swap_spd(alpha, T, 1.0, cutoff)
-    hi = he_swap_spd(alpha, T, 1.0, cutoff + step)
+    lo = he_swap_homodyne(alpha, T, 1.0, cutoff)
+    hi = he_swap_homodyne(alpha, T, 1.0, cutoff + step)
     worst = max(worst, abs(lo.total_success_probability - hi.total_success_probability))
     worst = max(worst, abs(lo.averaged_negativity - hi.averaged_negativity))
     pair_lo = _pair_negativity(alpha, cutoff)

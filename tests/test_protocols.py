@@ -379,18 +379,18 @@ FULL_REGISTER_POINTS = [
 ]
 
 
-def _full_register(prepare, c, tau):
-    """Pairs and both environments on one register,
-    through both loss splitters and the midpoint splitter."""
-    psi = tensor(
-        prepare(ModeRegister((("A", qubit()), ("B", bosonic(c)))), "A", "B"),
-        prepare(ModeRegister((("C", qubit()), ("D", bosonic(c)))), "C", "D"),
-    )
-    psi = tensor(psi, make_fock(ModeRegister((("Eb", bosonic(c)), ("Ed", bosonic(c))))))
+def _full_register(prepare, c, tau, pad=25):
+    """Each party's pair and loss environment on pad + 1 levels through its loss splitter,
+    B and D then kept at levels <= c as the pipelines cut them, and the midpoint splitter."""
     loss = BeamSplitterParams.from_transmission(tau)
-    psi = apply_bs(psi, "B", "Eb", loss)
-    psi = apply_bs(psi, "D", "Ed", loss)
-    return apply_bs(psi, "B", "D", FIFTY_FIFTY)
+
+    def party(q, t, e):
+        psi = tensor(prepare(ModeRegister(((q, qubit()), (t, bosonic(pad)))), q, t),
+                     make_fock(ModeRegister(((e, bosonic(pad)),))))
+        kept = apply_bs(psi, t, e, loss).tensor_view()[:, :c + 1]
+        return StateVector(ModeRegister(((q, qubit()), (t, bosonic(c)), (e, bosonic(pad)))), kept)
+
+    return apply_bs(tensor(party("A", "B", "Eb"), party("C", "D", "Ed")), "B", "D", FIFTY_FIFTY)
 
 
 def _vacuum_test_by_splitter(d, beta):
@@ -438,8 +438,7 @@ def _assert_outcome_matches(outcome, p_ref, rho_ref):
 
 @pytest.mark.parametrize("cutoff", [4, 5, 6, 7, 9])
 def test_he_ho_matches_full_register_reference(cutoff):
-    # (0.2, 0.05, 0.9) has p 1.6e-6, so at cutoffs 4-7 the p-relative budget brings back
-    # pairs the first pass dropped; (0.8, 0.7, 0.9) keeps all 49 pairs at cutoff 6
+    # (0.2, 0.05, 0.9) has p 1.6e-6: the normalized state divides any error in rho by it
     xs, ws = homodyne_grid()
     for alpha, T, tp in FULL_REGISTER_POINTS + [(0.8, 0.7, 0.9)]:
         rho_ref = np.einsum("i,iab->ab", ws, _he_ho_full_register(alpha, T, tp, cutoff, xs))
@@ -460,40 +459,6 @@ def test_he_ho_every_single_quadrature_point_heralds_bell():
         assert abs(negativity(state, ["C"]).value - 1.0) < 1e-8, x
 
 
-@pytest.mark.parametrize("budget", [0.0, 1e-30, 1e-16, 1e-12, 0.05, 2.0])
-def test_drop_lightest_pairs_drops_only_what_fits_the_budget(budget):
-    from hyswap.protocols import _drop_lightest_pairs
-
-    w = np.array([0.7, 0.3, 1e-10, 1e-12])
-    joint = np.outer(w, w).ravel()
-    order, run = _drop_lightest_pairs(w)
-    n = run(budget)
-    assert sorted(order.tolist()) == list(range(w.size**2))
-    dropped, kept = joint[order[:n]], joint[order[n:]]
-    if n and n < joint.size:
-        assert dropped.max() <= kept.min()
-    assert dropped.sum() <= budget
-    if n < joint.size:
-        assert dropped.sum() + kept.min() > budget
-    assert run(joint.min()) == 1  # a run of exactly the budget goes
-    if budget == 1e-16:  # every tail x tail pair goes, every pair with a main vector stays
-        assert sorted(order[n:].tolist()) == [i * 4 + j for i in range(4) for j in range(4)
-                                              if min(i, j) < 2]
-
-
-@pytest.mark.parametrize("alpha,T,tp,cutoff",
-                         [(0.706, 0.5, 1.0, 12), (0.528, 0.6, 1.0, 9), (0.2, 0.05, 0.9, 6)])
-def test_he_ho_pair_rule_matches_all_pairs(monkeypatch, alpha, T, tp, cutoff):
-    import hyswap.protocols as protocols
-
-    kept = he_swap_homodyne(alpha, T, tp, cutoff).per_outcome[0]
-    monkeypatch.setattr(protocols, "_SCHMIDT_FLOOR", 0.0)
-    monkeypatch.setattr(protocols, "_SCHMIDT_REL", 0.0)
-    every = he_swap_homodyne(alpha, T, tp, cutoff).per_outcome[0]
-    assert abs(kept.probability - every.probability) < 1e-15
-    assert np.abs(kept.post_state.matrix - every.post_state.matrix).max() < 1e-13
-
-
 def _counting_full_register(prepare, c, tau):
     psi = _full_register(prepare, c, tau)
     out = []
@@ -506,7 +471,7 @@ def _counting_full_register(prepare, c, tau):
 
 @pytest.mark.parametrize("cutoff", [4, 5, 6, 7])
 def test_counting_schemes_match_full_register_loss(cutoff):
-    # the dv reference keeps the full cutoff, so it also checks the cap at 2
+    # the dv reference keeps the full cutoff, so it also checks that two levels of B hold the pair
     for alpha, T, tp in FULL_REGISTER_POINTS:
         tau = T * tp
         cases = [
@@ -534,6 +499,19 @@ def test_counting_schemes_match_full_register_at_large_alpha(scheme, cutoff):
     ref = _counting_full_register(prepare, cutoff, T * tp)
     for outcome, (p_ref, rho_ref) in zip(res.per_outcome, ref):
         _assert_outcome_matches(outcome, p_ref, rho_ref)
+
+
+def test_he_spd_is_exact_at_every_cutoff():
+    """The counting herald reads only levels 0 and 1 of B and D, and the lossy pair cuts
+    nothing else, so even cutoff 2 at alpha 1.5 gives the closed form."""
+    ref = closed_form("he_spd", 1.5, 0.9, 0.8)
+    runs = [he_swap_spd(1.5, 0.9, 0.8, c) for c in (2, 3, 12)]
+    for res in runs:
+        assert abs(res.total_success_probability - ref.p) <= 1e-15
+        assert abs(res.averaged_negativity - ref.E) <= 1e-15
+        for o, first in zip(res.per_outcome, runs[0].per_outcome):
+            assert o.probability == first.probability
+            assert np.array_equal(o.post_state.matrix, first.post_state.matrix)
 
 
 def test_midpoint_register_size_per_herald(monkeypatch):
@@ -584,7 +562,7 @@ def test_non_finite_alpha_is_rejected():
 
 
 def test_loss_builds_no_splitter_per_transmission():
-    """Loss goes through Kraus operators, so a T sweep adds no cached splitter."""
+    """The lossy pair is written in closed form, so a T sweep adds no cached splitter."""
     from hyswap.optics import _bs_blocks
 
     before = _bs_blocks.cache_info().currsize
@@ -701,7 +679,8 @@ def test_displacement_tables_are_cached_and_read_only():
 
 
 def test_he_spd_lossy_pair_is_written_as_its_band():
-    """Only the d(d+1)/2 nonzero Kraus elements, not a (d, d, d) stack (124 MiB at cutoff 200)."""
+    """The lossy pair is (2, d, 2) over a two-state loss environment, not a (d, d, d) Kraus
+    stack (124 MiB at cutoff 200)."""
     he_swap_spd(1.5, 0.9, 1.0, 200)
     assert _traced_peak(lambda: he_swap_spd(1.5, 0.9, 1.0, 200)) < 32 * 2**20
 
@@ -714,8 +693,8 @@ def test_he_spd_herald_holds_no_environment_amplitudes_at_cutoff_200():
 
 
 def test_counting_points_cross_the_traced_layers(monkeypatch):
-    """Each counting point calls its pair builder once and negativity once per
-    outcome, through the module names a layer trace wraps."""
+    """Each counting point calls negativity once per outcome, through the
+    module name a layer trace wraps."""
     import hyswap.protocols as protocols
 
     calls = {}
@@ -729,13 +708,12 @@ def test_counting_points_cross_the_traced_layers(monkeypatch):
 
         monkeypatch.setattr(protocols, name, counted)
 
-    for name in ("negativity", "make_hybrid_pair", "make_vsp_bell"):
-        counting(name)
+    counting("negativity")
     he_swap_spd(0.8, 0.7, 0.9, 6)
-    assert calls == {"negativity": 2, "make_hybrid_pair": 1}
+    assert calls == {"negativity": 2}
     calls.clear()
     dv_swap(0.7, 0.9, 6)
-    assert calls == {"negativity": 2, "make_vsp_bell": 1}
+    assert calls == {"negativity": 2}
 
 
 def test_pipelines_build_no_dense_splitter_or_kraus_stack(monkeypatch):

@@ -388,13 +388,20 @@ def test_cli_point_rejects_non_finite_alpha():
 
 
 def test_cli_point_reports_a_pair_with_no_amplitude_below_the_cutoff():
-    # at alpha 40 every amplitude up to cutoff 12 underflows to zero; he-ho failed on an
-    # empty reshape and he-spd reported p = 0
-    for scheme in ("he-spd", "he-ho"):
-        out = run_cli("point", "--scheme", scheme, "--alpha", "40", "--T", "0.9", "--cutoff", "12")
+    # he-ho: at alpha 40 every amplitude up to cutoff 12 underflows to zero, which failed on an
+    # empty reshape; at 25, 30 and 38 the kept weight is below 1e-100, which reported p = 0
+    for alpha in ("25", "30", "38", "40"):
+        out = run_cli("point", "--scheme", "he-ho", "--alpha", alpha, "--T", "0.9", "--cutoff", "12")
         assert out.returncode == 1
         assert_one_line_error(out)
-        assert "alpha = 40.0" in out.stderr and "cutoff 12" in out.stderr
+        assert f"alpha = {alpha}.0" in out.stderr and "cutoff 12" in out.stderr
+    # he-spd reads only levels 0 and 1, which no cutoff cuts: its p is the closed form's, below the floor
+    out = run_cli("point", "--scheme", "he-spd", "--alpha", "40", "--T", "0.9", "--cutoff", "12")
+    assert out.returncode == 0, out.stderr
+    header, line = out.stdout.strip().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert float(row["p_closed"]) <= 1e-15
+    assert float(row["p_sim"]) == float(row["E_sim"]) == float(row["err_p"]) == 0.0
 
 
 BAD_SWEEP_VALUES = [

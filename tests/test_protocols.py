@@ -379,18 +379,19 @@ FULL_REGISTER_POINTS = [
 ]
 
 
+def _lossy_party(prepare, q, t, e, c, tau, pad=25):
+    """One party's pair and loss environment on pad + 1 levels through its loss splitter,
+    the traveling mode t then kept at levels <= c as the pipelines cut it."""
+    psi = tensor(prepare(ModeRegister(((q, qubit()), (t, bosonic(pad)))), q, t),
+                 make_fock(ModeRegister(((e, bosonic(pad)),))))
+    kept = apply_bs(psi, t, e, BeamSplitterParams.from_transmission(tau)).tensor_view()[:, :c + 1]
+    return StateVector(ModeRegister(((q, qubit()), (t, bosonic(c)), (e, bosonic(pad)))), kept)
+
+
 def _full_register(prepare, c, tau, pad=25):
-    """Each party's pair and loss environment on pad + 1 levels through its loss splitter,
-    B and D then kept at levels <= c as the pipelines cut them, and the midpoint splitter."""
-    loss = BeamSplitterParams.from_transmission(tau)
-
-    def party(q, t, e):
-        psi = tensor(prepare(ModeRegister(((q, qubit()), (t, bosonic(pad)))), q, t),
-                     make_fock(ModeRegister(((e, bosonic(pad)),))))
-        kept = apply_bs(psi, t, e, loss).tensor_view()[:, :c + 1]
-        return StateVector(ModeRegister(((q, qubit()), (t, bosonic(c)), (e, bosonic(pad)))), kept)
-
-    return apply_bs(tensor(party("A", "B", "Eb"), party("C", "D", "Ed")), "B", "D", FIFTY_FIFTY)
+    """Both parties' lossy pairs, B and D kept at levels <= c, through the midpoint splitter."""
+    parties = (_lossy_party(prepare, q, t, e, c, tau, pad) for q, t, e in (("A", "B", "Eb"), ("C", "D", "Ed")))
+    return apply_bs(tensor(*parties), "B", "D", FIFTY_FIFTY)
 
 
 def _vacuum_test_by_splitter(d, beta):
@@ -512,6 +513,51 @@ def test_he_spd_is_exact_at_every_cutoff():
         for o, first in zip(res.per_outcome, runs[0].per_outcome):
             assert o.probability == first.probability
             assert np.array_equal(o.post_state.matrix, first.post_state.matrix)
+
+
+@pytest.mark.parametrize("alpha,tau,c", [(0.0, 0.5, 2), (0.3, 1.0, 4), (0.7, 0.0, 6), (1.5, 0.72, 3), (1.5, 0.35, 12)])
+def test_lossy_hybrid_pair_matches_the_loss_splitter(alpha, tau, c):
+    """P traced over its two-state environment is the pair's (A, B) state through an explicit
+    loss splitter, B then kept at levels <= c: every trace over E sees only that."""
+    from hyswap.protocols import _lossy_hybrid_pair
+
+    P = _lossy_hybrid_pair(alpha, c, tau)
+    assert P.shape == (2, c + 1, 2)
+    ref = _lossy_party(lambda reg, q, t: make_hybrid_pair(reg, q, t, alpha), "A", "B", "E", c, tau, pad=60)
+    R = ref.tensor_view()
+    rho, rho_ref = np.einsum("ami,bni->ambn", P, P.conj()), np.einsum("ame,bne->ambn", R, R.conj())
+    assert np.abs(rho - rho_ref).max() <= 1e-15
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.35, 1.0])
+def test_lossy_dv_pair_matches_the_loss_splitter(tau):
+    """Three numbers hold the dv pair after loss: B keeps at most one photon at any cutoff."""
+    from hyswap.protocols import _lossy_dv_pair
+
+    P = _lossy_dv_pair(6, tau)
+    assert P.shape == (2, 2, 2)
+    R = _lossy_party(lambda reg, q, t: make_vsp_bell(reg, q, t, "phi+"), "A", "B", "E", 6, tau, pad=6).tensor_view()
+    assert not R[:, 2:].any()
+    rho, rho_ref = np.einsum("ami,bni->ambn", P, P.conj()), np.einsum("ame,bne->ambn", R[:, :2], R[:, :2].conj())
+    assert np.abs(rho - rho_ref).max() <= 1e-15
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0 - 1e-12, 1.0])
+def test_lossy_hybrid_pair_environment_keeps_its_digits(tau):
+    """P[0, 0, i] = e^{-tau alpha²/2} c± / sqrt(2) against 50 digits.  c- = sqrt((1 - e^{-2 eps²})/2)
+    vanishes as tau -> 1; with the 1 cancelled it lost 3e-6 of itself at 1 - tau = 1e-12."""
+    mpmath = pytest.importorskip("mpmath")
+    from hyswap.protocols import _lossy_hybrid_pair
+
+    alpha = 0.6
+    got = _lossy_hybrid_pair(alpha, 4, tau)[0, 0]
+    with mpmath.workdps(50):
+        a, t = mpmath.mpf(alpha), mpmath.mpf(tau)
+        x = 2 * (1 - t) * a * a  # 2 eps²
+        amp0 = mpmath.exp(-t * a * a / 2)
+        want = [amp0 * mpmath.sqrt((1 + s * mpmath.exp(-x)) / 2) / mpmath.sqrt(2) for s in (1, -1)]
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-15 * abs(w), (tau, g, w)
 
 
 def test_midpoint_register_size_per_herald(monkeypatch):

@@ -72,16 +72,16 @@ phi_c = 4.0 * math.sqrt(T) * alpha * x
 skew = StateVector(
     reg2, np.array([1.0, 0, 0, np.exp(1j * phi_c)]) / math.sqrt(2.0)
 )
-fixed = feed_forward_correction(skew, alpha, T, x, mode="C")
+fixed = feed_forward_correction(skew, alpha, T, x)
 before = abs(np.vdot(bell.amplitudes, skew.amplitudes)) ** 2
 after = abs(np.vdot(bell.amplitudes, fixed.amplitudes)) ** 2
 print(f"x = {x}: |<psi+|skewed>|^2 = {before:.4f}  after correction {after:.10f}")
-undone = feed_forward_correction(fixed, alpha, T, -x, mode="C")
+undone = feed_forward_correction(fixed, alpha, T, -x)
 print(f"correcting again with -x restores the skewed state: "
       f"{np.abs(undone.amplitudes - skew.amplitudes).max():.1e} max deviation")
 
 rho_skew = DensityOperator(reg2, np.outer(skew.amplitudes, skew.amplitudes.conj()))
-rho_fixed = feed_forward_correction(rho_skew, alpha, T, x, mode="C")
+rho_fixed = feed_forward_correction(rho_skew, alpha, T, x)
 print(f"density-operator route agrees: F = {bell_fid(rho_fixed, bell):.10f}")
 
 print("\n=== why not an all-coherent Bell measurement? ===")

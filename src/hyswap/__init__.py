@@ -23,7 +23,6 @@ from .fock import (
     make_vsp_bell,
     mean_photon,
     overlap,
-    partial_trace,
     qubit,
     reduced_density,
     tensor,

@@ -36,7 +36,6 @@ __all__ = [
     "make_hybrid_pair",
     "make_vsp_bell",
     "tensor",
-    "partial_trace",
     "reduced_density",
     "overlap",
     "fidelity",
@@ -383,40 +382,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     reg = ModeRegister(a.register.modes + b.register.modes)
     deficit = a.norm_deficit + b.norm_deficit - a.norm_deficit * b.norm_deficit
     return StateVector(reg, np.multiply.outer(a.amplitudes, b.amplitudes).ravel(), deficit)
-
-
-def partial_trace(rho: DensityOperator, keep: list[str]) -> DensityOperator:
-    """Trace out every mode not named in ``keep``.
-
-    The output register preserves the input register's mode order
-    (restricted to the kept modes) regardless of the order of ``keep``.
-    """
-    reg = rho.register
-    keep_set = set(keep)
-    for name in keep_set:
-        if name not in reg.names:
-            raise ValueError(f"unknown mode {name!r}")
-    n = len(reg.modes)
-    dims = reg.dims
-    t = rho.matrix.reshape(dims + dims)
-    ket = [chr(ord("a") + i) for i in range(n)]
-    bra = []
-    out_ket, out_bra = [], []
-    for i, name in enumerate(reg.names):
-        if name in keep_set:
-            b = chr(ord("a") + n + i)
-            bra.append(b)
-            out_ket.append(ket[i])
-            out_bra.append(b)
-        else:
-            bra.append(ket[i])  # contracted index
-    sub = "".join(ket) + "".join(bra) + "->" + "".join(out_ket + out_bra)
-    m = np.einsum(sub, t)
-    kept_reg = ModeRegister(
-        tuple((nm, sp) for nm, sp in reg.modes if nm in keep_set)
-    )
-    d = kept_reg.dim
-    return DensityOperator(kept_reg, m.reshape(d, d))
 
 
 def reduced_density(state: StateVector, keep: list[str]) -> DensityOperator:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, ModeRegister
+from .fock import DensityOperator
 
 __all__ = ["NegativityReport", "partial_transpose", "negativity"]
 
@@ -23,7 +23,6 @@ class NegativityReport:
 
     value: float
     negative_eigenvalues: tuple[float, ...]
-    tolerance_used: float
     trace_factor: float
 
 
@@ -52,13 +51,13 @@ def partial_transpose(rho: DensityOperator, transpose_modes: list[str]) -> Densi
     return DensityOperator(reg, np.transpose(t, perm).reshape(d, d))
 
 
-def negativity(rho: DensityOperator, transpose_modes: list[str], eigen_tolerance: float = 1e-12) -> NegativityReport:
+def negativity(rho: DensityOperator, transpose_modes: list[str]) -> NegativityReport:
     """Entanglement negativity across the bipartition set by ``transpose_modes``.
 
     The eigenvalues are those of the symmetrized partial transpose
     divided by the input's trace (post-selected states arrive with their
     outcome probability in the trace); the factor is reported.
-    Eigenvalues above ``-eigen_tolerance`` are treated as numerical zeros.
+    Eigenvalues at or above -1e-12 are treated as numerical zeros.
     """
     defect = rho.hermiticity_defect()
     if defect > 1e-8:
@@ -68,10 +67,9 @@ def negativity(rho: DensityOperator, transpose_modes: list[str], eigen_tolerance
         raise ValueError("density operator has vanishing trace")
     pt = partial_transpose(rho, transpose_modes).matrix
     eigs = np.linalg.eigvalsh((pt + pt.conj().T) / (2.0 * tr))
-    negatives = tuple(eigs[eigs < -eigen_tolerance].tolist())
+    negatives = tuple(eigs[eigs < -1e-12].tolist())
     return NegativityReport(
         value=-2.0 * sum(negatives),
         negative_eigenvalues=negatives,
-        tolerance_used=eigen_tolerance,
         trace_factor=tr,
     )

@@ -87,10 +87,11 @@ class BeamSplitterParams:
         return math.cos(self.theta / 2.0) ** 2
 
     @classmethod
-    def from_transmission(cls, T: float, phi: float = math.pi) -> "BeamSplitterParams":
+    def from_transmission(cls, T: float) -> "BeamSplitterParams":
+        """The splitter of intensity transmission ``T`` at phi = pi."""
         if not 0.0 <= T <= 1.0:
             raise ValueError("transmission must lie in [0, 1]")
-        return cls(2.0 * math.acos(math.sqrt(T)), phi)
+        return cls(2.0 * math.acos(math.sqrt(T)), math.pi)
 
 
 FIFTY_FIFTY = BeamSplitterParams(math.pi / 2.0, math.pi)
@@ -263,16 +264,10 @@ def fock_projector(register: ModeRegister, mode: str, n: int) -> MeasurementElem
     return MeasurementElement(f"{n}", mode, np.arange(d) == n)
 
 
-def pnr_elements(register: ModeRegister, mode: str, n_max: int | None = None) -> list[MeasurementElement]:
-    """Photon-number-resolving detector: projectors |n><n| up to n_max.
-
-    The default n_max (the mode cutoff) makes the set complete.
-    """
+def pnr_elements(register: ModeRegister, mode: str) -> list[MeasurementElement]:
+    """Photon-number-resolving detector: the complete set of projectors |n><n| up to the cutoff."""
     d = _bosonic_dim(register, mode, "photon counting")
-    top = d - 1 if n_max is None else int(n_max)
-    if not 0 <= top < d:
-        raise ValueError("n_max out of range")
-    return [fock_projector(register, mode, n) for n in range(top + 1)]
+    return [fock_projector(register, mode, n) for n in range(d)]
 
 
 def onoff_elements(register: ModeRegister, mode: str) -> list[MeasurementElement]:
@@ -310,25 +305,14 @@ def quadrature_amplitudes(xs: np.ndarray, dim: int, theta: float) -> np.ndarray:
     return psi * phases[:, None]
 
 
-@lru_cache(maxsize=64)
-def _homodyne_grid_cached(x_max: float, points: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(points)
-    nodes, weights = nodes * x_max, weights * x_max
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def homodyne_grid(x_max: float = 6.0, points: int = 201) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-x_max, x_max].
-
-    Memoized on (x_max, points); the returned arrays are read-only.
-    """
+    """Gauss-Legendre nodes and weights on [-x_max, x_max], computed afresh on each call."""
     if points < 1:
         raise ValueError("homodyne grid needs at least one point")
     if not 0.0 < x_max < math.inf:
         raise ValueError("x_max must be positive and finite")
-    return _homodyne_grid_cached(float(x_max), points)
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    return nodes * x_max, weights * x_max
 
 
 def with_inefficiency(elements, T_prime: float):

@@ -45,8 +45,9 @@ odd parts of |eps>, c± = sqrt((1 ± e^{-2 eps²})/2).  So P[a, m, i] holds
 E in that two-state basis and only the traveling mode is cut; the dv
 pair is three numbers.  Any phase the splitter dilation puts on E is
 removed by every trace over E.  The homodyne herald contracts all four
-pairs (i, j) of environment states, exactly, and the counting herald
-reads only levels 0 and 1 of B and D, so it is exact at every cutoff.
+pairs (i, j) of environment states, exactly.  The counting herald reads
+only levels 0 and 1 of B and D, so its pairs hold only those two levels:
+it is exact, and costs the same, at every cutoff.
 Every splitter acts block by block in total photon number, from the
 blocks ``optics`` caches.  Detector inefficiency T' enters as the
 substitution T -> T * T' (loss commutes with the balanced midpoint
@@ -175,7 +176,7 @@ def _lossy_hybrid_pair(alpha: float, c: int, tau: float) -> np.ndarray:
     return np.stack([np.outer(amp, env), np.outer(amp * (-1.0) ** np.arange(c + 1), env * [1.0, -1.0])])
 
 
-def _lossy_dv_pair(c: int, tau: float) -> np.ndarray:
+def _lossy_dv_pair(tau: float) -> np.ndarray:
     """(|01> + |10>)/sqrt(2) after a loss tau as P[a, m, i], i the photons lost: B needs two levels."""
     P = np.zeros((2, 2, 2))
     P[0, 1, 0], P[0, 0, 1], P[1, 0, 0] = math.sqrt(0.5 * tau), math.sqrt(0.5 * (1.0 - tau)), math.sqrt(0.5)
@@ -216,7 +217,7 @@ def _run_swap(scheme: str, alpha: float | None, T: float, T_prime: float,
 
 
 def _count_herald(P: np.ndarray, tau: float) -> list[tuple[str, np.ndarray]]:
-    """Photon counts (0, 1) and (1, 0) on (B, D), read off the lossy pair.
+    """Photon counts (0, 1) and (1, 0) on (B, D), read off the lossy pair on B's levels 0 and 1.
 
     Row o of the splitter's one-photon block u (``_ONE_PHOTON``) maps the
     inputs (0, 1) and (1, 0) to output o, whose (A, C | Eb, Ed) amplitude
@@ -224,7 +225,7 @@ def _count_herald(P: np.ndarray, tau: float) -> list[tuple[str, np.ndarray]]:
     matrix is G_o = sum_{m,n} u[o,m] u*[o,n] g[m,n] ⊗ g[1-m,1-n], with
     g[m, n] = P[:, m] P[:, n]† traced over the loss environment.
     """
-    g = np.einsum("amk,bnk->mnab", P[:, :2], P[:, :2].conj())
+    g = np.einsum("amk,bnk->mnab", P, P.conj())
     return list(zip(("01", "10"), np.einsum("omn,mnab,mncd->oacbd", _ONE_PHOTON_GRAM, g, g[::-1, ::-1]).reshape(2, 4, 4)))
 
 
@@ -239,7 +240,7 @@ def dv_swap(T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapRe
     three numbers and the results are exactly cutoff-independent for any
     requested cutoff >= 2.
     """
-    return _run_swap("dv", None, T, T_prime, cutoff, _lossy_dv_pair, _count_herald)
+    return _run_swap("dv", None, T, T_prime, cutoff, lambda c, tau: _lossy_dv_pair(tau), _count_herald)
 
 
 def he_swap_spd(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapResult:
@@ -248,9 +249,11 @@ def he_swap_spd(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None
     The accepted outcomes are (vacuum, one photon) and (one photon,
     vacuum) on (B, D); any "two or more" count is rejected.  Heralded
     A-C states are Bell-like with coherences damped by channel loss.
+    The herald reads only B's levels 0 and 1, so the pair is built on
+    those alone and the cutoff changes neither the result nor the cost.
     """
     alpha = _check_alpha(alpha)
-    return _run_swap("he_spd", alpha, T, T_prime, cutoff, partial(_lossy_hybrid_pair, alpha), _count_herald)
+    return _run_swap("he_spd", alpha, T, T_prime, cutoff, lambda c, tau: _lossy_hybrid_pair(alpha, 1, tau), _count_herald)
 
 
 def _feed_forward_phase(alpha: float, T: float, x: float) -> float:
@@ -362,22 +365,22 @@ def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int |
     return _run_swap("he_ho", alpha, T, T_prime, cutoff, partial(_lossy_hybrid_pair, alpha), herald)
 
 
-def feed_forward_correction(target, alpha: float, T: float, x: float, mode: str = "C"):
-    """Undo the homodyne-outcome phase: diag(1, e^{-i phi_c}) on ``mode``.
+def feed_forward_correction(target, alpha: float, T: float, x: float):
+    """Undo the homodyne-outcome phase: diag(1, e^{-i phi_c}) on mode C.
 
     phi_c = 4 sqrt(T) alpha x cancels the relative phase of the
     conditioned state exactly; at T = 1 the corrected state is the plain
     (|00> + |11>)/sqrt(2) Bell state.  ``T`` here is the effective
     transmission seen by the traveling modes (T * T' when detectors are
-    inefficient).  Accepts a StateVector or DensityOperator whose target
-    mode is two-dimensional.
+    inefficient).  Accepts a StateVector or DensityOperator with a
+    two-dimensional mode C.
     """
     if not isinstance(target, (StateVector, DensityOperator)):
         raise TypeError("target must be a StateVector or DensityOperator")
     reg = target.register
-    ax = reg.axis(mode)
+    ax = reg.axis("C")
     if reg.dims[ax] != 2:
-        raise ValueError(f"feed-forward target mode {mode!r} must have dimension 2")
+        raise ValueError("feed-forward target mode 'C' must have dimension 2")
     phase = np.array([1.0, np.exp(-1j * _feed_forward_phase(alpha, T, x))])
     shape = [1] * len(reg.dims)
     shape[ax] = 2

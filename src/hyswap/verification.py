@@ -2,9 +2,9 @@
 
 Each check returns a :class:`CriterionResult`; :func:`run_all` executes
 the whole battery and the ``verify`` CLI command prints one line per
-criterion.  Checks are parameterized so the tests can also drive them
-with deliberately broken settings (wrong splitter phase, starved
-cutoff) and watch them fail.
+criterion.  The checks that the tests drive with deliberately broken
+settings (wrong splitter phase, starved cutoff, too few states) take
+those settings as parameters; the others take none.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ def _result(name, passed, measured, tolerance):
     return CriterionResult(name, bool(passed), measured, tolerance)
 
 
-def check_dv_lossless(cutoff: int = 12) -> CriterionResult:
+def check_dv_lossless() -> CriterionResult:
     t0 = time.perf_counter()
-    res = dv_swap(1.0, 1.0, cutoff)
+    res = dv_swap(1.0, 1.0, 12)
     elapsed = time.perf_counter() - t0
     err_p = abs(res.total_success_probability - 0.5)
     err_e = max(abs(o.negativity - 1.0) for o in res.per_outcome)
@@ -73,8 +73,8 @@ def check_dv_lossless(cutoff: int = 12) -> CriterionResult:
     )
 
 
-def check_dv_loss_limit(cutoff: int = 12) -> CriterionResult:
-    res = dv_swap(1e-6, 1.0, cutoff)
+def check_dv_loss_limit() -> CriterionResult:
+    res = dv_swap(1e-6, 1.0, 12)
     err = abs(res.averaged_negativity - dv_loss_limit())
     ok = err <= 1e-5
     return _result(
@@ -85,7 +85,7 @@ def check_dv_loss_limit(cutoff: int = 12) -> CriterionResult:
     )
 
 
-def check_closed_form_grid(cutoff: int = 12) -> CriterionResult:
+def check_closed_form_grid() -> CriterionResult:
     t0 = time.perf_counter()
     worst_p = worst_e = 0.0
     for alpha in (0.3, 0.5, 0.7):
@@ -93,11 +93,11 @@ def check_closed_form_grid(cutoff: int = 12) -> CriterionResult:
             T = 1.0 - float(loss)
             for tp in (0.7, 1.0):
                 ref = closed_form("dv", alpha, T, tp)
-                sim = dv_swap(T, tp, cutoff)
+                sim = dv_swap(T, tp, 12)
                 worst_p = max(worst_p, abs(sim.total_success_probability - ref.p))
                 worst_e = max(worst_e, abs(sim.averaged_negativity - ref.E))
                 ref = closed_form("he_spd", alpha, T, tp)
-                sim = he_swap_spd(alpha, T, tp, cutoff)
+                sim = he_swap_spd(alpha, T, tp, 12)
                 worst_p = max(worst_p, abs(sim.total_success_probability - ref.p))
                 worst_e = max(worst_e, abs(sim.averaged_negativity - ref.E))
     elapsed = time.perf_counter() - t0
@@ -110,9 +110,9 @@ def check_closed_form_grid(cutoff: int = 12) -> CriterionResult:
     )
 
 
-def check_headline_point(cutoff: int = 12) -> CriterionResult:
-    he = he_swap_spd(0.3, 0.5, 0.7, cutoff).averaged_negativity
-    dv = dv_swap(0.5, 0.7, cutoff).averaged_negativity
+def check_headline_point() -> CriterionResult:
+    he = he_swap_spd(0.3, 0.5, 0.7, 12).averaged_negativity
+    dv = dv_swap(0.5, 0.7, 12).averaged_negativity
     err_he = abs(he - 0.791)
     err_dv = abs(dv - 0.329)
     ok = err_he <= 1e-3 and err_dv <= 1e-3
@@ -124,20 +124,20 @@ def check_headline_point(cutoff: int = 12) -> CriterionResult:
     )
 
 
-def check_negativity_ordering(cutoff: int = 12) -> CriterionResult:
+def check_negativity_ordering() -> CriterionResult:
     margin_bad = None
     for loss in np.arange(0.05, 0.901, 0.05):
         T = 1.0 - float(loss)
-        he = he_swap_spd(0.3, T, 1.0, cutoff).averaged_negativity
-        dv = dv_swap(T, 1.0, cutoff).averaged_negativity
+        he = he_swap_spd(0.3, T, 1.0, 12).averaged_negativity
+        dv = dv_swap(T, 1.0, 12).averaged_negativity
         if he <= dv:
             margin_bad = (loss, he - dv)
             break
     worst_gap = 0.0
     for loss in np.arange(0.0, 0.201, 0.05):
         T = 1.0 - float(loss)
-        he = he_swap_spd(0.7, T, 1.0, cutoff).averaged_negativity
-        dv = dv_swap(T, 1.0, cutoff).averaged_negativity
+        he = he_swap_spd(0.7, T, 1.0, 12).averaged_negativity
+        dv = dv_swap(T, 1.0, 12).averaged_negativity
         worst_gap = max(worst_gap, abs(he - dv))
     ok = margin_bad is None and worst_gap <= 0.02
     detail = f"alpha=0.7 max|E_he-E_dv|={worst_gap:.3f} on loss<=0.2"
@@ -151,12 +151,12 @@ def check_negativity_ordering(cutoff: int = 12) -> CriterionResult:
     )
 
 
-def check_homodyne_scheme(cutoff: int = 12) -> CriterionResult:
+def check_homodyne_scheme() -> CriterionResult:
     t0 = time.perf_counter()
     worst_p = worst_e = 0.0
     for alpha in (0.3, 0.5):
         for T in (0.5, 1.0):
-            sim = he_swap_homodyne(alpha, T, 1.0, cutoff)
+            sim = he_swap_homodyne(alpha, T, 1.0, 12)
             ref = closed_form("he_ho", alpha, T, 1.0)
             worst_p = max(worst_p, abs(sim.total_success_probability - ref.p))
             worst_e = max(worst_e, abs(sim.averaged_negativity - ref.E))
@@ -170,10 +170,10 @@ def check_homodyne_scheme(cutoff: int = 12) -> CriterionResult:
     )
 
 
-def check_bs_fixtures(cutoff: int = 12, phi: float = math.pi) -> CriterionResult:
+def check_bs_fixtures(phi: float = math.pi) -> CriterionResult:
     """Splitter fixtures; ``phi`` can be overridden to watch them break."""
     params = BeamSplitterParams(math.pi / 2.0, phi)
-    reg = ModeRegister((("X", bosonic(cutoff)), ("Y", bosonic(cutoff))))
+    reg = ModeRegister((("X", bosonic(12)), ("Y", bosonic(12))))
     s = math.sqrt(0.5)
     worst_fock = 0.0
     fock_cases = [
@@ -239,8 +239,8 @@ def check_loss_routes_agree(cutoff: int = 8, n_states: int = 100, seed: int = 7)
     )
 
 
-def check_cv_bsm(cutoff: int = 20) -> CriterionResult:
-    got = cv_bsm_failure_prob(1.0, cutoff)
+def check_cv_bsm() -> CriterionResult:
+    got = cv_bsm_failure_prob(1.0, 20)
     ref = 1.0 / (2.0 * math.cosh(2.0))
     err = abs(got - ref)
     ok = err <= 1e-4

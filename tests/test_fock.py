@@ -17,7 +17,6 @@ from hyswap import (
     make_vsp_bell,
     mean_photon,
     overlap,
-    partial_trace,
     qubit,
     reduced_density,
     tensor,
@@ -255,33 +254,43 @@ def test_tensor_combines_norm_deficits():
     assert abs(tensor(a, b).norm_deficit - (da + db - da * db)) < 1e-16
 
 
-def test_partial_trace_matches_reduced_density():
+def test_reduced_density_matches_explicit_trace():
     rng = np.random.default_rng(11)
     reg = ModeRegister((("A", qubit()), ("B", bosonic(2)), ("C", bosonic(3))))
+    # Tr over the other modes of |psi><psi|, one explicit einsum per kept set
+    traces = {
+        ("A",): "abc,dbc->ad",
+        ("B",): "abc,aec->be",
+        ("A", "C"): "abc,dbf->acdf",
+        ("B", "C"): "abc,aef->bcef",
+    }
     for _ in range(20):
         v = rng.normal(size=(reg.dim, 2)) @ np.array([1.0, 1.0j])
         v /= np.linalg.norm(v)
-        psi = StateVector(reg, v)
-        rho_full = DensityOperator(reg, np.outer(v, v.conj()))
-        for keep in (["A"], ["B"], ["A", "C"], ["C", "B"]):
-            a = partial_trace(rho_full, keep).matrix
-            b = reduced_density(psi, keep).matrix
-            assert np.abs(a - b).max() < 1e-14
+        t = v.reshape(reg.dims)
+        for kept, sub in traces.items():
+            ref = np.einsum(sub, t, t.conj())
+            ref = ref.reshape(math.isqrt(ref.size), -1)
+            for keep in (list(kept), list(reversed(kept))):
+                out = reduced_density(StateVector(reg, v), keep)
+                assert out.register.names == kept
+                assert np.abs(out.matrix - ref).max() < 1e-14
 
 
-def test_partial_trace_preserves_register_order():
+def test_reduced_density_preserves_register_order():
     reg = ModeRegister((("A", qubit()), ("B", bosonic(2)), ("C", qubit())))
-    rho = DensityOperator(reg, np.eye(reg.dim) / reg.dim)
-    out = partial_trace(rho, ["C", "A"])  # request order reversed on purpose
+    psi = make_fock(reg, {"A": 1, "B": 2, "C": 0})
+    out = reduced_density(psi, ["C", "A"])  # request order reversed on purpose
     assert out.register.names == ("A", "C")
-    assert abs(out.trace() - 1.0) < 1e-15
+    expect = np.zeros((4, 4))
+    expect[2, 2] = 1.0  # |A=1, C=0>, not |C=1, A=0> at index 1
+    assert np.array_equal(out.matrix, expect)
 
 
-def test_partial_trace_unknown_mode():
-    reg = two_mode(2, 2)
-    rho = DensityOperator(reg, np.eye(9) / 9.0)
+def test_reduced_density_unknown_mode():
+    psi = make_fock(two_mode(2, 2))
     with pytest.raises(ValueError, match="unknown mode"):
-        partial_trace(rho, ["Q"])
+        reduced_density(psi, ["Q"])
 
 
 def test_reduced_density_of_product_state_is_pure():

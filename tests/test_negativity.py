@@ -154,11 +154,15 @@ def test_negativity_report_contents():
     rep = negativity(pure_rho(reg, bell.amplitudes), ["C"])
     assert all(ev < 0 for ev in rep.negative_eigenvalues)
     assert abs(rep.value + 2.0 * sum(rep.negative_eigenvalues)) < 1e-14
-    assert rep.tolerance_used > 0
+    assert abs(rep.trace_factor - 1.0) < 1e-15
 
 
-def test_negativity_eigen_tolerance_screens_noise():
+def test_negativity_screens_eigenvalues_above_minus_1e_12():
+    # 0.5 (|01><01| + |10><10|) + eps (|01><10| + h.c.): the partial transpose has eigenvalues ±eps
     reg = qq_register()
-    rho = DensityOperator(reg, np.eye(4) / 4.0)
-    rep = negativity(rho, ["C"], eigen_tolerance=1e-6)
-    assert rep.value == 0.0
+    for eps, expect in ((5e-13, 0.0), (2e-12, 4e-12)):
+        rho = np.diag([0.0, 0.5, 0.5, 0.0])
+        rho[1, 2] = rho[2, 1] = eps
+        rep = negativity(DensityOperator(reg, rho), ["C"])
+        assert abs(rep.value - expect) < 1e-15, eps
+        assert len(rep.negative_eigenvalues) == (expect > 0)

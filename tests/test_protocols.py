@@ -515,6 +515,26 @@ def test_he_spd_is_exact_at_every_cutoff():
             assert np.array_equal(o.post_state.matrix, first.post_state.matrix)
 
 
+def test_he_spd_cost_does_not_grow_with_the_cutoff():
+    """he-spd builds its pairs on B's levels 0 and 1 only, so cutoff 10^6 gives cutoff 12's
+    result bit for bit, in well under a MiB."""
+    import tracemalloc
+
+    ref = he_swap_spd(0.5, 0.5, 0.9, 12)
+    tracemalloc.start()
+    try:
+        res = he_swap_spd(0.5, 0.5, 0.9, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert res.total_success_probability == ref.total_success_probability
+    assert res.averaged_negativity == ref.averaged_negativity
+    for o, r in zip(res.per_outcome, ref.per_outcome, strict=True):
+        assert (o.label, o.probability, o.negativity) == (r.label, r.probability, r.negativity)
+        assert np.array_equal(o.post_state.matrix, r.post_state.matrix)
+
+
 @pytest.mark.parametrize("alpha,tau,c", [(0.0, 0.5, 2), (0.3, 1.0, 4), (0.7, 0.0, 6), (1.5, 0.72, 3), (1.5, 0.35, 12)])
 def test_lossy_hybrid_pair_matches_the_loss_splitter(alpha, tau, c):
     """P traced over its two-state environment is the pair's (A, B) state through an explicit
@@ -534,7 +554,7 @@ def test_lossy_dv_pair_matches_the_loss_splitter(tau):
     """Three numbers hold the dv pair after loss: B keeps at most one photon at any cutoff."""
     from hyswap.protocols import _lossy_dv_pair
 
-    P = _lossy_dv_pair(6, tau)
+    P = _lossy_dv_pair(tau)
     assert P.shape == (2, 2, 2)
     R = _lossy_party(lambda reg, q, t: make_vsp_bell(reg, q, t, "phi+"), "A", "B", "E", 6, tau, pad=6).tensor_view()
     assert not R[:, 2:].any()

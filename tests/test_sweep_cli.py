@@ -278,6 +278,14 @@ def test_cli_point_prints_csv_row(capsys):
     assert float(row["err_p"]) < 1e-12
 
 
+def test_cli_point_row_at_an_unreachable_point(capsys):
+    """At T = 0 no outcome is reachable: p_sim and E_sim are 0 by the floor rule, and err_E is
+    the closed form's limit value (sqrt(2) - 1)/2, not a truncation error."""
+    assert main(["point", "--scheme", "dv", "--T", "0", "--cutoff", "12"]) == 0
+    row = capsys.readouterr().out.strip().splitlines()[1]
+    assert row == "dv,0,0,1,12,0,0,0,0.207106781187,0,0.207106781187"
+
+
 def test_cli_point_requires_alpha_for_hybrid(capsys):
     rc = main(["point", "--scheme", "he-spd", "--T", "0.5"])
     assert rc == 2

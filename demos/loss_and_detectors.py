@@ -1,6 +1,8 @@
 """Photon loss two ways (Kraus channel vs splitter dilation) and what an
 inefficient detector does to the measurement elements."""
 
+import math
+
 import numpy as np
 
 from hyswap import (
@@ -10,7 +12,7 @@ from hyswap import (
     apply_loss_dilated,
     bosonic,
     loss_channel,
-    make_cat,
+    make_coherent,
     onoff_elements,
     spd_elements,
     with_inefficiency,
@@ -19,9 +21,11 @@ from hyswap import (
 cutoff = 10
 reg = ModeRegister((("M", bosonic(cutoff)),))
 
-# an odd cat is fragile: one lost photon flips its parity
-cat = make_cat(reg, "M", 0.8, "-")
-rho = DensityOperator(reg, np.outer(cat.amplitudes, cat.amplitudes.conj()))
+# an odd cat N(|b> - |-b>), b = sqrt(2) * 0.8, is fragile: one lost photon flips its parity
+b = math.sqrt(2.0) * 0.8
+cat = make_coherent(reg, "M", b).amplitudes - make_coherent(reg, "M", -b).amplitudes
+cat /= math.sqrt(-2.0 * math.expm1(-2.0 * b * b))
+rho = DensityOperator(reg, np.outer(cat, cat.conj()))
 
 print("=== odd cat through a lossy channel ===")
 print("T      trace    p(even)   p(odd)    Kraus-vs-dilation")

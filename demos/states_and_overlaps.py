@@ -9,7 +9,6 @@ from hyswap import (
     ModeRegister,
     bosonic,
     coherent_tail_mass,
-    make_cat,
     make_coherent,
     make_fock,
     make_hybrid_pair,
@@ -41,10 +40,12 @@ got = overlap(make_coherent(reg, "M", a), make_coherent(reg, "M", b))
 ref = math.exp(-((a - b) ** 2) / 2.0)
 print(f"<{a}|{b}> = {got.real:+.12f}   analytic e^(-(a-b)^2/2) = {ref:+.12f}")
 
-print("\n=== cat states ===")
-for parity in ("+", "-"):
-    cat = make_cat(reg, "M", 0.5, parity)
-    occ = np.abs(cat.amplitudes) ** 2
+print("\n=== cat states N(|b> ± |-b>), b = sqrt(2) * 0.5 ===")
+b = math.sqrt(2.0) * 0.5
+plus, minus = (make_coherent(reg, "M", s * b).amplitudes for s in (1, -1))
+for parity, sign in (("+", 1.0), ("-", -1.0)):
+    cat = plus + sign * minus
+    occ = np.abs(cat) ** 2 / (2.0 + sign * 2.0 * math.exp(-2.0 * b * b))
     kept = "even" if parity == "+" else "odd"
     print(
         f"|CS{parity}> keeps only {kept} occupations: "

@@ -16,7 +16,6 @@ from .fock import (
     bosonic,
     coherent_tail_mass,
     fidelity,
-    make_cat,
     make_coherent,
     make_fock,
     make_hybrid_pair,

@@ -33,6 +33,12 @@ def _check_range(value: float, name: str) -> float:
     return v
 
 
+def _check_alpha(alpha: float) -> float:
+    if not math.isfinite((alpha := float(alpha)) * alpha):  # |alpha|² overflows from about 1.3e154
+        raise ValueError(f"alpha must be finite, with |alpha|^2 finite too, got {alpha!r}")
+    return alpha
+
+
 def closed_form(scheme: str, alpha: float, T: float, T_prime: float = 1.0) -> ClosedFormPoint:
     """Reference (p, E) for one scheme at one parameter point.
 
@@ -46,8 +52,7 @@ def closed_form(scheme: str, alpha: float, T: float, T_prime: float = 1.0) -> Cl
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if not math.isfinite(alpha * alpha):  # |alpha|² overflows from about 1.3e154
-        raise ValueError(f"alpha must be finite, with |alpha|^2 finite too, got {alpha!r}")
+    alpha = _check_alpha(alpha)
     T = _check_range(T, "T")
     T_prime = _check_range(T_prime, "T_prime")
     tau = T * T_prime
@@ -55,14 +60,14 @@ def closed_form(scheme: str, alpha: float, T: float, T_prime: float = 1.0) -> Cl
         r = 1.0 - tau
         p = tau * (2.0 - tau) / 2.0
         E = (math.sqrt(1.0 + r * r) - r) / (2.0 - tau)
-        return ClosedFormPoint(scheme, float(alpha), T, T_prime, p, E)
+        return ClosedFormPoint(scheme, alpha, T, T_prime, p, E)
     a2 = abs(alpha) ** 2
     E = math.exp(-4.0 * (1.0 - tau) * a2)
     if scheme == "he_spd":
         p = 2.0 * tau * a2 * math.exp(-2.0 * tau * a2)
     else:
         p = 0.5 * (-math.expm1(-tau * a2)) ** 2
-    return ClosedFormPoint(scheme, float(alpha), T, T_prime, p, E)
+    return ClosedFormPoint(scheme, alpha, T, T_prime, p, E)
 
 
 def dv_loss_limit() -> float:

@@ -7,8 +7,8 @@ is the most significant index, and occupation numbers ascend within each
 mode.  That ordering is fixed here once and relied on everywhere else.
 
 Truncation policy: constructors that start from an analytic state of the
-infinite Fock space (coherent states, cat states, hybrid pairs) do not
-renormalize after truncation.  The missing tail mass is recorded in
+infinite Fock space (coherent states, hybrid pairs) do not renormalize
+after truncation.  The missing tail mass is recorded in
 ``StateVector.norm_deficit`` so that downstream probabilities expose the
 truncation error instead of silently absorbing it.
 """
@@ -32,7 +32,6 @@ __all__ = [
     "bosonic",
     "make_fock",
     "make_coherent",
-    "make_cat",
     "make_hybrid_pair",
     "make_vsp_bell",
     "tensor",
@@ -291,37 +290,6 @@ def make_coherent(register: ModeRegister, mode: str, alpha: complex) -> StateVec
     vec = _coherent_amplitudes(alpha, spec.cutoff)
     amps = _product_state(register, {mode: vec})
     return StateVector(register, amps, coherent_tail_mass(alpha, spec.cutoff))
-
-
-def make_cat(register: ModeRegister, mode: str, alpha: complex, parity: str) -> StateVector:
-    """Even ("+") or odd ("-") cat state with branch amplitudes ±sqrt(2)*alpha.
-
-    The normalization constant N± = (2 ± 2 e^{-4|alpha|^2})^{-1/2} is the
-    analytic one for the untruncated state, so truncation shows up as a
-    nonzero ``norm_deficit`` rather than a rescaling.  Amplitudes of the
-    suppressed parity are exactly zero by construction.
-    """
-    spec = register.spec(mode)
-    if spec.kind is not ModeKind.BOSONIC:
-        raise ValueError("cat state requires a bosonic mode")
-    if parity not in ("+", "-"):
-        raise ValueError("parity must be '+' or '-'")
-    if parity == "-" and alpha == 0:
-        raise ValueError("odd cat undefined at zero amplitude")
-    branch = math.sqrt(2.0) * alpha
-    c = _coherent_amplitudes(branch, spec.cutoff)
-    signs = (-1.0) ** np.arange(spec.cutoff + 1)
-    y = 4.0 * abs(alpha) ** 2
-    if parity == "+":
-        norm = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-y))
-        vec = norm * (c + c * signs)
-    else:
-        # 2 - 2 e^{-y} via expm1 to keep precision at small alpha
-        norm = 1.0 / math.sqrt(-2.0 * math.expm1(-y))
-        vec = norm * (c - c * signs)
-    amps = _product_state(register, {mode: vec})
-    deficit = max(0.0, 1.0 - float(np.vdot(vec, vec).real))
-    return StateVector(register, amps, deficit)
 
 
 def make_hybrid_pair(register: ModeRegister, qubit_mode: str, cv_mode: str, alpha: complex) -> StateVector:

@@ -64,6 +64,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from .closed_form import _check_alpha, _check_range
 from .fock import (
     DensityOperator,
     ModeRegister,
@@ -144,19 +145,6 @@ class SwapResult:
     parameters_echo: dict
 
 
-def _check_unit(value: float, name: str) -> float:
-    v = float(value)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1]")
-    return v
-
-
-def _check_alpha(alpha: float) -> float:
-    if not math.isfinite((alpha := float(alpha)) * alpha):  # |alpha|² overflows from about 1.3e154
-        raise ValueError(f"alpha must be finite, with |alpha|^2 finite too, got {alpha!r}")
-    return alpha
-
-
 def _resolve_cutoff(cutoff: int | None) -> int:
     c = default_cutoff() if cutoff is None else int(cutoff)
     if c < 2:
@@ -205,8 +193,8 @@ def _run_swap(scheme: str, alpha: float | None, T: float, T_prime: float,
     returns the accepted outcomes as ``(label, unnormalized A-C matrix)``
     pairs.
     """
-    T = _check_unit(T, "T")
-    T_prime = _check_unit(T_prime, "T_prime")
+    T = _check_range(T, "T")
+    T_prime = _check_range(T_prime, "T_prime")
     cutoff = _resolve_cutoff(cutoff)
     tau = T * T_prime
     outcomes = [_outcome(label, rho) for label, rho in herald(pair(cutoff, tau), tau)]

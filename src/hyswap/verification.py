@@ -2,9 +2,13 @@
 
 Each check returns a :class:`CriterionResult`; :func:`run_all` executes
 the whole battery and the ``verify`` CLI command prints one line per
-criterion.  The checks that the tests drive with deliberately broken
-settings (wrong splitter phase, starved cutoff, too few states) take
-those settings as parameters; the others take none.
+criterion.  The two checks that the tests drive with deliberately broken
+settings (wrong splitter phase, starved cutoff) take those settings as
+parameters; the others take none.  The loss line and the vacuum-test
+part of the property suite check the lossy pairs and the vacuum test
+that the pipelines call, looked up on ``protocols`` at call time,
+against the loss channel taken two ways and against the splitter
+followed by on-off detectors.
 """
 
 from __future__ import annotations
@@ -12,9 +16,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import protocols
 from .closed_form import closed_form, dv_loss_limit
 from .fock import (
     DensityOperator,
@@ -31,15 +37,15 @@ from .fock import (
 )
 from .negativity import negativity, partial_transpose
 from .optics import (
+    FIFTY_FIFTY,
     BeamSplitterParams,
     apply_bs,
     apply_loss,
     apply_loss_dilated,
+    bs_on_axes,
     bs_unitary,
     loss_channel,
     onoff_elements,
-    pnr_elements,
-    spd_elements,
 )
 from .protocols import dv_swap, he_swap_homodyne, he_swap_spd, cv_bsm_failure_prob
 
@@ -161,12 +167,12 @@ def check_homodyne_scheme() -> CriterionResult:
             worst_p = max(worst_p, abs(sim.total_success_probability - ref.p))
             worst_e = max(worst_e, abs(sim.averaged_negativity - ref.E))
     elapsed = time.perf_counter() - t0
-    ok = worst_p <= 1e-4 and worst_e <= 2e-3 and elapsed < 120.0
+    ok = worst_p <= 1e-10 and worst_e <= 1e-9 and elapsed < 120.0
     return _result(
         "homodyne scheme vs closed forms",
         ok,
         f"max|dp|={worst_p:.2e} max|dE|={worst_e:.2e} in {elapsed:.1f}s",
-        "p 1e-4, E 2e-3, under 120s",
+        "p 1e-10, E 1e-9, under 120s",
     )
 
 
@@ -216,25 +222,32 @@ def check_bs_fixtures(phi: float = math.pi) -> CriterionResult:
     )
 
 
-def check_loss_routes_agree(cutoff: int = 8, n_states: int = 100, seed: int = 7) -> CriterionResult:
-    rng = np.random.default_rng(seed)
-    reg = ModeRegister((("M", bosonic(cutoff)),))
-    d = cutoff + 1
-    worst = 0.0
-    for _ in range(n_states):
-        v = rng.normal(size=(d, 2)) @ np.array([1.0, 1.0j])
-        v /= np.linalg.norm(v)
-        rho = DensityOperator(reg, np.outer(v, v.conj()))
-        T = float(rng.uniform(0.0, 1.0))
-        a = apply_loss(rho, "M", loss_channel(T, cutoff)).matrix
-        b = apply_loss_dilated(rho, "M", T).matrix
-        dist = 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
-        worst = max(worst, dist)
-    ok = worst <= 1e-10
+def check_loss_routes_agree() -> CriterionResult:
+    """Kraus loss and the splitter dilation against the closed-form lossy pairs.
+
+    The lossless pairs the pipelines start from sit on (A, B) with B on 17
+    levels; each route's output, B then cut at level 8, must equal
+    sum_i P[:, :, i] P[:, :, i]† of the pair ``protocols`` builds in closed form.
+    """
+    reg = ModeRegister((("A", qubit()), ("B", bosonic(16))))
+    cases = [(make_hybrid_pair(reg, "A", "B", a), partial(protocols._lossy_hybrid_pair, a, 8)) for a in (0.5, 0.8)]
+    cases.append((make_vsp_bell(reg, "A", "B", "phi+"), protocols._lossy_dv_pair))
+    worst = {"Kraus": 0.0, "dilation": 0.0}
+    for psi, pair in cases:
+        rho = DensityOperator(reg, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+        for tau in (0.3, 0.77):
+            P = pair(tau)
+            P = np.pad(P, ((0, 0), (0, 9 - P.shape[1]), (0, 0)))  # the dv pair holds B's levels 0 and 1
+            ref = np.einsum("ami,bni->ambn", P, P.conj())
+            for route, out in (("Kraus", apply_loss(rho, "B", loss_channel(tau, 16))),
+                               ("dilation", apply_loss_dilated(rho, "B", tau))):
+                cut = out.matrix.reshape(2, 17, 2, 17)[:, :9, :, :9]
+                worst[route] = max(worst[route], float(np.abs(cut - ref).max()))
+    ok = max(worst.values()) <= 1e-10
     return _result(
         "loss channel: Kraus vs dilation",
         ok,
-        f"max trace distance {worst:.2e} over {n_states} states",
+        " ".join(f"{k} max|d|={v:.2e}" for k, v in worst.items()) + " against the closed-form lossy pairs",
         "1e-10",
     )
 
@@ -270,18 +283,24 @@ def _property_negativity() -> float:
     return worst
 
 
-def _property_detectors(cutoff: int = 10) -> float:
-    reg = ModeRegister((("M", bosonic(cutoff)),))
+def _property_vacuum_test() -> float:
+    """he-ho's two-click operator on B against C†C, C[(b, e), k] the amplitude of
+    U(|k> ⊗ |beta>) with B and the ancilla on d + 20 levels, weighted by sqrt(click) on both."""
+    d, n = 13, 33
+    reg = ModeRegister((("M", bosonic(n - 1)),))
+    click = np.sqrt(onoff_elements(reg, "M")[1].weights)
     worst = 0.0
-    for els in (pnr_elements(reg, "M"), onoff_elements(reg, "M"), spd_elements(reg, "M")):
-        total = sum(el.weights for el in els)
-        worst = max(worst, float(np.abs(total - 1.0).max()))
+    for beta in (0.3, 1.1):
+        anc = make_coherent(reg, "M", beta).amplitudes
+        out = bs_on_axes(np.einsum("bk,e->bek", np.eye(n, d), anc), (0, 1), FIFTY_FIFTY)
+        C = (np.multiply.outer(click, click)[:, :, None] * out).reshape(-1, d)
+        worst = max(worst, float(np.abs(protocols._vacuum_test(d, beta) - C.conj().T @ C).max()))
     return worst
 
 
-def _property_bs_unitarity(cutoff: int = 6) -> float:
+def _property_bs_unitarity() -> float:
     worst = 0.0
-    d = cutoff + 1
+    d = 7
     for theta in (0.3, math.pi / 2, 2.0):
         for phi in (0.0, math.pi / 3, math.pi):
             U = bs_unitary(d, d, BeamSplitterParams(theta, phi))
@@ -291,12 +310,12 @@ def _property_bs_unitarity(cutoff: int = 6) -> float:
     return worst
 
 
-def _property_substitution(cutoff: int = 10) -> float:
+def _property_substitution() -> float:
     worst = 0.0
     for run in (
-        lambda T, tp: dv_swap(T, tp, cutoff),
-        lambda T, tp: he_swap_spd(0.5, T, tp, cutoff),
-        lambda T, tp: he_swap_homodyne(0.5, T, tp, cutoff),
+        lambda T, tp: dv_swap(T, tp, 10),
+        lambda T, tp: he_swap_spd(0.5, T, tp, 10),
+        lambda T, tp: he_swap_homodyne(0.5, T, tp, 10),
     ):
         a = run(0.8, 0.7)
         b = run(0.8 * 0.7, 1.0)
@@ -308,7 +327,7 @@ def _property_substitution(cutoff: int = 10) -> float:
 def check_property_suite() -> CriterionResult:
     parts = {
         "negativity": (_property_negativity(), 1e-10),
-        "detector completeness": (_property_detectors(), 1e-10),
+        "vacuum test": (_property_vacuum_test(), 1e-10),
         "bs unitarity": (_property_bs_unitarity(), 1e-12),
         "inefficiency substitution": (_property_substitution(), 1e-9),
     }
@@ -317,17 +336,18 @@ def check_property_suite() -> CriterionResult:
     return _result("property suite", ok, detail, "per-part 1e-10/1e-12/1e-9")
 
 
-def check_cutoff_convergence(alpha: float = 0.7, cutoff: int = 10, step: int = 4, T: float = 0.7) -> CriterionResult:
-    """Scalar outputs must be cutoff-stable at |alpha| <= 0.7.
+def check_cutoff_convergence(cutoff: int = 10) -> CriterionResult:
+    """Scalar outputs must be cutoff-stable at alpha = 0.7.
 
-    Compares a he-ho point (he-spd reads only levels 0 and 1, so it does
-    not move with the cutoff) and a constructor-level negativity at
-    ``cutoff`` and ``cutoff + step``.  Driving this with a starved
-    cutoff (for example 4 at alpha = 0.7) makes it flag the truncation.
+    Compares a he-ho point at T = 0.7 (he-spd reads only levels 0 and 1,
+    so it does not move with the cutoff) and a constructor-level
+    negativity at ``cutoff`` and ``cutoff + 4``.  Driving this with a
+    starved cutoff (for example 4) makes it flag the truncation.
     """
+    alpha, step = 0.7, 4
     worst = 0.0
-    lo = he_swap_homodyne(alpha, T, 1.0, cutoff)
-    hi = he_swap_homodyne(alpha, T, 1.0, cutoff + step)
+    lo = he_swap_homodyne(alpha, 0.7, 1.0, cutoff)
+    hi = he_swap_homodyne(alpha, 0.7, 1.0, cutoff + step)
     worst = max(worst, abs(lo.total_success_probability - hi.total_success_probability))
     worst = max(worst, abs(lo.averaged_negativity - hi.averaged_negativity))
     pair_lo = _pair_negativity(alpha, cutoff)

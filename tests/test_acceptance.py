@@ -41,7 +41,7 @@ def test_criterion_05_hybrid_beats_dv_at_small_alpha():
 
 
 def test_criterion_06_homodyne_scheme():
-    """Homodyne variant: p to 1e-4 and grid-averaged E to 2e-3."""
+    """Homodyne variant: p to 1e-10 and the exactly integrated E to 1e-9."""
     _run(ver.check_homodyne_scheme)
 
 
@@ -51,7 +51,8 @@ def test_criterion_07_beam_splitter_fixtures():
 
 
 def test_criterion_08_loss_channel_routes_agree():
-    """Binomial Kraus loss equals the Kraus operators read off the splitter, 1e-10."""
+    """Binomial Kraus loss and the splitter dilation, each on the lossless pairs,
+    reproduce the closed-form lossy pairs the pipelines build, 1e-10."""
     _run(ver.check_loss_routes_agree)
 
 
@@ -61,8 +62,8 @@ def test_criterion_09_all_coherent_bell_measurement():
 
 
 def test_criterion_10_property_suite():
-    """Negativity units, detector completeness, splitter unitarity,
-    and the (T, T') <-> (T T', 1) substitution identity."""
+    """Negativity units, he-ho's vacuum test against the splitter and on-off
+    detectors, splitter unitarity, and the (T, T') <-> (T T', 1) substitution identity."""
     _run(ver.check_property_suite)
 
 

@@ -29,7 +29,8 @@ def test_demo_runs(script, tmp_path):
 
 
 def test_sweep_example_config_runs(tmp_path):
-    # the committed sweep config, checked at verify's tolerances per scheme
+    # the committed sweep config, checked per scheme at the benchmark's closed-form tolerances;
+    # he-ho's are looser than verify's: alpha 0.7 at cutoff 10 is off by up to 2.4e-7
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, "-m", "hyswap", "sweep", str(ROOT / "demos" / "sweep_example.cfg")],

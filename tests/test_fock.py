@@ -10,7 +10,6 @@ from hyswap import (
     bosonic,
     coherent_tail_mass,
     fidelity,
-    make_cat,
     make_coherent,
     make_fock,
     make_hybrid_pair,
@@ -151,46 +150,6 @@ def test_coherent_requires_bosonic_mode():
     reg = ModeRegister((("A", qubit()),))
     with pytest.raises(ValueError):
         make_coherent(reg, "A", 0.3)
-
-
-def test_cat_parity_structure():
-    reg = ModeRegister((("X", bosonic(11)),))
-    even = make_cat(reg, "X", 0.5, "+")
-    odd = make_cat(reg, "X", 0.5, "-")
-    assert np.abs(even.amplitudes[1::2]).max() == 0.0  # exactly, not approximately
-    assert np.abs(odd.amplitudes[0::2]).max() == 0.0
-    assert abs(even.norm_sq() + even.norm_deficit - 1.0) < 1e-14
-    assert abs(odd.norm_sq() + odd.norm_deficit - 1.0) < 1e-14
-
-
-def test_cat_matches_normalized_branch_sum():
-    alpha = 0.6
-    reg = ModeRegister((("X", bosonic(14)),))
-    branch = math.sqrt(2.0) * alpha
-    plus = make_coherent(reg, "X", branch).amplitudes
-    minus = make_coherent(reg, "X", -branch).amplitudes
-    y = 4.0 * alpha**2
-    n_even = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-y))
-    n_odd = 1.0 / math.sqrt(2.0 - 2.0 * math.exp(-y))
-    assert np.abs(make_cat(reg, "X", alpha, "+").amplitudes - n_even * (plus + minus)).max() < 1e-14
-    assert np.abs(make_cat(reg, "X", alpha, "-").amplitudes - n_odd * (plus - minus)).max() < 1e-14
-
-
-def test_odd_cat_survives_small_amplitude():
-    """The 2 - 2 e^{-y} normalization must not cancel catastrophically."""
-    reg = ModeRegister((("X", bosonic(6)),))
-    odd = make_cat(reg, "X", 1e-4, "-")
-    assert abs(odd.norm_sq() + odd.norm_deficit - 1.0) < 1e-12
-    # an infinitesimal odd cat is the single-photon state
-    assert abs(abs(odd.amplitudes[1]) - 1.0) < 1e-7
-
-
-def test_cat_argument_validation():
-    reg = ModeRegister((("X", bosonic(4)),))
-    with pytest.raises(ValueError, match="odd cat undefined"):
-        make_cat(reg, "X", 0.0, "-")
-    with pytest.raises(ValueError):
-        make_cat(reg, "X", 0.5, "x")
 
 
 def test_hybrid_pair_reduced_qubit_coherence():

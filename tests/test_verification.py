@@ -4,6 +4,10 @@ broken settings it has to fail, otherwise it is not measuring anything."""
 import io
 import math
 
+import numpy as np
+import pytest
+
+from hyswap import closed_form, dv_swap, he_swap_homodyne, he_swap_spd, protocols
 from hyswap import verification as ver
 
 
@@ -24,15 +28,50 @@ def test_bs_fixture_check_catches_wrong_phase_convention():
 
 def test_cutoff_convergence_check_flags_starved_cutoff():
     assert ver.check_cutoff_convergence().passed
-    starved = ver.check_cutoff_convergence(alpha=0.7, cutoff=4)
+    starved = ver.check_cutoff_convergence(cutoff=4)
     assert not starved.passed
 
 
-def test_loss_route_check_is_seeded_and_stable():
-    a = ver.check_loss_routes_agree(cutoff=5, n_states=10, seed=123)
-    b = ver.check_loss_routes_agree(cutoff=5, n_states=10, seed=123)
-    assert a.passed and b.passed
-    assert a.measured == b.measured
+# mutants of the functions the pipelines call, each built around the real one
+
+
+def _drop_branch_sign(real):
+    def pair(alpha, c, tau):
+        P = real(alpha, c, tau)
+        P[1] *= ((-1.0) ** np.arange(c + 1))[:, None]  # cancels the (-1)^m of the |1> branch
+        return P
+    return pair
+
+
+def _swap_kept_and_lost(real):
+    def pair(tau):
+        P = real(tau)
+        P[0, 1, 0], P[0, 0, 1] = P[0, 0, 1], P[0, 1, 0]
+        return P
+    return pair
+
+
+def _drop_no_click_on_both(real):
+    def vacuum_test(d, beta):
+        M = real(d, beta)
+        M[0, 0] -= math.exp(-beta * beta)  # the e^{-beta²}|0><0| term
+        return M
+    return vacuum_test
+
+
+@pytest.mark.parametrize("name,mutate,run,check", [
+    ("_lossy_hybrid_pair", _drop_branch_sign, lambda: he_swap_spd(0.5, 0.6), ver.check_loss_routes_agree),
+    ("_lossy_dv_pair", _swap_kept_and_lost, lambda: dv_swap(0.6), ver.check_loss_routes_agree),
+    ("_vacuum_test", _drop_no_click_on_both, lambda: he_swap_homodyne(0.5, 0.6), ver.check_property_suite),
+], ids=["hybrid-pair-sign", "dv-pair-kept-lost", "vacuum-test-both-off"])
+def test_verify_line_fails_when_a_pipeline_function_breaks(monkeypatch, name, mutate, run, check):
+    """A fault in what the pipelines call must turn the verify line that checks it to FAIL."""
+    assert check().passed
+    monkeypatch.setattr(protocols, name, mutate(getattr(protocols, name)))
+    res = run()
+    ref = closed_form(res.scheme, 0.5, 0.6)
+    assert abs(res.total_success_probability - ref.p) + abs(res.averaged_negativity - ref.E) > 1e-3  # a real fault
+    assert not check().passed
 
 
 def test_cheap_checks_pass_individually():

@@ -152,6 +152,34 @@ def test_coherent_requires_bosonic_mode():
         make_coherent(reg, "A", 0.3)
 
 
+def _cat(reg, mode, alpha, sign):
+    """N(|b> + sign |-b>), b = sqrt(2) alpha, from two coherent states as the demos build it."""
+    b = math.sqrt(2.0) * alpha
+    v = make_coherent(reg, mode, b).amplitudes + sign * make_coherent(reg, mode, -b).amplitudes
+    y = 2.0 * b * b
+    return v / math.sqrt(2.0 + 2.0 * math.exp(-y) if sign > 0 else -2.0 * math.expm1(-y))
+
+
+def test_cat_parity_structure():
+    # the branches cancel exactly only if make_coherent(-b) is (-1)^n make_coherent(b) bit for bit
+    reg = ModeRegister((("X", bosonic(20)),))
+    even = _cat(reg, "X", 0.5, 1.0)
+    odd = _cat(reg, "X", 0.5, -1.0)
+    assert np.abs(even[1::2]).max() == 0.0  # exactly, not approximately
+    assert np.abs(odd[0::2]).max() == 0.0
+    assert abs(np.vdot(even, even).real - 1.0) < 1e-14
+    assert abs(np.vdot(odd, odd).real - 1.0) < 1e-14
+
+
+def test_odd_cat_survives_small_amplitude():
+    """The 2 - 2 e^{-y} normalization must not cancel catastrophically."""
+    reg = ModeRegister((("X", bosonic(6)),))
+    odd = _cat(reg, "X", 1e-4, -1.0)
+    assert abs(np.vdot(odd, odd).real - 1.0) < 1e-12
+    # an infinitesimal odd cat is the single-photon state
+    assert abs(abs(odd[1]) - 1.0) < 1e-7
+
+
 def test_hybrid_pair_reduced_qubit_coherence():
     # tracing the bosonic half leaves I/2 + (e^{-2 a^2}/2) sigma_x
     alpha = 0.5

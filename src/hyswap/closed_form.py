@@ -33,8 +33,12 @@ def _check_range(value: float, name: str) -> float:
     return v
 
 
+def _finite_alpha(alpha: float) -> bool:
+    return math.isfinite(alpha * alpha)  # |alpha|² overflows from about 1.3e154
+
+
 def _check_alpha(alpha: float) -> float:
-    if not math.isfinite((alpha := float(alpha)) * alpha):  # |alpha|² overflows from about 1.3e154
+    if not _finite_alpha(alpha := float(alpha)):
         raise ValueError(f"alpha must be finite, with |alpha|^2 finite too, got {alpha!r}")
     return alpha
 

@@ -44,10 +44,10 @@ alpha, and |±eps> = c+ |even> ± c- |odd> over the orthonormal even and
 odd parts of |eps>, c± = sqrt((1 ± e^{-2 eps²})/2).  So P[a, m, i] holds
 E in that two-state basis and only the traveling mode is cut; the dv
 pair is three numbers.  Any phase the splitter dilation puts on E is
-removed by every trace over E.  The homodyne herald contracts all four
-pairs (i, j) of environment states, exactly.  The counting herald reads
-only levels 0 and 1 of B and D, so its pairs hold only those two levels:
-it is exact, and costs the same, at every cutoff.
+removed by every trace over E.  The homodyne herald reads the hybrid P
+as the product amp[a, m] env[a, i] it is, exactly.  The counting herald
+reads only levels 0 and 1 of B and D, so its pairs hold only those two
+levels: it is exact, and costs the same, at every cutoff.
 Every splitter acts block by block in total photon number, from the
 blocks ``optics`` caches.  Detector inefficiency T' enters as the
 substitution T -> T * T' (loss commutes with the balanced midpoint
@@ -152,16 +152,16 @@ def _resolve_cutoff(cutoff: int | None) -> int:
     return c
 
 
-def _lossy_hybrid_pair(alpha: float, c: int, tau: float) -> np.ndarray:
-    """The hybrid pair after a loss tau as P[a, m, i]: B cut at c, E in its two-state basis.
+def _lossy_hybrid_pair(alpha: float, c: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """The hybrid pair after a loss tau as its factors (amp, env): P[a, m, i] = amp[a, m] env[a, i].
 
-    P[0, m] = amp[m] (c+, c-) / sqrt(2) and P[1, m] = (-1)^m amp[m] (c+, -c-) / sqrt(2), with
-    amp the amplitudes of |sqrt(tau) alpha> and c± those of |±eps> on |even>, |odd>.
+    amp[0] is |sqrt(tau) alpha> on B cut at c and amp[1] = (-1)^m amp[0]; env[0] = (c+, c-) / sqrt(2)
+    and env[1] = (c+, -c-) / sqrt(2), c± those of |±eps> on |even>, |odd>.  P is their einsum.
     """
     x = 2.0 * (1.0 - tau) * alpha * alpha  # 2 eps²
     env = np.array([math.sqrt(0.5 + 0.5 * math.exp(-x)), math.sqrt(-0.5 * math.expm1(-x))]) / math.sqrt(2.0)
     amp = _coherent_amplitudes(math.sqrt(tau) * alpha, c)
-    return np.stack([np.outer(amp, env), np.outer(amp * (-1.0) ** np.arange(c + 1), env * [1.0, -1.0])])
+    return np.stack([amp, amp * (-1.0) ** np.arange(c + 1)]), np.stack([env, env * [1.0, -1.0]])
 
 
 def _lossy_dv_pair(tau: float) -> np.ndarray:
@@ -188,10 +188,10 @@ def _run_swap(scheme: str, alpha: float | None, T: float, T_prime: float,
               cutoff: int | None, pair, herald) -> SwapResult:
     """The part every scheme shares: checks, lossy pair, herald, totals.
 
-    ``pair(cutoff, tau)`` is the lossy pair P[a, m, i] both parties hold,
-    over (local, traveling, loss environment).  ``herald(P, tau)``
-    returns the accepted outcomes as ``(label, unnormalized A-C matrix)``
-    pairs.
+    ``pair(cutoff, tau)`` is the lossy pair both parties hold, as P[a, m,
+    i] over (local, traveling, loss environment) or as he-ho's factors of
+    it.  ``herald(pair, tau)`` returns the accepted outcomes as ``(label,
+    unnormalized A-C matrix)`` pairs.
     """
     T = _check_range(T, "T")
     T_prime = _check_range(T_prime, "T_prime")
@@ -241,7 +241,8 @@ def he_swap_spd(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None
     those alone and the cutoff changes neither the result nor the cost.
     """
     alpha = _check_alpha(alpha)
-    return _run_swap("he_spd", alpha, T, T_prime, cutoff, lambda c, tau: _lossy_hybrid_pair(alpha, 1, tau), _count_herald)
+    return _run_swap("he_spd", alpha, T, T_prime, cutoff,
+                     lambda c, tau: np.einsum("am,ai->ami", *_lossy_hybrid_pair(alpha, 1, tau)), _count_herald)
 
 
 def _feed_forward_phase(alpha: float, T: float, x: float) -> float:
@@ -320,35 +321,33 @@ def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int |
     gate success.  The single reported outcome carries the
     quadrature-averaged corrected state, integrated exactly.
 
-    Loss is applied per pair, and the 4 pairs of loss-environment states
-    are contracted, 4 d^2 amplitudes each (the module docstring gives the
-    pair in closed form).  A pair whose kept weight is at most 1e-15
-    raises ``ValueError``: the cutoff is starved.  The ancilla never enters:
-    splitter, both clicks and the trace over it act on B as the d x d
-    M = <beta| U† (P_B>=1 ⊗ P_E>=1) U |beta>, in closed form.  The
-    midpoint splitter acts on (B, D) block by block in total photon
-    number, once on all four pairs, giving Y.  The quadrature integral is
-    one matrix G = X(M Y) X(Y)† of the (A, C, D | pair, B) matrices X,
+    Each lossy pair is a product amp[a, m] env[a, i], so only the four
+    B ⊗ D states Phi_ac = S(amp_a ⊗ amp_c) exist, S the midpoint splitter,
+    and loss enters as the 2 x 2 environment Gram W = env env^T.  A pair
+    whose kept weight is at most 1e-15 raises ``ValueError``: the cutoff
+    is starved.  The ancilla never enters: splitter, both clicks and the
+    trace over it act on B as the d x d M = <beta| U† (P_B>=1 ⊗ P_E>=1)
+    U |beta>, in closed form.  The quadrature integral is one (4d x d)
+    (d x 4d) matrix H = (M Phi)^T Phi* of the (B | D, A, C) matrix Phi,
     contracted with K_0 = I for equal C bits, K_1 = D(-g/sqrt(2)) for C
-    bits (1, 0) and K_{-1} = K_1^T for (0, 1).
+    bits (1, 0) and K_{-1} = K_1^T for (0, 1), and weighted by W ⊗ W.
     """
     alpha = _check_alpha(alpha)
 
-    def herald(P: np.ndarray, tau: float) -> list[tuple[str, np.ndarray]]:
-        d = P.shape[1]
-        if np.vdot(P, P).real <= _PROB_FLOOR:  # the cutoff keeps (almost) none of the pair
+    def herald(pair: tuple[np.ndarray, np.ndarray], tau: float) -> list[tuple[str, np.ndarray]]:
+        amp, env = pair
+        d = amp.shape[1]
+        if np.vdot(amp[0], amp[0]).real <= _PROB_FLOOR:  # the cutoff keeps (almost) none of the pair
             raise ValueError(f"the pair at alpha = {alpha!r} has no amplitude at or below cutoff {d - 1}")
-        Q = P.transpose(2, 0, 1)  # [loss environment state, A, B]
         M = _vacuum_test(d, math.sqrt(2.0 * tau) * alpha)
         K1 = _displacement(-_feed_forward_phase(alpha, tau, 1.0) / math.sqrt(2.0), d)
         cbit = np.arange(4) % 2
         K = np.stack([K1.T, np.eye(d), K1])[cbit[:, None] - cbit[None, :] + 1]
-        # (B, D, pair, A, C) through the midpoint splitter, handed over as a temporary it can free
-        Y = bs_on_axes(np.einsum("iab,jcd->bdijac", Q, Q), (0, 1), FIFTY_FIFTY).reshape(d, -1)
-        # both clicks as M on B; M Y and Y each as the (A, C, D | pair, B) matrix X
-        Z, Y = (a.reshape(d, d, 4, 4).transpose(3, 1, 2, 0).reshape(4 * d, -1) for a in (M @ Y, Y))
-        G = (Z @ Y.conj().T).reshape(4, d, 4, d)
-        return [("click_click", np.einsum("anbm,abnm->ab", G, K))]
+        # (B | D, A, C) through the midpoint splitter, handed over as a temporary it can free
+        Phi = bs_on_axes(np.einsum("am,cn->mnac", amp, amp), (0, 1), FIFTY_FIFTY).reshape(d, -1)
+        H = ((M @ Phi).T @ Phi.conj()).reshape(d, 4, d, 4)  # both clicks as M on B
+        W = env @ env.T
+        return [("click_click", np.kron(W, W) * np.einsum("nakb,abnk->ab", H, K))]
 
     return _run_swap("he_ho", alpha, T, T_prime, cutoff, partial(_lossy_hybrid_pair, alpha), herald)
 
@@ -404,10 +403,7 @@ def cv_bsm_failure_prob(alpha: float, cutoff: int | None = None) -> float:
                    make_coherent(ModeRegister(reg.modes[1:]), "m2", s * a2))
             for s in (1, -1)
         )
-        if sign > 0:
-            norm = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-y))
-        else:
-            norm = 1.0 / math.sqrt(-2.0 * math.expm1(-y))
+        norm = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-y) if sign > 0 else -2.0 * math.expm1(-y))
         return StateVector(reg, norm * (b1.amplitudes + sign * b2.amplitudes))
 
     total = 0.0

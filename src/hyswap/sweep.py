@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .closed_form import SCHEMES, closed_form
+from .closed_form import SCHEMES, _finite_alpha, closed_form
 from .protocols import (
     default_cutoff,
     dv_swap,
@@ -160,7 +160,7 @@ def parse_config(path: str) -> SweepConfig:
         ("schemes", bool(cfg.schemes), "must not be empty"),
         ("alpha_values", bool(cfg.alpha_values), "must not be empty"),
         ("T_values", bool(cfg.T_values), "must not be empty"),
-        ("alpha_values", all(math.isfinite(a * a) for a in cfg.alpha_values), "must be finite, with |alpha|^2 finite too"),
+        ("alpha_values", all(map(_finite_alpha, cfg.alpha_values)), "must be finite, with |alpha|^2 finite too"),
         ("T_values", all(0.0 <= t <= 1.0 for t in cfg.T_values), "must lie in [0, 1]"),
         ("T_prime", 0.0 <= cfg.T_prime <= 1.0, "must lie in [0, 1]"),
         ("cutoff", cfg.cutoff >= 2, "must be >= 2"),

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .closed_form import closed_form, dv_loss_limit
 from .fock import (
     DensityOperator,
     ModeRegister,
+    StateVector,
     bosonic,
     fidelity,
     make_coherent,
@@ -98,14 +98,10 @@ def check_closed_form_grid() -> CriterionResult:
         for loss in np.arange(0.0, 0.91, 0.1):
             T = 1.0 - float(loss)
             for tp in (0.7, 1.0):
-                ref = closed_form("dv", alpha, T, tp)
-                sim = dv_swap(T, tp, 12)
-                worst_p = max(worst_p, abs(sim.total_success_probability - ref.p))
-                worst_e = max(worst_e, abs(sim.averaged_negativity - ref.E))
-                ref = closed_form("he_spd", alpha, T, tp)
-                sim = he_swap_spd(alpha, T, tp, 12)
-                worst_p = max(worst_p, abs(sim.total_success_probability - ref.p))
-                worst_e = max(worst_e, abs(sim.averaged_negativity - ref.E))
+                for sim in (dv_swap(T, tp, 12), he_swap_spd(alpha, T, tp, 12)):
+                    ref = closed_form(sim.scheme, alpha, T, tp)
+                    worst_p = max(worst_p, abs(sim.total_success_probability - ref.p))
+                    worst_e = max(worst_e, abs(sim.averaged_negativity - ref.E))
     elapsed = time.perf_counter() - t0
     ok = worst_p <= 1e-6 and worst_e <= 1e-6 and elapsed < 60.0
     return _result(
@@ -230,7 +226,8 @@ def check_loss_routes_agree() -> CriterionResult:
     sum_i P[:, :, i] P[:, :, i]† of the pair ``protocols`` builds in closed form.
     """
     reg = ModeRegister((("A", qubit()), ("B", bosonic(16))))
-    cases = [(make_hybrid_pair(reg, "A", "B", a), partial(protocols._lossy_hybrid_pair, a, 8)) for a in (0.5, 0.8)]
+    hybrid = lambda a: lambda tau: np.einsum("am,ai->ami", *protocols._lossy_hybrid_pair(a, 8, tau))  # P from factors
+    cases = [(make_hybrid_pair(reg, "A", "B", a), hybrid(a)) for a in (0.5, 0.8)]
     cases.append((make_vsp_bell(reg, "A", "B", "phi+"), protocols._lossy_dv_pair))
     worst = {"Kraus": 0.0, "dilation": 0.0}
     for psi, pair in cases:
@@ -363,8 +360,8 @@ def check_cutoff_convergence(cutoff: int = 10) -> CriterionResult:
 
 
 def _pair_negativity(alpha: float, cutoff: int) -> float:
-    reg = ModeRegister((("A", qubit()), ("B", bosonic(cutoff))))
-    pair = make_hybrid_pair(reg, "A", "B", alpha)
+    amp, _ = protocols._lossy_hybrid_pair(alpha, cutoff, 1.0)  # no loss: env = (1, 0) / sqrt(2)
+    pair = StateVector(ModeRegister((("A", qubit()), ("B", bosonic(cutoff)))), amp.ravel() / math.sqrt(2.0))
     return negativity(reduced_density(pair, ["A", "B"]), ["B"]).value
 
 

@@ -1,9 +1,12 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and every
+module-level private name has a reader somewhere in the package.
 
 No linter ships with the package's dependencies, so this walks each
 module's syntax tree with the standard library.  ``__init__.py`` is
-exempt (its imports are the public re-exports), and so is any import on
-a line marked ``# noqa: F401``.
+exempt from the import rule (its imports are the public re-exports), and
+so is any import on a line marked ``# noqa: F401``.  A private name
+(``_x``) defined at module level counts as read when some module of the
+package loads it by name or as an attribute; tests do not count.
 """
 
 import ast
@@ -36,3 +39,42 @@ def test_package_modules_use_every_import():
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _defined_private(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            for leaf in ast.walk(target):
+                if isinstance(leaf, ast.Name):
+                    names[leaf.id] = node.lineno
+    return {n: line for n, line in names.items() if n.startswith("_") and not n.startswith("__")}
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set().union(*(_read_names(tree) for tree in trees.values()))
+    return [f"{name} line {line}: {private}" for name, tree in sorted(trees.items())
+            for private, line in sorted(_defined_private(tree).items()) if private not in read]
+
+
+def test_unread_private_names_are_found():
+    sources = {
+        "a.py": "_LIMIT = 3\n_x, _y = 1, 2\n__all__ = []\ndef _used(): return _LIMIT\ndef _dead(): pass\nclass _Gone: pass\n",
+        "b.py": "from . import a\nprint(a._used(), _x)\n",
+    }
+    assert unread_private_names(sources) == ["a.py line 6: _Gone", "a.py line 5: _dead", "a.py line 2: _y"]
+
+
+def test_package_private_names_are_read():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert sources
+    assert unread_private_names(sources) == []

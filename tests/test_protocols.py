@@ -537,12 +537,14 @@ def test_he_spd_cost_does_not_grow_with_the_cutoff():
 
 @pytest.mark.parametrize("alpha,tau,c", [(0.0, 0.5, 2), (0.3, 1.0, 4), (0.7, 0.0, 6), (1.5, 0.72, 3), (1.5, 0.35, 12)])
 def test_lossy_hybrid_pair_matches_the_loss_splitter(alpha, tau, c):
-    """P traced over its two-state environment is the pair's (A, B) state through an explicit
-    loss splitter, B then kept at levels <= c: every trace over E sees only that."""
+    """P, formed from its factors, traced over its two-state environment is the pair's (A, B)
+    state through an explicit loss splitter, B then kept at levels <= c: every trace over E
+    sees only that."""
     from hyswap.protocols import _lossy_hybrid_pair
 
-    P = _lossy_hybrid_pair(alpha, c, tau)
-    assert P.shape == (2, c + 1, 2)
+    amp, env = _lossy_hybrid_pair(alpha, c, tau)
+    assert amp.shape == (2, c + 1) and env.shape == (2, 2)
+    P = np.einsum("am,ai->ami", amp, env)
     ref = _lossy_party(lambda reg, q, t: make_hybrid_pair(reg, q, t, alpha), "A", "B", "E", c, tau, pad=60)
     R = ref.tensor_view()
     rho, rho_ref = np.einsum("ami,bni->ambn", P, P.conj()), np.einsum("ame,bne->ambn", R, R.conj())
@@ -564,13 +566,14 @@ def test_lossy_dv_pair_matches_the_loss_splitter(tau):
 
 @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0 - 1e-12, 1.0])
 def test_lossy_hybrid_pair_environment_keeps_its_digits(tau):
-    """P[0, 0, i] = e^{-tau alpha²/2} c± / sqrt(2) against 50 digits.  c- = sqrt((1 - e^{-2 eps²})/2)
-    vanishes as tau -> 1; with the 1 cancelled it lost 3e-6 of itself at 1 - tau = 1e-12."""
+    """P[0, 0, i] = e^{-tau alpha²/2} c± / sqrt(2) against 50 digits, P formed from its factors.
+    c- = sqrt((1 - e^{-2 eps²})/2) vanishes as tau -> 1; with the 1 cancelled it lost 3e-6 of
+    itself at 1 - tau = 1e-12."""
     mpmath = pytest.importorskip("mpmath")
     from hyswap.protocols import _lossy_hybrid_pair
 
     alpha = 0.6
-    got = _lossy_hybrid_pair(alpha, 4, tau)[0, 0]
+    got = np.einsum("am,ai->ami", *_lossy_hybrid_pair(alpha, 4, tau))[0, 0]
     with mpmath.workdps(50):
         a, t = mpmath.mpf(alpha), mpmath.mpf(tau)
         x = 2 * (1 - t) * a * a  # 2 eps²
@@ -663,6 +666,14 @@ def test_he_ho_warm_point_builds_no_vacuum_test_columns(cutoff, mib):
     clicked amplitudes with its QR copy at 32 MiB at cutoff 100."""
     he_swap_homodyne(0.3, 0.5, 1.0, cutoff)
     assert _traced_peak(lambda: he_swap_homodyne(0.3, 0.5, 1.0, cutoff)) < mib * 2**20
+
+
+def test_he_ho_herald_holds_no_environment_pair_axis():
+    """The pair is a product amp[a, m] env[a, i], so the herald sends four (B | D, A, C) states
+    through the splitter and weighs them with a 2 x 2 environment Gram.  Sixteen (environment
+    pair x A-C) columns of d² amplitudes, with their (4d x 4d) Gram, peaked at 13.8 MiB here."""
+    he_swap_homodyne(0.3, 0.5, 1.0, 100)
+    assert _traced_peak(lambda: he_swap_homodyne(0.3, 0.5, 1.0, 100)) < 8 * 2**20
 
 
 @pytest.mark.parametrize("d", list(range(2, 18)) + [33])

@@ -414,6 +414,7 @@ def test_cli_point_reports_a_pair_with_no_amplitude_below_the_cutoff():
 
 BAD_SWEEP_VALUES = [
     ("alpha_values = 0.3, nan\nT_values = 1.0\n", "alpha_values"),
+    ("alpha_values = 0.3, 1e200\nT_values = 1.0\n", "alpha_values"),  # |alpha|² overflows
     ("alpha_values = 0.3\nT_values = 1.0, 1.5\n", "T_values"),
     ("alpha_values = 0.3\nT_values = -0.1\n", "T_values"),
     ("alpha_values = 0.3\none_minus_T_range = 0:1.5:0.5\n", "T_values"),

@@ -37,9 +37,9 @@ def test_cutoff_convergence_check_flags_starved_cutoff():
 
 def _drop_branch_sign(real):
     def pair(alpha, c, tau):
-        P = real(alpha, c, tau)
-        P[1] *= ((-1.0) ** np.arange(c + 1))[:, None]  # cancels the (-1)^m of the |1> branch
-        return P
+        amp, env = real(alpha, c, tau)
+        amp[1] *= (-1.0) ** np.arange(c + 1)  # cancels the (-1)^m of the |1> branch
+        return amp, env
     return pair
 
 
@@ -61,9 +61,10 @@ def _drop_no_click_on_both(real):
 
 @pytest.mark.parametrize("name,mutate,run,check", [
     ("_lossy_hybrid_pair", _drop_branch_sign, lambda: he_swap_spd(0.5, 0.6), ver.check_loss_routes_agree),
+    ("_lossy_hybrid_pair", _drop_branch_sign, lambda: he_swap_homodyne(0.5, 0.6), ver.check_loss_routes_agree),
     ("_lossy_dv_pair", _swap_kept_and_lost, lambda: dv_swap(0.6), ver.check_loss_routes_agree),
     ("_vacuum_test", _drop_no_click_on_both, lambda: he_swap_homodyne(0.5, 0.6), ver.check_property_suite),
-], ids=["hybrid-pair-sign", "dv-pair-kept-lost", "vacuum-test-both-off"])
+], ids=["hybrid-pair-sign", "hybrid-pair-sign-homodyne", "dv-pair-kept-lost", "vacuum-test-both-off"])
 def test_verify_line_fails_when_a_pipeline_function_breaks(monkeypatch, name, mutate, run, check):
     """A fault in what the pipelines call must turn the verify line that checks it to FAIL."""
     assert check().passed

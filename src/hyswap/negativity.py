@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator
+from .fock import DensityOperator, ModeRegister
 
 __all__ = ["NegativityReport", "partial_transpose", "negativity"]
 
@@ -26,13 +26,12 @@ class NegativityReport:
     trace_factor: float
 
 
-def partial_transpose(rho: DensityOperator, transpose_modes: list[str]) -> DensityOperator:
-    """Transpose the listed modes only.
+def _partial_transpose_stack(mats: np.ndarray, reg: ModeRegister, transpose_modes: list[str]) -> np.ndarray:
+    """Transpose the listed modes of every matrix of a (k, d, d) stack over ``reg``.
 
     Transposing none or all of the modes is refused: both are global
     (trivial) operations that signal a caller bug in a bipartite split.
     """
-    reg = rho.register
     names = reg.names
     tset = set(transpose_modes)
     for nm in tset:
@@ -41,14 +40,40 @@ def partial_transpose(rho: DensityOperator, transpose_modes: list[str]) -> Densi
     if not tset or tset == set(names):
         raise ValueError("partial transpose needs a proper subset of modes")
     n = len(names)
-    dims = reg.dims
-    t = rho.matrix.reshape(dims + dims)
-    perm = list(range(2 * n))
-    for i, nm in enumerate(names):
+    perm = list(range(2 * n + 1))  # axis 0 runs over the stack
+    for i, nm in enumerate(names, 1):
         if nm in tset:
             perm[i], perm[n + i] = perm[n + i], perm[i]
-    d = reg.dim
-    return DensityOperator(reg, np.transpose(t, perm).reshape(d, d))
+    return mats.reshape((len(mats),) + reg.dims * 2).transpose(perm).reshape(mats.shape)
+
+
+def partial_transpose(rho: DensityOperator, transpose_modes: list[str]) -> DensityOperator:
+    """Transpose the listed modes only (a proper, nonempty subset)."""
+    return DensityOperator(rho.register, _partial_transpose_stack(rho.matrix[None], rho.register, transpose_modes)[0])
+
+
+def _negativity_stack(mats: np.ndarray, reg: ModeRegister, transpose_modes: list[str]) -> list[NegativityReport]:
+    """``negativity`` of each matrix of a C-contiguous (k, d, d) stack over ``reg``, one eigen-solve for all.
+
+    Each matrix takes the elementwise steps it would take alone, so its
+    report is bit-identical to a single call's; the Hermiticity error
+    names the stack's worst defect.  The partial transpose of rho + rho†
+    is pt + pt†, so the sum is transposed once.
+    """
+    herm = mats.conj().transpose(0, 2, 1)
+    defect = float(np.abs(mats - herm).max(initial=0.0))
+    if defect > 1e-8:
+        raise ValueError(f"density operator is not Hermitian (defect {defect:.3g})")
+    tr = mats.trace(axis1=1, axis2=2).real
+    factors = tr.tolist()
+    if any(abs(t) < 1e-290 for t in factors):
+        raise ValueError("density operator has vanishing trace")
+    sym = _partial_transpose_stack(mats + herm, reg, transpose_modes) / (2.0 * tr)[:, None, None]
+    reports = []
+    for eigs, factor in zip(np.linalg.eigvalsh(sym).tolist(), factors):
+        negatives = tuple(e for e in eigs if e < -1e-12)
+        reports.append(NegativityReport(-2.0 * sum(negatives), negatives, factor))
+    return reports
 
 
 def negativity(rho: DensityOperator, transpose_modes: list[str]) -> NegativityReport:
@@ -57,19 +82,8 @@ def negativity(rho: DensityOperator, transpose_modes: list[str]) -> NegativityRe
     The eigenvalues are those of the symmetrized partial transpose
     divided by the input's trace (post-selected states arrive with their
     outcome probability in the trace); the factor is reported.
-    Eigenvalues at or above -1e-12 are treated as numerical zeros.
+    Eigenvalues at or above -1e-12 are treated as numerical zeros.  This
+    is ``_negativity_stack``, the kernel the swap runner calls once per
+    point on all its outcomes, on a stack of one.
     """
-    defect = rho.hermiticity_defect()
-    if defect > 1e-8:
-        raise ValueError(f"density operator is not Hermitian (defect {defect:.3g})")
-    tr = rho.trace()
-    if abs(tr) < 1e-290:
-        raise ValueError("density operator has vanishing trace")
-    pt = partial_transpose(rho, transpose_modes).matrix
-    eigs = np.linalg.eigvalsh((pt + pt.conj().T) / (2.0 * tr))
-    negatives = tuple(eigs[eigs < -1e-12].tolist())
-    return NegativityReport(
-        value=-2.0 * sum(negatives),
-        negative_eigenvalues=negatives,
-        trace_factor=tr,
-    )
+    return _negativity_stack(np.ascontiguousarray(rho.matrix)[None], rho.register, transpose_modes)[0]

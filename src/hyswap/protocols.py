@@ -9,10 +9,10 @@ protocol output.
 The three schemes differ only in the resource pair and the herald, the
 midpoint measurement.  One private runner does the rest: it validates
 T, T' and the cutoff, forms tau = T * T', builds the lossy pair and
-sums the herald's outcomes, unnormalized A-C matrices whose trace is the
-probability, into a ``SwapResult``.  Each outcome at or below
-``_PROB_FLOOR`` carries the zero state; any other gets its normalized
-state and negativity.
+sums the herald's outcomes, a stack of unnormalized A-C matrices whose
+traces are the probabilities, into a ``SwapResult``.  Outcomes at or
+below ``_PROB_FLOOR`` carry the zero state; the others are normalized
+and scored together, one negativity eigen-solve per point.
 
 * ``dv_swap``: vacuum/single-photon Bell pairs, counting herald.
 * ``he_swap_spd``: hybrid qubit/coherent pairs, counting herald.
@@ -75,7 +75,7 @@ from .fock import (
     tensor,
     _coherent_amplitudes,
 )
-from .negativity import negativity
+from .negativity import _negativity_stack
 from .optics import (
     FIFTY_FIFTY,
     apply_bs,
@@ -84,6 +84,7 @@ from .optics import (
 # imported but never called here: perfbench's WRAPPED names them all, and its tests need them bound
 from .fock import make_fock, make_hybrid_pair, make_vsp_bell  # noqa: F401
 from .optics import homodyne_grid, measure_and_reduce, quadrature_amplitudes  # noqa: F401
+from .negativity import negativity  # noqa: F401
 
 __all__ = [
     "DEFAULT_CUTOFF",
@@ -159,9 +160,11 @@ def _lossy_hybrid_pair(alpha: float, c: int, tau: float) -> tuple[np.ndarray, np
     and env[1] = (c+, -c-) / sqrt(2), c± those of |±eps> on |even>, |odd>.  P is their einsum.
     """
     x = 2.0 * (1.0 - tau) * alpha * alpha  # 2 eps²
-    env = np.array([math.sqrt(0.5 + 0.5 * math.exp(-x)), math.sqrt(-0.5 * math.expm1(-x))]) / math.sqrt(2.0)
-    amp = _coherent_amplitudes(math.sqrt(tau) * alpha, c)
-    return np.stack([amp, amp * (-1.0) ** np.arange(c + 1)]), np.stack([env, env * [1.0, -1.0]])
+    cp, cm = math.sqrt(0.5 + 0.5 * math.exp(-x)), math.sqrt(-0.5 * math.expm1(-x))
+    amp = np.empty((2, c + 1))
+    amp[0] = _coherent_amplitudes(math.sqrt(tau) * alpha, c).real
+    np.multiply(amp[0], (-1.0) ** np.arange(c + 1), out=amp[1])
+    return amp, np.array([[cp, cm], [cp, -cm]]) / math.sqrt(2.0)
 
 
 def _lossy_dv_pair(tau: float) -> np.ndarray:
@@ -171,40 +174,37 @@ def _lossy_dv_pair(tau: float) -> np.ndarray:
     return P
 
 
-def _outcome(label: str, rho: np.ndarray) -> SwapOutcome:
-    """One accepted outcome from its unnormalized A-C matrix, whose trace is p.
-
-    At or below ``_PROB_FLOOR`` the outcome is unreachable: it gets
-    probability 0, the zero state and negativity 0.
-    """
-    prob = float(np.trace(rho).real)
-    if prob <= _PROB_FLOOR:
-        return SwapOutcome(label, 0.0, DensityOperator(_AC_REGISTER, np.zeros((4, 4))), 0.0)
-    state = DensityOperator(_AC_REGISTER, rho / prob)
-    return SwapOutcome(label, prob, state, negativity(state, ["C"]).value)
-
-
 def _run_swap(scheme: str, alpha: float | None, T: float, T_prime: float,
               cutoff: int | None, pair, herald) -> SwapResult:
     """The part every scheme shares: checks, lossy pair, herald, totals.
 
     ``pair(cutoff, tau)`` is the lossy pair both parties hold, as P[a, m,
     i] over (local, traveling, loss environment) or as he-ho's factors of
-    it.  ``herald(pair, tau)`` returns the accepted outcomes as ``(label,
-    unnormalized A-C matrix)`` pairs.
+    it.  ``herald(pair, tau)`` returns the accepted outcomes as ``(labels,
+    rhos)``, rhos a C-contiguous (k, 4, 4) stack of unnormalized A-C
+    matrices whose traces are the probabilities.  Those at or below
+    ``_PROB_FLOOR`` get probability 0, the zero state and negativity 0.
     """
     T = _check_range(T, "T")
     T_prime = _check_range(T_prime, "T_prime")
     cutoff = _resolve_cutoff(cutoff)
     tau = T * T_prime
-    outcomes = [_outcome(label, rho) for label, rho in herald(pair(cutoff, tau), tau)]
+    labels, rhos = herald(pair(cutoff, tau), tau)
+    probs = rhos.trace(axis1=1, axis2=2).real
+    live = probs > _PROB_FLOOR
+    states = rhos[live] / probs[live, None, None]
+    scored = zip(states, [r.value for r in _negativity_stack(states, _AC_REGISTER, ["C"])])  # one eigen-solve
+    outcomes = []
+    for label, p, ok in zip(labels, probs.tolist(), live.tolist()):
+        rho, e = next(scored) if ok else (np.zeros((4, 4)), 0.0)
+        outcomes.append(SwapOutcome(label, p if ok else 0.0, DensityOperator(_AC_REGISTER, rho), e))
     total = sum(o.probability for o in outcomes)
     avg = sum(o.probability * o.negativity for o in outcomes) / total if total > _PROB_FLOOR else 0.0
     echo = {"scheme": scheme, "alpha": alpha, "T": T, "T_prime": T_prime, "cutoff": cutoff}
     return SwapResult(scheme, tuple(outcomes), total, avg, echo)
 
 
-def _count_herald(P: np.ndarray, tau: float) -> list[tuple[str, np.ndarray]]:
+def _count_herald(P: np.ndarray, tau: float) -> tuple[tuple[str, ...], np.ndarray]:
     """Photon counts (0, 1) and (1, 0) on (B, D), read off the lossy pair on B's levels 0 and 1.
 
     Row o of the splitter's one-photon block u (``_ONE_PHOTON``) maps the
@@ -214,7 +214,8 @@ def _count_herald(P: np.ndarray, tau: float) -> list[tuple[str, np.ndarray]]:
     g[m, n] = P[:, m] P[:, n]† traced over the loss environment.
     """
     g = np.einsum("amk,bnk->mnab", P, P.conj())
-    return list(zip(("01", "10"), np.einsum("omn,mnab,mncd->oacbd", _ONE_PHOTON_GRAM, g, g[::-1, ::-1]).reshape(2, 4, 4)))
+    G = np.einsum("omn,mnab,mncd->oacbd", _ONE_PHOTON_GRAM, g, g[::-1, ::-1])
+    return ("01", "10"), np.ascontiguousarray(G.reshape(2, 4, 4))  # a strided stack would trace in another order
 
 
 def dv_swap(T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapResult:
@@ -334,7 +335,7 @@ def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int |
     """
     alpha = _check_alpha(alpha)
 
-    def herald(pair: tuple[np.ndarray, np.ndarray], tau: float) -> list[tuple[str, np.ndarray]]:
+    def herald(pair: tuple[np.ndarray, np.ndarray], tau: float) -> tuple[tuple[str], np.ndarray]:
         amp, env = pair
         d = amp.shape[1]
         if np.vdot(amp[0], amp[0]).real <= _PROB_FLOOR:  # the cutoff keeps (almost) none of the pair
@@ -347,7 +348,7 @@ def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int |
         Phi = bs_on_axes(np.einsum("am,cn->mnac", amp, amp), (0, 1), FIFTY_FIFTY).reshape(d, -1)
         H = ((M @ Phi).T @ Phi.conj()).reshape(d, 4, d, 4)  # both clicks as M on B
         W = env @ env.T
-        return [("click_click", np.kron(W, W) * np.einsum("nakb,abnk->ab", H, K))]
+        return ("click_click",), (np.kron(W, W) * np.einsum("nakb,abnk->ab", H, K))[None]
 
     return _run_swap("he_ho", alpha, T, T_prime, cutoff, partial(_lossy_hybrid_pair, alpha), herald)
 

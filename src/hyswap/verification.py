@@ -94,14 +94,14 @@ def check_dv_loss_limit() -> CriterionResult:
 def check_closed_form_grid() -> CriterionResult:
     t0 = time.perf_counter()
     worst_p = worst_e = 0.0
-    for alpha in (0.3, 0.5, 0.7):
-        for loss in np.arange(0.0, 0.91, 0.1):
-            T = 1.0 - float(loss)
-            for tp in (0.7, 1.0):
-                for sim in (dv_swap(T, tp, 12), he_swap_spd(alpha, T, tp, 12)):
-                    ref = closed_form(sim.scheme, alpha, T, tp)
-                    worst_p = max(worst_p, abs(sim.total_success_probability - ref.p))
-                    worst_e = max(worst_e, abs(sim.averaged_negativity - ref.E))
+    for loss in np.arange(0.0, 0.91, 0.1):
+        T = 1.0 - float(loss)
+        for tp in (0.7, 1.0):
+            sims = [dv_swap(T, tp, 12)] + [he_swap_spd(alpha, T, tp, 12) for alpha in (0.3, 0.5, 0.7)]
+            for alpha, sim in zip((0.3, 0.3, 0.5, 0.7), sims):  # dv takes no alpha: once per (T, T')
+                ref = closed_form(sim.scheme, alpha, T, tp)
+                worst_p = max(worst_p, abs(sim.total_success_probability - ref.p))
+                worst_e = max(worst_e, abs(sim.averaged_negativity - ref.E))
     elapsed = time.perf_counter() - t0
     ok = worst_p <= 1e-6 and worst_e <= 1e-6 and elapsed < 60.0
     return _result(

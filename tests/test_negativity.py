@@ -6,6 +6,7 @@ import pytest
 from hyswap import (
     DensityOperator,
     ModeRegister,
+    NegativityReport,
     StateVector,
     bosonic,
     make_hybrid_pair,
@@ -118,6 +119,28 @@ def test_partial_transpose_over_either_half_gives_same_negativity():
     ea = negativity(rho, ["A"]).value
     ec = negativity(rho, ["C"]).value
     assert abs(ea - ec) < 1e-12
+
+
+def test_stacked_kernel_equals_the_one_matrix_formula():
+    """The kernel, alone or on a stack, gives bit for bit the single-matrix formula:
+    eigvalsh((pt + pt†) / (2 tr)) with eigenvalues below -1e-12 summed."""
+    from hyswap.negativity import _negativity_stack
+
+    rng = np.random.default_rng(41)
+    for reg, modes in ((qq_register(), ["C"]), (ModeRegister((("A", qubit()), ("B", bosonic(2)))), ["B"])):
+        d = reg.dim
+        m = rng.normal(size=(5, d, 2, 2)) @ np.array([1.0, 1.0j])  # rank 2: mostly entangled
+        rhos = m @ m.conj().transpose(0, 2, 1) * rng.uniform(0.1, 2.0, size=(5, 1, 1))  # unnormalized
+        expected = []
+        for rho in rhos:
+            pt = partial_transpose(DensityOperator(reg, rho), modes).matrix
+            tr = float(np.trace(rho).real)
+            eigs = np.linalg.eigvalsh((pt + pt.conj().T) / (2.0 * tr))
+            negatives = tuple(eigs[eigs < -1e-12].tolist())
+            expected.append(NegativityReport(-2.0 * sum(negatives), negatives, tr))
+            assert negativity(DensityOperator(reg, rho), modes) == expected[-1]
+        assert _negativity_stack(rhos, reg, modes) == expected
+        assert sum(r.value > 0.0 for r in expected) >= 3
 
 
 def test_partial_transpose_needs_proper_subset():

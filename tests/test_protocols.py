@@ -770,8 +770,8 @@ def test_he_spd_herald_holds_no_environment_amplitudes_at_cutoff_200():
 
 
 def test_counting_points_cross_the_traced_layers(monkeypatch):
-    """Each counting point calls negativity once per outcome, through the
-    module name a layer trace wraps."""
+    """Each counting point calls the negativity kernel once, on its whole
+    outcome stack, through the module name a layer trace wraps."""
     import hyswap.protocols as protocols
 
     calls = {}
@@ -785,12 +785,68 @@ def test_counting_points_cross_the_traced_layers(monkeypatch):
 
         monkeypatch.setattr(protocols, name, counted)
 
-    counting("negativity")
+    counting("_negativity_stack")
     he_swap_spd(0.8, 0.7, 0.9, 6)
-    assert calls == {"negativity": 2}
+    assert calls == {"_negativity_stack": 1}
     calls.clear()
     dv_swap(0.7, 0.9, 6)
-    assert calls == {"negativity": 2}
+    assert calls == {"_negativity_stack": 1}
+
+
+def test_each_point_runs_one_eigen_solve(monkeypatch):
+    """All outcomes of a point share one eigvalsh call: a per-outcome loop would make two."""
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: calls.append(a.shape) or real(a, *args, **kw))
+    for run, stack in ((lambda: dv_swap(0.7, 0.9, 6), (2, 4, 4)), (lambda: he_swap_spd(0.8, 0.7, 0.9, 6), (2, 4, 4)),
+                       (lambda: he_swap_homodyne(0.8, 0.7, 0.9, 8), (1, 4, 4))):
+        calls.clear()
+        run()
+        assert calls == [stack]
+
+
+@pytest.mark.parametrize("cutoff", [2, 8, 12])
+def test_stacked_outcomes_equal_one_matrix_at_a_time(monkeypatch, cutoff):
+    """Each outcome's probability, state and negativity are bit for bit those
+    of its herald matrix taken alone: trace, division, single negativity()."""
+    import hyswap.protocols as protocols
+    from hyswap.negativity import _negativity_stack
+
+    heralded = []
+    real_run = protocols._run_swap
+
+    def run_swap(scheme, alpha, T, T_prime, c, pair, herald):
+        def recorded(*args):
+            out = herald(*args)
+            heralded.append(out)
+            return out
+        return real_run(scheme, alpha, T, T_prime, c, pair, recorded)
+
+    monkeypatch.setattr(protocols, "_run_swap", run_swap)
+    ac = ModeRegister((("A", qubit()), ("C", qubit())))
+    dead = 0
+    for alpha in (0.0, 0.2, 0.5, 0.8):
+        for T in (0.0, 0.3, 0.77, 1.0):
+            for tp in (1.0, 0.6):
+                for run in (partial(dv_swap, T, tp, cutoff), partial(he_swap_spd, alpha, T, tp, cutoff),
+                            partial(he_swap_homodyne, alpha, T, tp, cutoff)):
+                    res = run()
+                    labels, rhos = heralded.pop()
+                    assert tuple(o.label for o in res.per_outcome) == labels
+                    for o, rho in zip(res.per_outcome, rhos):
+                        p = float(np.trace(rho).real)
+                        if p <= 1e-15:
+                            dead += 1
+                            assert o.probability == 0.0 and o.negativity == 0.0
+                            assert np.array_equal(o.post_state.matrix, np.zeros((4, 4)))
+                            continue
+                        assert o.probability == p
+                        assert np.array_equal(o.post_state.matrix, rho / p)
+                        assert o.negativity == negativity(DensityOperator(ac, rho / p), ["C"]).value
+    assert dead > 0
+    skew = np.stack([np.eye(4), np.diag([0.5, 0.5, 0, 0]) + np.triu(np.ones((4, 4)), 1) * 1e-6])
+    with pytest.raises(ValueError, match=r"density operator is not Hermitian \(defect 1e-06\)"):
+        _negativity_stack(skew.astype(complex), ac, ["C"])
 
 
 def test_pipelines_build_no_dense_splitter_or_kraus_stack(monkeypatch):

@@ -58,8 +58,10 @@ def _negativity_stack(mats: np.ndarray, reg: ModeRegister, transpose_modes: list
     Each matrix takes the elementwise steps it would take alone, so its
     report is bit-identical to a single call's; the Hermiticity error
     names the stack's worst defect.  The partial transpose of rho + rho†
-    is pt + pt†, so the sum is transposed once.
+    is pt + pt†, so the sum is transposed once.  A real stack is cast once
+    to complex128, the dtype ``DensityOperator`` gives a single matrix.
     """
+    mats = mats.astype(np.complex128, copy=False)
     herm = mats.conj().transpose(0, 2, 1)
     defect = float(np.abs(mats - herm).max(initial=0.0))
     if defect > 1e-8:

@@ -15,7 +15,9 @@ its total-number blocks, each exponentiated exactly; ``bs_on_axes``
 applies them to two axes of any array, and ``bs_unitary`` is a dense view
 for checks.  Blocks that fit under the cutoffs reproduce the
 infinite-space splitter exactly; edge blocks stay exactly unitary on the
-stored space, so no norm leaks through truncation.
+stored space, so no norm leaks through truncation.  At a real phase
+e^{i phi} = ±1, as at 50:50 and every ``from_transmission`` splitter, the
+blocks are real orthogonal and stored as float64.
 
 Photon loss with survival probability T is the amplitude-damping Kraus
 family ``A_k = (1-T)^{k/2} (k!)^{-1/2} T^{n/2} a^k``, with d(d+1)/2
@@ -100,10 +102,14 @@ FIFTY_FIFTY = BeamSplitterParams(math.pi / 2.0, math.pi)
 @lru_cache(maxsize=256)
 def _bs_blocks(d1: int, d2: int, theta: float, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The splitter's total-photon-number blocks, zero-padded into one read-only stack;
-    |x, y> sits in block ``block[x, y]`` at slot ``slot[x, y]``."""
+    |x, y> sits in block ``block[x, y]`` at slot ``slot[x, y]``.  When phi is a multiple of pi
+    (tested on phi itself: sin(pi) is 1.2e-16 in floats), e^{i phi} = ±1 and every block is
+    real orthogonal, so the stack is float64: each block's real part, the imaginary part
+    being rounding alone."""
     x, y = np.indices((d1, d2))
     block, slot = x + y, x - np.maximum(0, x + y - (d2 - 1))
-    blocks = np.zeros((d1 + d2 - 1, min(d1, d2), min(d1, d2)), dtype=np.complex128)
+    real = phi % math.pi == 0.0
+    blocks = np.zeros((d1 + d2 - 1, min(d1, d2), min(d1, d2)), dtype=np.float64 if real else np.complex128)
     for n in range(d1 + d2 - 1):
         k = np.arange(max(0, n - (d2 - 1)), min(n, d1 - 1))  # every slot but the last
         # <k+1, n-k-1| x†y |k, n-k> = sqrt((k+1)(n-k))
@@ -111,14 +117,18 @@ def _bs_blocks(d1: int, d2: int, theta: float, phi: float) -> tuple[np.ndarray, 
         A = np.diag(cmath.exp(1j * phi) * val, -1) - np.diag(cmath.exp(-1j * phi) * val, 1)
         # A is anti-Hermitian; exponentiate through the Hermitian i(theta/2)A
         w, V = np.linalg.eigh(1j * (theta / 2.0) * A)
-        blocks[n, :k.size + 1, :k.size + 1] = (V * np.exp(-1j * w)) @ V.conj().T
+        U = (V * np.exp(-1j * w)) @ V.conj().T
+        blocks[n, :k.size + 1, :k.size + 1] = U.real if real else U
     for a in (blocks, block, slot):
         a.setflags(write=False)
     return blocks, block, slot
 
 
 def bs_on_axes(t: np.ndarray, axes: tuple[int, int], params: BeamSplitterParams) -> np.ndarray:
-    """The splitter applied to axes (x, y) of an array, one matmul per photon-number block."""
+    """The splitter applied to axes (x, y) of an array, one matmul per photon-number block.
+
+    Real blocks act on complex columns as on their (re, im) float pairs, one real
+    product over twice the columns, so the cached stack is never copied to complex."""
     if tuple(axes) != (0, 1):  # np.moveaxis costs as much as a small block matmul: only when needed
         return np.moveaxis(bs_on_axes(np.moveaxis(t, axes, (0, 1)), (0, 1), params), (0, 1), axes)
     blocks, block, slot = _bs_blocks(t.shape[0], t.shape[1], float(params.theta), float(params.phi))
@@ -126,7 +136,7 @@ def bs_on_axes(t: np.ndarray, axes: tuple[int, int], params: BeamSplitterParams)
     z[block, slot] = t.reshape(block.shape + (-1,))
     shape = t.shape
     del t  # a temporary handed in is freed before the matmul allocates
-    return (blocks @ z)[block, slot].reshape(shape)
+    return (blocks @ z.view(blocks.dtype)).view(z.dtype)[block, slot].reshape(shape)
 
 
 def bs_unitary(d1: int, d2: int, params: BeamSplitterParams) -> np.ndarray:

@@ -49,10 +49,12 @@ as the product amp[a, m] env[a, i] it is, exactly.  The counting herald
 reads only levels 0 and 1 of B and D, so its pairs hold only those two
 levels: it is exact, and costs the same, at every cutoff.
 Every splitter acts block by block in total photon number, from the
-blocks ``optics`` caches.  Detector inefficiency T' enters as the
-substitution T -> T * T' (loss commutes with the balanced midpoint
-splitter, and an inefficient detector is an ideal one behind a loss);
-the tests check it against explicitly modeled inefficient detectors.
+blocks ``optics`` caches; at the midpoint's phi = pi they are real
+orthogonal, so every herald runs in real arithmetic.  Detector
+inefficiency T' enters as the substitution T -> T * T' (loss commutes
+with the balanced midpoint splitter, and an inefficient detector is an
+ideal one behind a loss); the tests check it against explicitly modeled
+inefficient detectors.
 """
 
 from __future__ import annotations
@@ -329,7 +331,7 @@ def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int |
     is starved.  The ancilla never enters: splitter, both clicks and the
     trace over it act on B as the d x d M = <beta| U† (P_B>=1 ⊗ P_E>=1)
     U |beta>, in closed form.  The quadrature integral is one (4d x d)
-    (d x 4d) matrix H = (M Phi)^T Phi* of the (B | D, A, C) matrix Phi,
+    (d x 4d) real matrix H = (M Phi)^T Phi of the (B | D, A, C) matrix Phi,
     contracted with K_0 = I for equal C bits, K_1 = D(-g/sqrt(2)) for C
     bits (1, 0) and K_{-1} = K_1^T for (0, 1), and weighted by W ⊗ W.
     """
@@ -346,7 +348,7 @@ def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int |
         K = np.stack([K1.T, np.eye(d), K1])[cbit[:, None] - cbit[None, :] + 1]
         # (B | D, A, C) through the midpoint splitter, handed over as a temporary it can free
         Phi = bs_on_axes(np.einsum("am,cn->mnac", amp, amp), (0, 1), FIFTY_FIFTY).reshape(d, -1)
-        H = ((M @ Phi).T @ Phi.conj()).reshape(d, 4, d, 4)  # both clicks as M on B
+        H = ((M @ Phi).T @ Phi).reshape(d, 4, d, 4)  # both clicks as M on B; Phi is real
         W = env @ env.T
         return ("click_click",), (np.kron(W, W) * np.einsum("nakb,abnk->ab", H, K))[None]
 

@@ -34,7 +34,7 @@ from hyswap import (
     tensor,
     with_inefficiency,
 )
-from hyswap.optics import bs_on_axes
+from hyswap.optics import _bs_blocks, bs_on_axes
 
 
 def random_state(reg, rng):
@@ -67,6 +67,52 @@ def test_bs_unitary_matches_matrix_exponential():
             ref = scipy.linalg.expm(gen)
             got = bs_unitary(d1, d2, BeamSplitterParams(theta, phi))
             assert np.abs(got - ref).max() < 1e-12, (d1, d2, theta, phi)
+
+
+def live_blocks(d1, d2, params):
+    """Each photon-number block of the cached stack cut to its live slots."""
+    blocks, _, _ = _bs_blocks(d1, d2, params.theta, params.phi)
+    for n in range(d1 + d2 - 1):
+        m = min(n, d1 - 1) - max(0, n - (d2 - 1)) + 1
+        yield n, blocks[n, :m, :m]
+
+
+@pytest.mark.parametrize("params", [FIFTY_FIFTY] + [BeamSplitterParams.from_transmission(T) for T in (0.0, 0.3, 0.77, 1.0)])
+def test_blocks_at_a_real_phase_are_real_orthogonal_and_match_matrix_exponential(params):
+    """Oracle: scipy's exponential of each block's generator.  The eigh-exponentiated
+    blocks sit up to 1.7e-15 from it here (and up to 1.4e-15 from 40-digit mpmath)."""
+    for d1, d2 in [(6, 6), (3, 7), (7, 3)]:
+        assert _bs_blocks(d1, d2, params.theta, params.phi)[0].dtype == np.float64
+        for n, B in live_blocks(d1, d2, params):
+            k = np.arange(max(0, n - (d2 - 1)), min(n, d1 - 1))
+            val = np.sqrt((k + 1.0) * (n - k))
+            gen = (params.theta / 2.0) * (np.diag(np.exp(1j * params.phi) * val, -1)
+                                          - np.diag(np.exp(-1j * params.phi) * val, 1))
+            assert np.abs(B @ B.T - np.eye(len(B))).max() < 1e-14
+            assert np.abs(B - scipy.linalg.expm(gen)).max() < 4e-15, (d1, d2, n)
+
+
+def test_blocks_at_a_complex_phase_stay_complex_and_unitary():
+    params = BeamSplitterParams(1.1, math.pi / 3)
+    assert _bs_blocks(6, 4, params.theta, params.phi)[0].dtype == np.complex128
+    for _, B in live_blocks(6, 4, params):
+        assert np.abs(B.imag).max(initial=0.0) > 0.1 or len(B) == 1
+        assert np.abs(B @ B.conj().T - np.eye(len(B))).max() < 1e-14
+
+
+def test_real_blocks_on_real_and_complex_input_equal_the_complex_product():
+    """Real blocks act on complex columns through their (re, im) float pairs."""
+    rng = np.random.default_rng(29)
+    params = BeamSplitterParams.from_transmission(0.3)
+    U = bs_unitary(5, 4, params).astype(np.complex128)
+    for t in (rng.normal(size=(5, 4, 3)), rng.normal(size=(5, 4, 3)) + 1j * rng.normal(size=(5, 4, 3))):
+        out = bs_on_axes(t, (0, 1), params)
+        assert out.dtype == t.dtype
+        assert np.abs(out - (U @ t.reshape(20, -1)).reshape(t.shape)).max() < 1e-15
+
+
+def test_real_block_stack_holds_eight_bytes_an_entry():
+    assert _bs_blocks(65, 65, math.pi / 2, math.pi)[0].nbytes == 129 * 65 * 65 * 8
 
 
 def test_bs_unitary_is_unitary_on_truncated_space():

@@ -808,7 +808,8 @@ def test_each_point_runs_one_eigen_solve(monkeypatch):
 @pytest.mark.parametrize("cutoff", [2, 8, 12])
 def test_stacked_outcomes_equal_one_matrix_at_a_time(monkeypatch, cutoff):
     """Each outcome's probability, state and negativity are bit for bit those
-    of its herald matrix taken alone: trace, division, single negativity()."""
+    of its herald matrix taken alone: trace, division, single negativity().
+    Every herald's stack is float64, which the kernel casts to complex128."""
     import hyswap.protocols as protocols
     from hyswap.negativity import _negativity_stack
 
@@ -832,6 +833,7 @@ def test_stacked_outcomes_equal_one_matrix_at_a_time(monkeypatch, cutoff):
                             partial(he_swap_homodyne, alpha, T, tp, cutoff)):
                     res = run()
                     labels, rhos = heralded.pop()
+                    assert rhos.dtype == np.float64  # the midpoint splitter's blocks are real at phi = pi
                     assert tuple(o.label for o in res.per_outcome) == labels
                     for o, rho in zip(res.per_outcome, rhos):
                         p = float(np.trace(rho).real)

@@ -544,8 +544,8 @@ def test_failed_sweep_removes_its_partial_csv(tmp_path, monkeypatch):
 
 
 def _cap_address_space():
-    # a cutoff-600 he-ho point asks for 6.46 GiB at once (its stack of splitter blocks),
-    # so under 3 GiB it fails within a second; cutoff 200 fits in about 0.8 GiB
+    # a cutoff-600 he-ho point asks for 3.23 GiB at once (its float64 stack of splitter
+    # blocks), so under 3 GiB it fails within a second; cutoff 200 peaks at about 0.27 GiB
     resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
 

@@ -50,15 +50,15 @@ print("\n=== detector elements ===")
 els = spd_elements(reg, "M")
 print("ideal single-photon detector diagonal responses:")
 for el in els:
-    print(f"  outcome {el.label!r}: {np.round(np.diag(el.operator).real[:5], 3)}")
+    print(f"  outcome {el.label!r}: {np.round(el.weights[:5], 3)}")
 
 tp = 0.7
 print(f"\nsame detector behind a T' = {tp} loss:")
 for el in with_inefficiency(els, tp):
-    print(f"  outcome {el.label!r}: {np.round(np.diag(el.operator).real[:5], 3)}")
+    print(f"  outcome {el.label!r}: {np.round(el.weights[:5], 3)}")
 
 off = with_inefficiency(onoff_elements(reg, "M")[0], tp)
 print(
     "\nno-click probability on |n> is (1 - T')^n:",
-    np.round(np.diag(off.operator).real[:5], 4),
+    np.round(off.weights[:5], 4),
 )

@@ -39,7 +39,6 @@ from .optics import (
     loss_channel,
     measure_and_reduce,
     onoff_elements,
-    pnr_elements,
     quadrature_amplitudes,
     spd_elements,
     with_inefficiency,
@@ -50,10 +49,8 @@ from .protocols import (
     DEFAULT_CUTOFF,
     SwapOutcome,
     SwapResult,
-    cv_bsm_failure_prob,
     default_cutoff,
     dv_swap,
-    feed_forward_correction,
     he_swap_homodyne,
     he_swap_spd,
 )
@@ -66,5 +63,6 @@ from .sweep import (
     parse_config,
     run_sweep,
 )
+from .verification import cv_bsm_failure_prob
 
 __version__ = "0.1.0"

@@ -69,7 +69,6 @@ __all__ = [
     "apply_loss_dilated",
     "MeasurementElement",
     "fock_projector",
-    "pnr_elements",
     "onoff_elements",
     "spd_elements",
     "quadrature_amplitudes",
@@ -83,10 +82,6 @@ __all__ = [
 class BeamSplitterParams:
     theta: float
     phi: float
-
-    @property
-    def transmission(self) -> float:
-        return math.cos(self.theta / 2.0) ** 2
 
     @classmethod
     def from_transmission(cls, T: float) -> "BeamSplitterParams":
@@ -239,8 +234,7 @@ class MeasurementElement:
     """A labeled detector outcome on one mode, diagonal in the Fock basis.
 
     ``weights[n]`` is the probability that the outcome fires on |n>; the
-    element is the operator sum_n weights[n] |n><n|, which ``operator``
-    builds on demand.
+    element is the operator sum_n weights[n] |n><n|.
     """
 
     label: str
@@ -255,10 +249,6 @@ class MeasurementElement:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    @property
-    def operator(self) -> np.ndarray:
-        return np.diag(self.weights)
-
 
 def _bosonic_dim(register: ModeRegister, mode: str, what: str) -> int:
     spec = register.spec(mode)
@@ -272,12 +262,6 @@ def fock_projector(register: ModeRegister, mode: str, n: int) -> MeasurementElem
     if not 0 <= n < d:
         raise ValueError(f"occupation out of range for mode {mode!r}: {n}")
     return MeasurementElement(f"{n}", mode, np.arange(d) == n)
-
-
-def pnr_elements(register: ModeRegister, mode: str) -> list[MeasurementElement]:
-    """Photon-number-resolving detector: the complete set of projectors |n><n| up to the cutoff."""
-    d = _bosonic_dim(register, mode, "photon counting")
-    return [fock_projector(register, mode, n) for n in range(d)]
 
 
 def onoff_elements(register: ModeRegister, mode: str) -> list[MeasurementElement]:

@@ -55,6 +55,13 @@ inefficiency T' enters as the substitution T -> T * T' (loss commutes
 with the balanced midpoint splitter, and an inefficient detector is an
 ideal one behind a loss); the tests check it against explicitly modeled
 inefficient detectors.
+
+The module holds these three pipelines and nothing else.  From the
+reference toolbox they read only registers, ``DensityOperator``, the
+coherent amplitudes and the splitter blocks; the state constructors,
+``apply_bs``, detectors and quadrature grids are the independent routes
+``verification`` and the tests check them with, so none of them is
+called here (the test of the package's imports holds that line).
 """
 
 from __future__ import annotations
@@ -67,25 +74,12 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .closed_form import _check_alpha, _check_range
-from .fock import (
-    DensityOperator,
-    ModeRegister,
-    StateVector,
-    bosonic,
-    make_coherent,
-    qubit,
-    tensor,
-    _coherent_amplitudes,
-)
+from .fock import DensityOperator, ModeRegister, qubit, _coherent_amplitudes
 from .negativity import _negativity_stack
-from .optics import (
-    FIFTY_FIFTY,
-    apply_bs,
-    bs_on_axes,
-)
+from .optics import FIFTY_FIFTY, bs_on_axes
 # imported but never called here: perfbench's WRAPPED names them all, and its tests need them bound
-from .fock import make_fock, make_hybrid_pair, make_vsp_bell  # noqa: F401
-from .optics import homodyne_grid, measure_and_reduce, quadrature_amplitudes  # noqa: F401
+from .fock import make_coherent, make_fock, make_hybrid_pair, make_vsp_bell, tensor  # noqa: F401
+from .optics import apply_bs, homodyne_grid, measure_and_reduce, quadrature_amplitudes  # noqa: F401
 from .negativity import negativity  # noqa: F401
 
 __all__ = [
@@ -96,8 +90,6 @@ __all__ = [
     "dv_swap",
     "he_swap_spd",
     "he_swap_homodyne",
-    "feed_forward_correction",
-    "cv_bsm_failure_prob",
 ]
 
 DEFAULT_CUTOFF = 12
@@ -248,11 +240,6 @@ def he_swap_spd(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None
                      lambda c, tau: np.einsum("am,ai->ami", *_lossy_hybrid_pair(alpha, 1, tau)), _count_herald)
 
 
-def _feed_forward_phase(alpha: float, T: float, x: float) -> float:
-    """Correction angle phi_c = 4 sqrt(T) alpha x for the homodyne scheme."""
-    return 4.0 * math.sqrt(T) * alpha * x
-
-
 def _vacuum_test(d: int, beta: float) -> np.ndarray:
     """The d x d two-click operator on B, M = <beta| U† (P_B>=1 ⊗ P_E>=1) U |beta>, in closed form.
 
@@ -343,7 +330,8 @@ def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int |
         if np.vdot(amp[0], amp[0]).real <= _PROB_FLOOR:  # the cutoff keeps (almost) none of the pair
             raise ValueError(f"the pair at alpha = {alpha!r} has no amplitude at or below cutoff {d - 1}")
         M = _vacuum_test(d, math.sqrt(2.0 * tau) * alpha)
-        K1 = _displacement(-_feed_forward_phase(alpha, tau, 1.0) / math.sqrt(2.0), d)
+        g = 4.0 * math.sqrt(tau) * alpha  # the feed-forward phase on C is e^{-i g x}
+        K1 = _displacement(-g / math.sqrt(2.0), d)
         cbit = np.arange(4) % 2
         K = np.stack([K1.T, np.eye(d), K1])[cbit[:, None] - cbit[None, :] + 1]
         # (B | D, A, C) through the midpoint splitter, handed over as a temporary it can free
@@ -354,65 +342,3 @@ def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int |
 
     return _run_swap("he_ho", alpha, T, T_prime, cutoff, partial(_lossy_hybrid_pair, alpha), herald)
 
-
-def feed_forward_correction(target, alpha: float, T: float, x: float):
-    """Undo the homodyne-outcome phase: diag(1, e^{-i phi_c}) on mode C.
-
-    phi_c = 4 sqrt(T) alpha x cancels the relative phase of the
-    conditioned state exactly; at T = 1 the corrected state is the plain
-    (|00> + |11>)/sqrt(2) Bell state.  ``T`` here is the effective
-    transmission seen by the traveling modes (T * T' when detectors are
-    inefficient).  Accepts a StateVector or DensityOperator with a
-    two-dimensional mode C.
-    """
-    if not isinstance(target, (StateVector, DensityOperator)):
-        raise TypeError("target must be a StateVector or DensityOperator")
-    reg = target.register
-    ax = reg.axis("C")
-    if reg.dims[ax] != 2:
-        raise ValueError("feed-forward target mode 'C' must have dimension 2")
-    phase = np.array([1.0, np.exp(-1j * _feed_forward_phase(alpha, T, x))])
-    shape = [1] * len(reg.dims)
-    shape[ax] = 2
-    diag = phase.reshape(shape)
-    if isinstance(target, StateVector):
-        return StateVector(reg, (target.tensor_view() * diag).reshape(-1), target.norm_deficit)
-    n = len(reg.dims)
-    t = target.matrix.reshape(reg.dims + reg.dims)
-    kshape = shape + [1] * n
-    bshape = [1] * n + shape
-    t = t * phase.reshape(kshape) * phase.conj().reshape(bshape)
-    return DensityOperator(reg, t.reshape(reg.dim, reg.dim))
-
-
-def cv_bsm_failure_prob(alpha: float, cutoff: int | None = None) -> float:
-    """Failure probability of the all-coherent Bell measurement.
-
-    The four quasi-Bell states N±(|a>|±a> ± |-a>|∓a>) hit a 50:50
-    splitter followed by photon counting on both outputs; the
-    measurement fails when neither counter fires, which happens with
-    probability (2 cosh 2|a|^2)^{-1} on average over equal priors.
-    """
-    alpha = _check_alpha(alpha)
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    cutoff = _resolve_cutoff(cutoff)
-    reg = ModeRegister((("m1", bosonic(cutoff)), ("m2", bosonic(cutoff))))
-    y = 4.0 * alpha**2
-
-    def two_mode_cat(a1, a2, sign):
-        b1, b2 = (
-            tensor(make_coherent(ModeRegister(reg.modes[:1]), "m1", s * a1),
-                   make_coherent(ModeRegister(reg.modes[1:]), "m2", s * a2))
-            for s in (1, -1)
-        )
-        norm = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-y) if sign > 0 else -2.0 * math.expm1(-y))
-        return StateVector(reg, norm * (b1.amplitudes + sign * b2.amplitudes))
-
-    total = 0.0
-    for a2 in (alpha, -alpha):
-        for sign in (1, -1):
-            state = two_mode_cat(alpha, a2, sign)
-            out = apply_bs(state, "m1", "m2", FIFTY_FIFTY)
-            total += 0.25 * abs(out.amplitudes[0]) ** 2  # both counters at zero
-    return total

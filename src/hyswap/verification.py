@@ -8,7 +8,10 @@ parameters; the others take none.  The loss line and the vacuum-test
 part of the property suite check the lossy pairs and the vacuum test
 that the pipelines call, looked up on ``protocols`` at call time,
 against the loss channel taken two ways and against the splitter
-followed by on-off detectors.
+followed by on-off detectors.  ``cv_bsm_failure_prob``, the all-coherent
+Bell measurement the homodyne scheme is an alternative to, is a
+reference and not a pipeline, so it lives here beside its check, written
+on bare amplitude arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocols
-from .closed_form import closed_form, dv_loss_limit
+from .closed_form import _check_alpha, closed_form, dv_loss_limit
 from .fock import (
     DensityOperator,
     ModeRegister,
@@ -34,6 +37,7 @@ from .fock import (
     qubit,
     reduced_density,
     tensor,
+    _coherent_amplitudes,
 )
 from .negativity import negativity, partial_transpose
 from .optics import (
@@ -47,9 +51,9 @@ from .optics import (
     loss_channel,
     onoff_elements,
 )
-from .protocols import dv_swap, he_swap_homodyne, he_swap_spd, cv_bsm_failure_prob
+from .protocols import dv_swap, he_swap_homodyne, he_swap_spd
 
-__all__ = ["CriterionResult", "run_all", "report", "CHECKS"]
+__all__ = ["CriterionResult", "run_all", "report", "CHECKS", "cv_bsm_failure_prob"]
 
 
 @dataclass(frozen=True)
@@ -103,12 +107,12 @@ def check_closed_form_grid() -> CriterionResult:
                 worst_p = max(worst_p, abs(sim.total_success_probability - ref.p))
                 worst_e = max(worst_e, abs(sim.averaged_negativity - ref.E))
     elapsed = time.perf_counter() - t0
-    ok = worst_p <= 1e-6 and worst_e <= 1e-6 and elapsed < 60.0
+    ok = worst_p <= 1e-12 and worst_e <= 1e-12 and elapsed < 60.0
     return _result(
         "closed-form grid, dv and he_spd",
         ok,
         f"max|dp|={worst_p:.2e} max|dE|={worst_e:.2e} in {elapsed:.1f}s",
-        "1e-6, under 60s",
+        "1e-12, under 60s",
     )
 
 
@@ -249,16 +253,41 @@ def check_loss_routes_agree() -> CriterionResult:
     )
 
 
+def cv_bsm_failure_prob(alpha: float, cutoff: int | None = None) -> float:
+    """Failure probability of the all-coherent Bell measurement.
+
+    The four quasi-Bell states N±(|a>|±a> ± |-a>|∓a>) hit a 50:50
+    splitter followed by photon counting on both outputs; the
+    measurement fails when neither counter fires, which happens with
+    probability (2 cosh 2|a|^2)^{-1} on average over equal priors.  Each
+    two-mode cat is the (d, d) array N±(c(a) ⊗ c(±a) ± c(-a) ⊗ c(∓a)) of
+    coherent amplitudes c, and only the splitter's vacuum output is read.
+    """
+    alpha = _check_alpha(alpha)
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
+    cutoff = protocols._resolve_cutoff(cutoff)
+    y = 4.0 * alpha**2
+    c = {a: _coherent_amplitudes(a, cutoff) for a in (alpha, -alpha)}
+    total = 0.0
+    for a2 in (alpha, -alpha):
+        for sign in (1, -1):
+            norm = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-y) if sign > 0 else -2.0 * math.expm1(-y))
+            cat = norm * (np.multiply.outer(c[alpha], c[a2]) + sign * np.multiply.outer(c[-alpha], c[-a2]))
+            total += 0.25 * abs(bs_on_axes(cat, (0, 1), FIFTY_FIFTY)[0, 0]) ** 2  # both counters at zero
+    return total
+
+
 def check_cv_bsm() -> CriterionResult:
     got = cv_bsm_failure_prob(1.0, 20)
     ref = 1.0 / (2.0 * math.cosh(2.0))
     err = abs(got - ref)
-    ok = err <= 1e-4
+    ok = err <= 1e-12
     return _result(
         "all-coherent Bell measurement failure at alpha=1",
         ok,
         f"p_fail={got:.6f} ref={ref:.6f} |d|={err:.2e}",
-        "1e-4",
+        "1e-12",
     )
 
 

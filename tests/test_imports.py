@@ -7,12 +7,20 @@ exempt from the import rule (its imports are the public re-exports), and
 so is any import on a line marked ``# noqa: F401``.  A private name
 (``_x``) defined at module level counts as read when some module of the
 package loads it by name or as an attribute; tests do not count.
+
+The pipelines (``protocols``, ``sweep``, ``negativity``, ``closed_form``)
+read from the reference toolbox (``fock``, ``optics``) only the names on
+``PIPELINE_TOOLBOX``, and never load a name parked on a ``# noqa: F401``
+line; every parked name is one perfbench's ``WRAPPED`` traces there.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hyswap"
+LAYERTRACE = PACKAGE.parents[1] / "perfbench" / "layertrace.py"
+PIPELINES = ("protocols", "sweep", "negativity", "closed_form")
+PIPELINE_TOOLBOX = {"DensityOperator", "ModeRegister", "qubit", "_coherent_amplitudes", "FIFTY_FIFTY", "bs_on_axes"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -78,3 +86,63 @@ def test_package_private_names_are_read():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert sources
     assert unread_private_names(sources) == []
+
+
+def _parked(source: str) -> dict[str, int]:
+    """Names bound on a ``# noqa: F401`` import line, with that line."""
+    lines = source.splitlines()
+    return {alias.asname or alias.name: node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "# noqa: F401" in lines[node.lineno - 1]
+            for alias in node.names}
+
+
+def toolbox_breaches(source: str) -> list[str]:
+    """Toolbox names imported on a live line but off ``PIPELINE_TOOLBOX``, and parked names loaded."""
+    tree = ast.parse(source)
+    parked = _parked(source)
+    found = [f"line {node.lineno}: {alias.name} from .{node.module}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in ("fock", "optics")
+             for alias in node.names if alias.name not in PIPELINE_TOOLBOX and alias.name not in parked]
+    found += [f"line {node.lineno}: {node.id} is parked" for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in parked]
+    found += [f"line {node.lineno}: {alias.name} as a module" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+              for alias in node.names if alias.name in ("fock", "optics")]
+    return found
+
+
+def test_toolbox_breaches_are_found():
+    source = (
+        "from .fock import ModeRegister, StateVector\n"
+        "from .optics import FIFTY_FIFTY\n"
+        "from .optics import apply_bs, homodyne_grid  # noqa: F401\n"
+        "from . import optics\n"
+        "ModeRegister(apply_bs(FIFTY_FIFTY))\n"
+    )
+    assert toolbox_breaches(source) == [
+        "line 1: StateVector from .fock", "line 5: apply_bs is parked", "line 4: optics as a module"]
+
+
+def test_pipelines_read_only_their_share_of_the_toolbox():
+    found = {name: toolbox_breaches((PACKAGE / f"{name}.py").read_text()) for name in PIPELINES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _wrapped_keys() -> set[tuple[str, str]]:
+    for node in ast.parse(LAYERTRACE.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]:
+            return set(ast.literal_eval(node.value))
+    raise AssertionError(f"{LAYERTRACE} binds no WRAPPED")
+
+
+def test_parked_names_are_found():
+    source = "import os  # noqa: F401\nfrom .fock import make_fock, tensor as t  # noqa: F401\nfrom .optics import apply_bs\n"
+    assert _parked(source) == {"os": 1, "make_fock": 2, "t": 2}
+
+
+def test_every_parked_name_is_one_perfbench_traces():
+    wrapped = _wrapped_keys()
+    assert wrapped
+    stale = [f"{p.stem} line {line}: {name}" for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"
+             for name, line in _parked(p.read_text()).items() if (p.stem, name) not in wrapped]
+    assert stale == []

@@ -14,10 +14,8 @@ from hyswap import (
     apply_bs,
     bosonic,
     closed_form,
-    cv_bsm_failure_prob,
     default_cutoff,
     dv_swap,
-    feed_forward_correction,
     fock_projector,
     he_swap_homodyne,
     he_swap_spd,
@@ -33,6 +31,7 @@ from hyswap import (
     tensor,
     with_inefficiency,
 )
+from hyswap.verification import cv_bsm_failure_prob
 
 
 def bell_rho(which):
@@ -268,64 +267,12 @@ def test_he_ho_substitution_consistency():
 
 
 # ---------------------------------------------------------------------------
-# feed-forward correction
-
-
-def test_feed_forward_on_vector_and_density_agree():
-    reg = ModeRegister((("A", qubit()), ("C", qubit())))
-    v = np.array([0.5, 0.5, 0.5, 0.5], dtype=np.complex128)
-    psi = StateVector(reg, v)
-    alpha, T, x = 0.4, 0.8, 1.3
-    corr_psi = feed_forward_correction(psi, alpha, T, x)
-    rho = DensityOperator(reg, np.outer(v, v.conj()))
-    corr_rho = feed_forward_correction(rho, alpha, T, x)
-    ref = np.outer(corr_psi.amplitudes, corr_psi.amplitudes.conj())
-    assert np.abs(corr_rho.matrix - ref).max() < 1e-14
-
-
-def test_feed_forward_phase_placement():
-    reg = ModeRegister((("A", qubit()), ("C", qubit())))
-    v = np.ones(4, dtype=np.complex128) / 2.0
-    out = feed_forward_correction(StateVector(reg, v), 0.5, 1.0, 0.7)
-    phase = np.exp(-1j * 4.0 * 0.5 * 0.7)
-    expect = np.array([0.5, 0.5 * phase, 0.5, 0.5 * phase])
-    assert np.abs(out.amplitudes - expect).max() < 1e-14
-
-
-def test_feed_forward_inverts_with_negated_outcome():
-    reg = ModeRegister((("A", qubit()), ("C", qubit())))
-    v = np.array([0.1, 0.2, 0.3, 0.4], dtype=np.complex128)
-    psi = StateVector(reg, v)
-    back = feed_forward_correction(
-        feed_forward_correction(psi, 0.3, 0.9, 2.2), 0.3, 0.9, -2.2
-    )
-    assert np.abs(back.amplitudes - v).max() < 1e-15
-
-
-def test_feed_forward_identity_at_zero_outcome():
-    reg = ModeRegister((("A", qubit()), ("C", qubit())))
-    v = np.array([0.1, 0.2, 0.3, 0.4], dtype=np.complex128)
-    out = feed_forward_correction(StateVector(reg, v), 0.5, 0.8, 0.0)
-    assert np.array_equal(out.amplitudes, v)
-
-
-def test_feed_forward_requires_two_level_mode():
-    reg = ModeRegister((("A", qubit()), ("C", bosonic(3))))
-    psi = make_fock(reg)
-    with pytest.raises(ValueError, match="dimension 2"):
-        feed_forward_correction(psi, 0.5, 1.0, 0.3)
-    with pytest.raises(TypeError):
-        feed_forward_correction(np.zeros(4), 0.5, 1.0, 0.3)
-
-
-# ---------------------------------------------------------------------------
 # all-coherent Bell measurement
 
 
-def test_cv_bsm_failure_probability():
-    # frozen: 1 / (2 cosh(2 alpha^2))
-    assert abs(cv_bsm_failure_prob(1.0, 20) - 0.13290111441703985) < 1e-10
-    assert abs(cv_bsm_failure_prob(0.7, 16) - 0.32897254555775731) < 1e-10
+@pytest.mark.parametrize("alpha,cutoff", [(0.3, 24), (0.5, 24), (1.0, 24), (1.5, 24), (1.0, 20), (0.7, 16)])
+def test_cv_bsm_failure_probability(alpha, cutoff):
+    assert abs(cv_bsm_failure_prob(alpha, cutoff) - 1.0 / (2.0 * math.cosh(2.0 * alpha * alpha))) <= 1e-12
 
 
 def test_cv_bsm_small_alpha_limit():
@@ -419,12 +366,12 @@ def _he_ho_full_register(alpha, T, tp, cutoff, xs):
     perm = [reg.axis(nm) for nm in ["A", "C"] + rest + ["D"]]
     flat = np.transpose(t, perm).reshape(-1, cutoff + 1)
     V = quadrature_amplitudes(xs, cutoff + 1, math.pi / 2.0)
-    ac = ModeRegister((("A", qubit()), ("C", qubit())))
+    g = 4.0 * math.sqrt(tau) * alpha
     nodes = []
     for i, x in enumerate(xs):
         col = (flat @ V[:, i]).reshape(4, -1)
-        node = DensityOperator(ac, col @ col.conj().T)
-        nodes.append(feed_forward_correction(node, alpha, tau, x).matrix)
+        on_c = np.exp(-1j * g * x * (np.arange(4) % 2))  # the feed-forward phase on C's bit
+        nodes.append(on_c[:, None] * (col @ col.conj().T) * on_c.conj())
     return np.array(nodes)
 
 
@@ -733,12 +680,12 @@ def test_displacement_kernel_matches_expm(gamma, d):
 def test_displacement_kernel_is_the_integrated_feed_forward_phase(d):
     """K_1 = int dx |x_{pi/2}><x_{pi/2}| e^{-i g x} as a wide Gauss-Legendre sum of quadrature
     amplitudes, which shares no code with the Laguerre recurrence."""
-    from hyswap.protocols import _displacement, _feed_forward_phase
+    from hyswap.protocols import _displacement
 
     xs, ws = homodyne_grid(12.0, 801)
     V = quadrature_amplitudes(xs, d, math.pi / 2.0)
     for alpha, tau in ((0.5, 0.7), (0.8, 1.0), (-0.3, 0.2)):
-        g = _feed_forward_phase(alpha, tau, 1.0)
+        g = 4.0 * math.sqrt(tau) * alpha
         K1 = (V * (ws * np.exp(-1j * g * xs))) @ V.conj().T
         assert np.abs(_displacement(-g / math.sqrt(2.0), d) - K1).max() <= 1e-13
     assert np.abs((V * ws) @ V.conj().T - np.eye(d)).max() <= 1e-13  # K_0 = I
@@ -854,12 +801,14 @@ def test_stacked_outcomes_equal_one_matrix_at_a_time(monkeypatch, cutoff):
 def test_pipelines_build_no_dense_splitter_or_kraus_stack(monkeypatch):
     import hyswap.optics as optics
     import hyswap.protocols as protocols
+    import hyswap.verification as verification
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a pipeline built a dense splitter or Kraus stack")
 
     for name in ("bs_unitary", "loss_channel"):
         monkeypatch.setattr(optics, name, forbidden)
+        monkeypatch.setattr(verification, name, forbidden)  # cv_bsm_failure_prob's own bindings
         assert not hasattr(protocols, name)  # a copy bound there would dodge the patch
     dv_swap(0.7, 0.9, 6)
     he_swap_spd(0.8, 0.7, 0.9, 6)

@@ -21,8 +21,10 @@ blocks are real orthogonal and stored as float64.
 
 Photon loss with survival probability T is the amplitude-damping Kraus
 family ``A_k = (1-T)^{k/2} (k!)^{-1/2} T^{n/2} a^k``, with d(d+1)/2
-nonzero elements (``loss_band``), applied to one mode as a ``(d, d, d)``
-stack by two matmuls.  It is also the same splitter at
+nonzero elements (``loss_band``), all on the k-th superdiagonal of A_k.
+``apply_loss`` reads that band off a ``(d, d, d)`` stack, rejects a stack
+with anything off it, and sums d shifted, weighted slices of the density
+operator, with no matrix product.  It is also the same splitter at
 ``cos²(theta/2) = T`` against a vacuum environment mode, whose Kraus
 operators ``<e|U|0>_env`` are read off the splitter blocks.  The two
 stacks come from independent formulas (binomial elements vs the
@@ -191,7 +193,13 @@ def loss_channel(T: float, cutoff: int) -> np.ndarray:
 
 
 def apply_loss(rho: DensityOperator, mode: str, kraus: np.ndarray) -> DensityOperator:
-    """Kraus sum ``sum_k (A_k rho) A_k†`` on one bosonic mode, as two matmuls."""
+    """Kraus sum ``sum_k A_k rho A_k†`` on one bosonic mode, as band arithmetic.
+
+    A loss operator is nonzero only on its k-th superdiagonal, ``a_k[m] = A_k[m, m+k]``,
+    so the sum is d shifted, weighted slices of rho on the mode's ket and bra axes:
+    ``out[m, m'] = sum_k a_k[m] rho[m+k, m'+k] conj(a_k[m'])``.  A stack with a
+    nonzero element off that band raises ``ValueError``.
+    """
     reg = rho.register
     d = _bosonic_dim(reg, mode, "loss channel")
     if kraus.shape[1:] != (d, d):
@@ -199,13 +207,16 @@ def apply_loss(rho: DensityOperator, mode: str, kraus: np.ndarray) -> DensityOpe
             f"channel dimension {kraus.shape[-1]} does not match mode {mode!r} "
             f"dimension {d}"
         )
+    band = np.arange(len(kraus))[:, None, None] == np.arange(d) - np.arange(d)[:, None]  # [k, m, n]: n = m + k
+    if np.any(kraus[~band]):
+        raise ValueError("loss Kraus stack has a nonzero element off its band: A_k[m, n] must be 0 unless n = m + k")
     ax = reg.axis(mode)
     pre, post = math.prod(reg.dims[:ax]), math.prod(reg.dims[ax + 1:])
-    # the mode's ket axis first and its bra axis last, t[n, rest, p]; A_k rho as [(m, rest), k, p]
-    t = rho.matrix.reshape(pre, d, post, pre, d, post).transpose(1, 0, 2, 3, 5, 4).reshape(d, -1)
-    kt = (kraus.reshape(-1, d) @ t).reshape(len(kraus), -1, d).transpose(1, 0, 2)
-    out = kt.reshape(len(kt), -1) @ kraus.conj().transpose(0, 2, 1).reshape(-1, d)  # sums over (k, p)
-    out = out.reshape(d, pre, post, pre, post, d).transpose(1, 0, 2, 3, 5, 4)
+    t = rho.matrix.reshape(pre, d, post, pre, d, post)
+    out = np.zeros(t.shape, np.result_type(t, kraus))
+    for k, A in enumerate(kraus[:d]):
+        a = np.diagonal(A, k)
+        out[:, :d - k, :, :, :d - k] += a[:, None, None, None, None] * t[:, k:, :, :, k:] * a.conj()[:, None]
     return DensityOperator(reg, out.reshape(reg.dim, reg.dim))
 
 

@@ -109,7 +109,7 @@ def check_closed_form_grid() -> CriterionResult:
     elapsed = time.perf_counter() - t0
     ok = worst_p <= 1e-12 and worst_e <= 1e-12 and elapsed < 60.0
     return _result(
-        "closed-form grid, dv and he_spd",
+        "closed-form grid, dv and he-spd",
         ok,
         f"max|dp|={worst_p:.2e} max|dE|={worst_e:.2e} in {elapsed:.1f}s",
         "1e-12, under 60s",
@@ -325,14 +325,15 @@ def _property_vacuum_test() -> float:
 
 
 def _property_bs_unitarity() -> float:
+    """The dense U against U U† = 1 and U⁻¹ U = 1, each product taken through the blocks."""
     worst = 0.0
     d = 7
     for theta in (0.3, math.pi / 2, 2.0):
         for phi in (0.0, math.pi / 3, math.pi):
             U = bs_unitary(d, d, BeamSplitterParams(theta, phi))
-            worst = max(worst, float(np.abs(U @ U.conj().T - np.eye(d * d)).max()))
-            Uinv = bs_unitary(d, d, BeamSplitterParams(theta, phi + math.pi))
-            worst = max(worst, float(np.abs(Uinv @ U - np.eye(d * d)).max()))
+            for right, left_phi in ((U.conj().T, phi), (U, phi + math.pi)):  # U⁻¹ is the phi + pi splitter
+                product = bs_on_axes(right.reshape(d, d, -1), (0, 1), BeamSplitterParams(theta, left_phi))
+                worst = max(worst, float(np.abs(product.reshape(d * d, -1) - np.eye(d * d)).max()))
     return worst
 
 

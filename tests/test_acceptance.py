@@ -26,7 +26,7 @@ def test_criterion_02_dv_negativity_floor_at_dead_channel():
 
 
 def test_criterion_03_closed_form_grid():
-    """dv and he_spd track their closed forms to 1e-6 over the loss grid."""
+    """dv and he-spd track their closed forms to 1e-6 over the loss grid."""
     _run(ver.check_closed_form_grid)
 
 

@@ -342,6 +342,26 @@ def test_loss_dilated_route_agrees():
             assert np.abs(a - ref).max() < 1e-13
 
 
+@pytest.mark.parametrize("T", [0.0, 0.37, 1.0])
+def test_loss_on_a_mixed_state_matches_the_lifted_kraus_sum(T):
+    """A rank-3 rho, with the lossy mode first, between two modes and last."""
+    rng = np.random.default_rng(53)
+    kraus = loss_channel(T, 5)
+    for reg in (
+        ModeRegister((("M", bosonic(5)), ("B", bosonic(3)))),
+        ModeRegister((("A", qubit()), ("M", bosonic(5)), ("B", bosonic(2)))),
+        ModeRegister((("A", qubit()), ("M", bosonic(5)))),
+    ):
+        psis = [random_state(reg, rng).amplitudes for _ in range(3)]
+        rho = DensityOperator(reg, sum(w * np.outer(p, p.conj()) for w, p in zip((0.5, 0.3, 0.2), psis)))
+        lifted = [
+            reduce(np.kron, [A if name == "M" else np.eye(d) for name, d in zip(reg.names, reg.dims)])
+            for A in kraus
+        ]
+        ref = sum(L @ rho.matrix @ L.conj().T for L in lifted)
+        assert np.abs(apply_loss(rho, "M", kraus).matrix - ref).max() < 1e-14
+
+
 def test_loss_matches_pure_splitter_with_vacuum_environment():
     """Oracle: the physical dilation, with no Kraus sum at all.
 
@@ -374,6 +394,11 @@ def test_loss_channel_validation():
             "M",
             loss_channel(0.5, 5),  # wrong dimension for the mode
         )
+    rho = DensityOperator(ModeRegister((("M", bosonic(4)),)), np.eye(5) / 5)
+    kraus = loss_channel(0.5, 4)
+    kraus[1, 2, 1] = 1e-3  # A_1[2, 1]: below the diagonal, where a^k puts nothing
+    with pytest.raises(ValueError, match="nonzero element off its band"):
+        apply_loss(rho, "M", kraus)
 
 
 # ---------------------------------------------------------------------------

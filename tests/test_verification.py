@@ -3,11 +3,16 @@ broken settings it has to fail, otherwise it is not measuring anything."""
 
 import io
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hyswap import closed_form, dv_swap, he_swap_homodyne, he_swap_spd, protocols
+from hyswap import closed_form, dv_swap, he_swap_homodyne, he_swap_spd, optics, protocols
 from hyswap import verification as ver
 
 
@@ -73,6 +78,83 @@ def test_verify_line_fails_when_a_pipeline_function_breaks(monkeypatch, name, mu
     ref = closed_form(res.scheme, 0.5, 0.6)
     assert abs(res.total_success_probability - ref.p) + abs(res.averaged_negativity - ref.E) > 1e-3  # a real fault
     assert not check().passed
+
+
+# mutants of the references the checks compare against, each built around the real one
+
+
+def _shift_one_band_element(real):
+    def channel(T, cutoff):
+        kraus = real(T, cutoff)
+        kraus[1, 1, 2] += 1e-6  # A_1[1, 2], on the band
+        return kraus
+    return channel
+
+
+def _shift_one_block_entry(real):
+    def blocks(d1, d2, theta, phi):
+        stack, block, slot = real(d1, d2, theta, phi)
+        stack = stack.copy()
+        stack[2, 1, 2] += 1e-6  # <1, 1|U|2, 0>: one photon lost in the dilation; block 2 is no longer unitary
+        return stack, block, slot
+    return blocks
+
+
+def _shift_one_dense_entry(real):
+    def unitary(d1, d2, params):
+        U = real(d1, d2, params).copy()
+        U[3, 5] += 1e-9
+        return U
+    return unitary
+
+
+def _part(result, name):
+    return float(re.search(re.escape(name) + r"=(\S+)", result.measured).group(1))
+
+
+@pytest.mark.parametrize("module,name,mutate,check,broken,intact", [
+    (ver, "loss_channel", _shift_one_band_element, ver.check_loss_routes_agree, "Kraus max|d|", "dilation max|d|"),
+    (optics, "_bs_blocks", _shift_one_block_entry, ver.check_loss_routes_agree, "dilation max|d|", "Kraus max|d|"),
+    (ver, "bs_unitary", _shift_one_dense_entry, ver.check_property_suite, "bs unitarity", "negativity"),
+    (optics, "_bs_blocks", _shift_one_block_entry, ver.check_property_suite, "bs unitarity", "negativity"),
+], ids=["kraus-band-element", "dilation-block-entry", "dense-unitary-entry", "non-unitary-block"])
+def test_verify_line_fails_when_a_reference_breaks(monkeypatch, module, name, mutate, check, broken, intact):
+    """A fault in one side of a cross-check must turn its verify line to FAIL, through that side alone."""
+    assert check().passed
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    res = check()
+    assert not res.passed
+    assert _part(res, broken) > 1e-10
+    assert _part(res, intact) < 1e-13
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="a second BLAS thread needs a second core")
+def test_warm_verify_pass_leaves_no_cpu_behind():
+    """No product in a warm pass may wake a BLAS helper thread that spins on after it.
+
+    A spinning helper bills CPU for about 135 ms after the product that woke it, so a
+    pass followed by 0.5 s of sleep would charge well over its own wall time.  The first
+    pass's cold ``eigh`` of the 33-level splitter blocks wakes it once per process; the
+    sleep before the measured pass lets that spin end.
+    """
+    script = (
+        "import resource, time\n"
+        "from hyswap import verification\n"
+        "cpu = lambda: sum(resource.getrusage(resource.RUSAGE_SELF)[:2])\n"
+        "verification.run_all(); verification.run_all()\n"
+        "time.sleep(0.5)\n"
+        "c0, w0 = cpu(), time.perf_counter()\n"
+        "verification.run_all()\n"
+        "wall = time.perf_counter() - w0\n"
+        "time.sleep(0.5)\n"
+        "print(cpu() - c0 - wall)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) < 0.05, f"{float(out.stdout) * 1e3:.0f} ms of CPU beyond the pass's wall time"
 
 
 def test_cheap_checks_pass_individually():

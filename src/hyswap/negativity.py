@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,11 +27,12 @@ class NegativityReport:
     trace_factor: float
 
 
-def _partial_transpose_stack(mats: np.ndarray, reg: ModeRegister, transpose_modes: list[str]) -> np.ndarray:
-    """Transpose the listed modes of every matrix of a (k, d, d) stack over ``reg``.
+@lru_cache(maxsize=64)
+def _transpose_layout(reg: ModeRegister, transpose_modes: tuple[str, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Tensor shape and axis permutation that transpose the listed modes of a (k, d, d) stack over ``reg``.
 
-    Transposing none or all of the modes is refused: both are global
-    (trivial) operations that signal a caller bug in a bipartite split.
+    Transposing none or all of the modes is refused: both are global (trivial) operations
+    that signal a caller bug in a bipartite split; only valid layouts are cached, so it raises every time.
     """
     names = reg.names
     tset = set(transpose_modes)
@@ -44,7 +46,12 @@ def _partial_transpose_stack(mats: np.ndarray, reg: ModeRegister, transpose_mode
     for i, nm in enumerate(names, 1):
         if nm in tset:
             perm[i], perm[n + i] = perm[n + i], perm[i]
-    return mats.reshape((len(mats),) + reg.dims * 2).transpose(perm).reshape(mats.shape)
+    return reg.dims * 2, tuple(perm)
+
+
+def _partial_transpose_stack(mats: np.ndarray, reg: ModeRegister, transpose_modes: list[str]) -> np.ndarray:
+    shape, perm = _transpose_layout(reg, tuple(transpose_modes))
+    return mats.reshape((len(mats),) + shape).transpose(perm).reshape(mats.shape)
 
 
 def partial_transpose(rho: DensityOperator, transpose_modes: list[str]) -> DensityOperator:

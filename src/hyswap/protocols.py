@@ -31,9 +31,12 @@ x_{pi/2} quadrature; every value x is accepted and a feed-forward phase
 e^{-i g x}, g = 4 sqrt(tau) alpha, on C undoes the outcome-dependent
 rotation, so the integral over x is an operator on D, not a grid sum:
 K_1 = int dx |x><x| e^{-i g x} = D(-g/sqrt(2)), a real displacement whose
-d x d corner is exact.  The ancilla never enters the register: the vacuum
-test acts on B as the d x d corner of its operator M, exact in closed
-form, with no ancilla or output level cut.
+d x d corner is exact, contracted with the slices where C's bits differ
+(K_1^T the other way) while a trace stands for K_0 = I where they agree.
+The ancilla never enters the register: the vacuum test acts on B as the
+d x d corner of its operator M, exact in closed form, with no ancilla or
+output level cut.  M and K_1 read their beta-free arrays from one table
+per cutoff, built on first use.
 
 Channel loss keeps the global state pure until measurement, so the
 reduced A-C state never needs a full-register density matrix.  Both
@@ -99,6 +102,7 @@ _AC_REGISTER = ModeRegister((("A", qubit()), ("C", qubit())))
 # the midpoint splitter's one-photon block u[o, i], o and i over the counts (0, 1), (1, 0) on (B, D)
 _ONE_PHOTON = bs_on_axes(np.eye(4).reshape(2, 2, 2, 2), (0, 1), FIFTY_FIFTY)[[0, 1], [1, 0]][:, [0, 1], [1, 0]]
 _ONE_PHOTON_GRAM = np.einsum("om,on->omn", _ONE_PHOTON, _ONE_PHOTON.conj())  # u[o, m] u*[o, n]
+_INV_FACTORIALS = tuple(1.0 / math.factorial(k) for k in range(19, 1, -1))  # 1/k!, k = 19 .. 2
 
 
 def default_cutoff() -> int:
@@ -248,33 +252,40 @@ def _vacuum_test(d: int, beta: float) -> np.ndarray:
     Phys. Rev. 177, 1857 (1969)), so M = I - A(beta) - A(-beta) + e^{-beta²}|0><0|.  E[m, l] =
     e^{-beta²/4} (-beta/2)^{l-m} sqrt(l!/m!) / (l-m)!, a cumulative product along each row, is
     upper triangular, so the corner is exact with no level cut; A(-beta) is A(beta) with its odd
-    m + l entries negated.  M[0, 0] = (1 - e^{-x})² and M[1, 1] = 1 - (1 + x) e^{-x}, x = beta²/2,
-    vanish as beta -> 0, so they are not taken as 1 minus order-1 terms.
+    m + l entries negated; every beta-free array comes from the per-d ``_herald_tables``.
+    M[0, 0] = (1 - e^{-x})² and M[1, 1] = 1 - (1 + x) e^{-x}, x = beta²/2, vanish as beta -> 0,
+    so they are not taken as 1 minus order-1 terms; below x = 1, M[1, 1] is a Horner sum.
     """
-    n = np.arange(d)
-    j = n - n[:, None]  # l - m at [m, l]
-    steps = np.where(j > 0, -0.5 * beta * np.sqrt(n) / np.maximum(j, 1), 1.0)  # E[m, l] / E[m, l-1]
+    up, root, over, half, even2, eye = _herald_tables(d)[1]
+    steps = np.where(up, -0.5 * beta * root / over, 1.0)  # E[m, l] / E[m, l-1]
     steps[:, 0] = math.exp(-0.25 * beta * beta)
-    F = np.cumprod(steps, axis=1) * np.where(j < 0, 0.0, np.sqrt(0.5) ** n[:, None])  # diag(2^-n/2) E: A = F† F
-    M = np.eye(d) - np.where(j % 2, 0.0, 2.0 * (F.T @ F))
+    F = np.cumprod(steps, axis=1) * half  # diag(2^-n/2) E: A = F† F
+    M = eye - even2 * (F.T @ F)
     x = 0.5 * beta * beta
     M[0, 0] = math.expm1(-x) ** 2
-    # P(n >= 2) for a Poisson mean x, summed upward below x = 1
-    M[1, 1] = math.exp(-x) * sum(x**k / math.factorial(k) for k in range(2, 20)) if x < 1 else -math.expm1(-x) - x * math.exp(-x)
+    tail = 0.0  # below x = 1, P(n >= 2) for a Poisson mean x is e^{-x} x² sum_k x^k / (k+2)!, by Horner
+    for inv in _INV_FACTORIALS:
+        tail = tail * x + inv
+    M[1, 1] = math.exp(-x) * x * x * tail if x < 1 else -math.expm1(-x) - x * math.exp(-x)
     return M
 
 
 @lru_cache(maxsize=64)
-def _displacement_steps(d: int) -> tuple[np.ndarray, ...]:
-    """Read-only (b, s, c, place, sign) for ``_displacement``: b = (2n+1+k) s, s and c = sqrt(n(n+k)) s
-    at [n, k], s = 1/sqrt((n+1)(n+1+k)); D.flat = E.flat[place] * sign puts E[n, k] at [n+k, n]."""
+def _herald_tables(d: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Read-only beta-free arrays, built on first use.  ``_displacement`` reads (b, s, c, place, sign):
+    b = (2n+1+k) s, s and c = sqrt(n(n+k)) s at [n, k], s = 1/sqrt((n+1)(n+1+k)); D.flat = E.flat[place]
+    * sign puts E[n, k] at [n+k, n].  ``_vacuum_test`` reads (j > 0, sqrt(l), max(j, 1), 2^{-m/2} where
+    j >= 0 else 0, 2 where j is even else 0, I) at [m, l], j = l - m."""
     n, k = np.ogrid[:d, :d]
     s = 1.0 / np.sqrt((n + 1) * (n + 1 + k))
     lower = n >= k  # as (row, column) of the matrix
     place = np.where(lower, k * d + n - k, n * d + k - n)
     sign = np.where(lower | ((k - n) % 2 == 0), 1.0, -1.0)
-    tables = ((2 * n + 1 + k) * s, s, np.sqrt(n * (n + k)) * s, place, sign)
-    for a in tables:
+    j = k - n
+    half = np.where(j < 0, 0.0, np.sqrt(0.5) ** n)
+    tables = (((2 * n + 1 + k) * s, s, np.sqrt(n * (n + k)) * s, place, sign),
+              (j > 0, np.sqrt(np.arange(d)), np.maximum(j, 1), half, np.where(j % 2, 0.0, 2.0), np.eye(d)))
+    for a in tables[0] + tables[1]:
         a.setflags(write=False)
     return tables
 
@@ -288,7 +299,7 @@ def _displacement(gamma: float, d: int) -> np.ndarray:
     - sqrt(n(n+k)) E[n-1]) s runs down every diagonal at once.  (The column recurrence
     a D = D (a + gamma) is 1e11 off at d 65, gamma 8.5.)
     """
-    b, s, c, place, sign = _displacement_steps(d)
+    b, s, c, place, sign = _herald_tables(d)[0]
     E = np.zeros((d + 1, d))  # row d stays zero as E[-1]
     E[0] = _coherent_amplitudes(gamma, d - 1).real
     rows, steps, back = list(E), list(b - gamma * gamma * s), list(c)
@@ -319,8 +330,9 @@ def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int |
     trace over it act on B as the d x d M = <beta| U† (P_B>=1 ⊗ P_E>=1)
     U |beta>, in closed form.  The quadrature integral is one (4d x d)
     (d x 4d) real matrix H = (M Phi)^T Phi of the (B | D, A, C) matrix Phi,
-    contracted with K_0 = I for equal C bits, K_1 = D(-g/sqrt(2)) for C
-    bits (1, 0) and K_{-1} = K_1^T for (0, 1), and weighted by W ⊗ W.
+    contracted by C-bit slices, with no stack of kernels: a trace (K_0 = I)
+    for equal bits, K_1 = D(-g/sqrt(2)) for bits (1, 0) and K_1^T for (0,
+    1); W ⊗ W weighs the 4 x 4 result as a broadcast product.
     """
     alpha = _check_alpha(alpha)
 
@@ -332,13 +344,14 @@ def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int |
         M = _vacuum_test(d, math.sqrt(2.0 * tau) * alpha)
         g = 4.0 * math.sqrt(tau) * alpha  # the feed-forward phase on C is e^{-i g x}
         K1 = _displacement(-g / math.sqrt(2.0), d)
-        cbit = np.arange(4) % 2
-        K = np.stack([K1.T, np.eye(d), K1])[cbit[:, None] - cbit[None, :] + 1]
         # (B | D, A, C) through the midpoint splitter, handed over as a temporary it can free
         Phi = bs_on_axes(np.einsum("am,cn->mnac", amp, amp), (0, 1), FIFTY_FIFTY).reshape(d, -1)
-        H = ((M @ Phi).T @ Phi).reshape(d, 4, d, 4)  # both clicks as M on B; Phi is real
+        H = ((M @ Phi).T @ Phi).reshape(d, 2, 2, d, 2, 2)  # [n, A, C, k, A', C']: both clicks as M on B
+        rho = np.einsum("nacnbe->acbe", H)  # K_0 = I, kept where the C bits agree
+        rho[:, 1, :, 0] = np.einsum("nakb,nk->ab", H[:, :, 1, :, :, 0], K1)
+        rho[:, 0, :, 1] = np.einsum("nakb,kn->ab", H[:, :, 0, :, :, 1], K1)  # K_{-1} = K_1^T
         W = env @ env.T
-        return ("click_click",), (np.kron(W, W) * np.einsum("nakb,abnk->ab", H, K))[None]
+        return ("click_click",), (W[:, None, :, None] * W[:, None, :] * rho).reshape(1, 4, 4)
 
     return _run_swap("he_ho", alpha, T, T_prime, cutoff, partial(_lossy_hybrid_pair, alpha), herald)
 

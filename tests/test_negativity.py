@@ -189,3 +189,25 @@ def test_negativity_screens_eigenvalues_above_minus_1e_12():
         rep = negativity(DensityOperator(reg, rho), ["C"])
         assert abs(rep.value - expect) < 1e-15, eps
         assert len(rep.negative_eigenvalues) == (expect > 0)
+
+
+def test_cached_transpose_layout_still_refuses_bad_modes():
+    """The partial-transpose layout is cached per (register, modes) after a success; a refused
+    layout is not, so an unknown mode or a non-proper subset raises on every later call too."""
+    from hyswap.negativity import _negativity_stack
+
+    reg = qq_register()
+    bell = np.zeros(4)
+    bell[[1, 2]] = math.sqrt(0.5)
+    rhos = np.outer(bell, bell)[None].astype(complex)
+    first = _negativity_stack(rhos, reg, ["C"])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown mode 'X'"):
+            _negativity_stack(rhos, reg, ["X"])
+        with pytest.raises(ValueError, match="unknown mode 'X'"):
+            _negativity_stack(rhos, reg, ["C", "X"])
+        for modes in ([], ["A", "C"], ["C", "A", "C"]):
+            with pytest.raises(ValueError, match="proper subset"):
+                _negativity_stack(rhos, reg, modes)
+        assert _negativity_stack(rhos, reg, ["C"]) == first
+    assert first[0].value == pytest.approx(1.0, abs=1e-12)

@@ -646,12 +646,15 @@ def test_vacuum_test_is_hermitian_finite_and_keeps_small_beta_digits():
 def test_vacuum_test_entries_keep_their_relative_digits():
     """Every entry against the same normal-ordered form in 50 digits.  M[0, 0] and M[1, 1] vanish
     as beta -> 0; taken as 1 minus order-1 terms, M[1, 1] lost 1e-9 of itself at beta 0.02."""
+    assert 0.5 * (math.sqrt(2.0) * (1 - 1e-12)) ** 2 < 1.0 < 0.5 * (math.sqrt(2.0) * (1 + 1e-12)) ** 2
     mpmath = pytest.importorskip("mpmath")
     from hyswap.protocols import _vacuum_test
 
     d = 7
     with mpmath.workdps(50):
-        for beta in (0.0, 1e-5, 0.02, 0.155, 1.0, 1.42, 2.5, 6.0):
+        # beta = sqrt(2) (1 ± 1e-12) sits on both sides of x = beta²/2 = 1, where M[1, 1] leaves its Horner sum
+        for beta in (0.0, 1e-8, 1e-5, 0.02, 0.155, 1.0, math.sqrt(2.0) * (1 - 1e-12), math.sqrt(2.0) * (1 + 1e-12),
+                     1.42, 2.5, 6.0):
             b = mpmath.mpf(beta)
             E = mpmath.matrix(d, d)
             for m in range(d):
@@ -692,14 +695,77 @@ def test_displacement_kernel_is_the_integrated_feed_forward_phase(d):
 
 
 def test_displacement_tables_are_cached_and_read_only():
-    from hyswap.protocols import _displacement, _displacement_steps
+    """The displacement's and the vacuum test's beta-free arrays are one read-only entry per d,
+    built on first use, never at import, and not shared with any matrix a call returns."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
 
-    _displacement_steps.cache_clear()
-    first = _displacement(1.3, 11)
-    tables = _displacement_steps(11)
-    assert all(not t.flags.writeable for t in tables)
+    from hyswap.protocols import _displacement, _herald_tables, _vacuum_test
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    fresh = "import hyswap.protocols as p; print(p._herald_tables.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", fresh], capture_output=True, text=True, timeout=60, env=env)
+    assert out.returncode == 0 and out.stdout == "0\n", out.stderr
+    _herald_tables.cache_clear()
+    first, vac = _displacement(1.3, 11), _vacuum_test(11, 0.9)
+    kept = vac.copy()
+    vac[:] = np.nan
+    displacement, vacuum = _herald_tables(11)
+    assert len(displacement) == 5 and len(vacuum) == 6
+    assert all(not t.flags.writeable for t in displacement + vacuum)
     assert np.array_equal(_displacement(1.3, 11), first)
-    assert _displacement_steps.cache_info().misses == 1
+    assert np.array_equal(_vacuum_test(11, 0.9), kept)
+    assert _herald_tables.cache_info().misses == 1
+    _vacuum_test(12, 0.9)
+    _displacement(0.4, 12)
+    assert _herald_tables.cache_info().misses == 2
+
+
+def _he_ho_herald_as_first_written(amp, env, tau, alpha):
+    """he-ho's herald matrix with the feed-forward kernels as a (4, 4, d, d) stack of K_1^T, I and
+    K_1 picked by the C-bit difference, contracted in one einsum and weighted by kron(W, W)."""
+    from hyswap.optics import bs_on_axes
+    from hyswap.protocols import _displacement, _vacuum_test
+
+    d = amp.shape[1]
+    M = _vacuum_test(d, math.sqrt(2.0 * tau) * alpha)
+    K1 = _displacement(-4.0 * math.sqrt(tau) * alpha / math.sqrt(2.0), d)
+    cbit = np.arange(4) % 2
+    K = np.stack([K1.T, np.eye(d), K1])[cbit[:, None] - cbit[None, :] + 1]
+    Phi = bs_on_axes(np.einsum("am,cn->mnac", amp, amp), (0, 1), FIFTY_FIFTY).reshape(d, -1)
+    H = ((M @ Phi).T @ Phi).reshape(d, 4, d, 4)
+    W = env @ env.T
+    return np.kron(W, W) * np.einsum("nakb,abnk->ab", H, K)
+
+
+def test_he_ho_contraction_matches_the_kernel_stack(monkeypatch):
+    """The herald contracts H with I, K_1 and K_1^T by C-bit slices; the A-C matrix stays within
+    5e-15 of the stacked-kernel formula.  The cutoffs start at the smallest keeping the tail of
+    sqrt(2) alpha at most 1e-9 (5, 13, 22, 49 for the alphas below) and run to 64."""
+    import hyswap.protocols as protocols
+
+    heralded = []
+    real_run = protocols._run_swap
+
+    def run_swap(scheme, alpha, T, T_prime, c, pair, herald):
+        def recorded(value, tau):
+            out = herald(value, tau)
+            heralded.append((value, tau, out[1]))
+            return out
+        return real_run(scheme, alpha, T, T_prime, c, pair, recorded)
+
+    monkeypatch.setattr(protocols, "_run_swap", run_swap)
+    worst = 0.0
+    for alpha, smallest in ((0.2, 5), (0.8, 13), (1.5, 22), (3.0, 49)):
+        for cutoff in sorted({smallest, (smallest + 64) // 2, 64}):
+            for T, tp in ((0.0, 1.0), (0.37, 0.6), (0.9, 1.0), (1.0, 1.0), (1.0, 0.6)):
+                he_swap_homodyne(alpha, T, tp, cutoff)
+                (amp, env), tau, rho = heralded.pop()
+                assert rho.shape == (1, 4, 4) and rho.flags.c_contiguous
+                worst = max(worst, float(np.abs(rho[0] - _he_ho_herald_as_first_written(amp, env, tau, alpha)).max()))
+    assert worst <= 5e-15
 
 
 def test_he_spd_lossy_pair_is_written_as_its_band():

@@ -99,7 +99,8 @@ FIFTY_FIFTY = BeamSplitterParams(math.pi / 2.0, math.pi)
 @lru_cache(maxsize=256)
 def _bs_blocks(d1: int, d2: int, theta: float, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The splitter's total-photon-number blocks, zero-padded into one read-only stack;
-    |x, y> sits in block ``block[x, y]`` at slot ``slot[x, y]``.  When phi is a multiple of pi
+    |x, y> sits in block x + y at slot ``slot[x, y]``, row ``row[x d2 + y]`` of the stack's
+    (blocks x slots) rows.  When phi is a multiple of pi
     (tested on phi itself: sin(pi) is 1.2e-16 in floats), e^{i phi} = ±1 and every block is
     real orthogonal, so the stack is float64: each block's real part, the imaginary part
     being rounding alone."""
@@ -116,9 +117,10 @@ def _bs_blocks(d1: int, d2: int, theta: float, phi: float) -> tuple[np.ndarray, 
         w, V = np.linalg.eigh(1j * (theta / 2.0) * A)
         U = (V * np.exp(-1j * w)) @ V.conj().T
         blocks[n, :k.size + 1, :k.size + 1] = U.real if real else U
-    for a in (blocks, block, slot):
+    row = (block * min(d1, d2) + slot).ravel()
+    for a in (blocks, row, slot):
         a.setflags(write=False)
-    return blocks, block, slot
+    return blocks, row, slot
 
 
 def bs_on_axes(t: np.ndarray, axes: tuple[int, int], params: BeamSplitterParams) -> np.ndarray:
@@ -128,12 +130,13 @@ def bs_on_axes(t: np.ndarray, axes: tuple[int, int], params: BeamSplitterParams)
     product over twice the columns, so the cached stack is never copied to complex."""
     if tuple(axes) != (0, 1):  # np.moveaxis costs as much as a small block matmul: only when needed
         return np.moveaxis(bs_on_axes(np.moveaxis(t, axes, (0, 1)), (0, 1), params), (0, 1), axes)
-    blocks, block, slot = _bs_blocks(t.shape[0], t.shape[1], float(params.theta), float(params.phi))
-    z = np.zeros(blocks.shape[:2] + (math.prod(t.shape[2:]),), dtype=np.result_type(t, blocks))
-    z[block, slot] = t.reshape(block.shape + (-1,))
+    blocks, row, _ = _bs_blocks(t.shape[0], t.shape[1], float(params.theta), float(params.phi))
+    z = np.zeros((blocks.shape[0] * blocks.shape[1], math.prod(t.shape[2:])), dtype=np.result_type(t, blocks))
+    z[row] = t.reshape(row.size, -1)
     shape = t.shape
     del t  # a temporary handed in is freed before the matmul allocates
-    return (blocks @ z.view(blocks.dtype)).view(z.dtype)[block, slot].reshape(shape)
+    out = (blocks @ z.view(blocks.dtype).reshape(blocks.shape[:2] + (-1,))).view(z.dtype)
+    return out.reshape(z.shape).take(row, axis=0).reshape(shape)
 
 
 def bs_unitary(d1: int, d2: int, params: BeamSplitterParams) -> np.ndarray:

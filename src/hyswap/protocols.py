@@ -7,12 +7,18 @@ surviving A-C state, conditioned on the accepted outcomes, is the
 protocol output.
 
 The three schemes differ only in the resource pair and the herald, the
-midpoint measurement.  One private runner does the rest: it validates
-T, T' and the cutoff, forms tau = T * T', builds the lossy pair and
-sums the herald's outcomes, a stack of unnormalized A-C matrices whose
-traces are the probabilities, into a ``SwapResult``.  Outcomes at or
-below ``_PROB_FLOOR`` carry the zero state; the others are normalized
-and scored together, one negativity eigen-solve per point.
+midpoint measurement.  One private runner does the rest, for a stack of
+transmissions T at one (scheme, alpha, T', cutoff): it validates every T,
+T' and the cutoff, forms tau = T * T', builds the lossy pairs and sums the
+herald's outcomes, a (point, outcome) stack of unnormalized A-C matrices
+whose traces are the probabilities, into one ``SwapResult`` per point.
+Outcomes at or below ``_PROB_FLOOR`` carry the zero state; the others, of
+every point, are normalized and scored together in one negativity
+eigen-solve.  Each layer runs once over the stack, and each point's result
+equals, bit for bit, that of the point alone.  ``swap_points`` is the
+runner's public entry; ``sweep.run_sweep`` calls it once per (scheme,
+alpha) group of rows, and the three scheme functions are it on a stack of
+one.
 
 * ``dv_swap``: vacuum/single-photon Bell pairs, counting herald.
 * ``he_swap_spd``: hybrid qubit/coherent pairs, counting herald.
@@ -60,8 +66,8 @@ ideal one behind a loss); the tests check it against explicitly modeled
 inefficient detectors.
 
 The module holds these three pipelines and nothing else.  From the
-reference toolbox they read only registers, ``DensityOperator``, the
-coherent amplitudes and the splitter blocks; the state constructors,
+reference toolbox they read only registers, ``DensityOperator`` and the
+splitter blocks; the state constructors,
 ``apply_bs``, detectors and quadrature grids are the independent routes
 ``verification`` and the tests check them with, so none of them is
 called here (the test of the package's imports holds that line).
@@ -72,12 +78,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .closed_form import _check_alpha, _check_range
-from .fock import DensityOperator, ModeRegister, qubit, _coherent_amplitudes
+from .closed_form import SCHEMES, _check_alpha, _check_range
+from .fock import DensityOperator, ModeRegister, qubit
 from .negativity import _negativity_stack
 from .optics import FIFTY_FIFTY, bs_on_axes
 # imported but never called here: perfbench's WRAPPED names them all, and its tests need them bound
@@ -93,6 +99,7 @@ __all__ = [
     "dv_swap",
     "he_swap_spd",
     "he_swap_homodyne",
+    "swap_points",
 ]
 
 DEFAULT_CUTOFF = 12
@@ -103,6 +110,10 @@ _AC_REGISTER = ModeRegister((("A", qubit()), ("C", qubit())))
 _ONE_PHOTON = bs_on_axes(np.eye(4).reshape(2, 2, 2, 2), (0, 1), FIFTY_FIFTY)[[0, 1], [1, 0]][:, [0, 1], [1, 0]]
 _ONE_PHOTON_GRAM = np.einsum("om,on->omn", _ONE_PHOTON, _ONE_PHOTON.conj())  # u[o, m] u*[o, n]
 _INV_FACTORIALS = tuple(1.0 / math.factorial(k) for k in range(19, 1, -1))  # 1/k!, k = 19 .. 2
+_HERALD_BLOCK = 1 << 18  # points x d² per he-ho block: it holds about 24 floats for each, 48 MiB in all
+_C_BIT = np.arange(4) % 2  # of (A, C) as 2 A + C
+_KERNEL_OF = np.where(_C_BIT[:, None] == _C_BIT, 0, np.where(_C_BIT[:, None] > _C_BIT, 1, 2))  # he-ho: I, K_1, K_1^T
+_AC_ROWS, _AC_COLS = np.indices((4, 4))
 
 
 def default_cutoff() -> int:
@@ -121,15 +132,26 @@ def default_cutoff() -> int:
 
 @dataclass(frozen=True)
 class SwapOutcome:
+    """One heralded outcome: its label, probability, normalized A-C matrix and negativity.
+
+    ``state`` is the 4 x 4 matrix over (A, C), all zeros for an unreachable
+    outcome; ``post_state`` is that matrix as a ``DensityOperator``, built on
+    first use.
+    """
+
     label: str
     probability: float
-    post_state: DensityOperator
+    state: np.ndarray
     negativity: float
+
+    @cached_property
+    def post_state(self) -> DensityOperator:
+        return DensityOperator(_AC_REGISTER, self.state)
 
 
 @dataclass(frozen=True)
 class SwapResult:
-    """Per-outcome and aggregate results of one protocol run.
+    """Per-outcome and aggregate results of one protocol point.
 
     ``averaged_negativity`` is the probability-weighted mean of the
     per-outcome negativities over accepted outcomes (the accepted
@@ -151,59 +173,107 @@ def _resolve_cutoff(cutoff: int | None) -> int:
     return c
 
 
-def _lossy_hybrid_pair(alpha: float, c: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """The hybrid pair after a loss tau as its factors (amp, env): P[a, m, i] = amp[a, m] env[a, i].
+def _coherent_columns(beta: list[float], c: int) -> np.ndarray:
+    """<n|beta>, n <= c, of each real beta of a list as a column: a cumulative product down it.
 
-    amp[0] is |sqrt(tau) alpha> on B cut at c and amp[1] = (-1)^m amp[0]; env[0] = (c+, c-) / sqrt(2)
-    and env[1] = (c+, -c-) / sqrt(2), c± those of |±eps> on |even>, |odd>.  P is their einsum.
+    Every step of -beta's column is beta's negated, so that column is (-1)^n times beta's, bit for bit.
     """
-    x = 2.0 * (1.0 - tau) * alpha * alpha  # 2 eps²
-    cp, cm = math.sqrt(0.5 + 0.5 * math.exp(-x)), math.sqrt(-0.5 * math.expm1(-x))
-    amp = np.empty((2, c + 1))
-    amp[0] = _coherent_amplitudes(math.sqrt(tau) * alpha, c).real
-    np.multiply(amp[0], (-1.0) ** np.arange(c + 1), out=amp[1])
-    return amp, np.array([[cp, cm], [cp, -cm]]) / math.sqrt(2.0)
+    steps = np.empty((c + 1, len(beta)))
+    steps[0] = [math.exp(-abs(b) ** 2 / 2.0) for b in beta]
+    np.divide(beta, _herald_tables(c + 1)[1][2][1:, None], out=steps[1:])  # beta / sqrt(n)
+    return np.multiply.accumulate(steps, axis=0)
 
 
-def _lossy_dv_pair(tau: float) -> np.ndarray:
-    """(|01> + |10>)/sqrt(2) after a loss tau as P[a, m, i], i the photons lost: B needs two levels."""
-    P = np.zeros((2, 2, 2))
-    P[0, 1, 0], P[0, 0, 1], P[1, 0, 0] = math.sqrt(0.5 * tau), math.sqrt(0.5 * (1.0 - tau)), math.sqrt(0.5)
-    return P
+def _lossy_hybrid_pair(alpha: float, c: int, tau) -> tuple[np.ndarray, np.ndarray]:
+    """The hybrid pair after a loss tau as its factors (amp, env): P[..., a, m, i] = amp[..., a, m] env[..., a, i].
 
-
-def _run_swap(scheme: str, alpha: float | None, T: float, T_prime: float,
-              cutoff: int | None, pair, herald) -> SwapResult:
-    """The part every scheme shares: checks, lossy pair, herald, totals.
-
-    ``pair(cutoff, tau)`` is the lossy pair both parties hold, as P[a, m,
-    i] over (local, traveling, loss environment) or as he-ho's factors of
-    it.  ``herald(pair, tau)`` returns the accepted outcomes as ``(labels,
-    rhos)``, rhos a C-contiguous (k, 4, 4) stack of unnormalized A-C
-    matrices whose traces are the probabilities.  Those at or below
-    ``_PROB_FLOOR`` get probability 0, the zero state and negativity 0.
+    tau is a number or an array of them, whose shape leads both factors.  amp[..., 0, :] is
+    |sqrt(tau) alpha> on B cut at c and amp[..., 1, :] = (-1)^m amp[..., 0, :]; env[..., 0, :] =
+    (c+, c-) / sqrt(2) and env[..., 1, :] = (c+, -c-) / sqrt(2), c± those of |±eps> on |even>, |odd>.
     """
-    T = _check_range(T, "T")
+    tau = np.asarray(tau, dtype=float)
+    env, beta = [], []
+    for t in tau.reshape(-1).tolist():
+        x = 2.0 * (1.0 - t) * alpha * alpha  # 2 eps²
+        cp, cm = math.sqrt(0.5 + 0.5 * math.exp(-x)), math.sqrt(-0.5 * math.expm1(-x))
+        env.append(((cp, cm), (cp, -cm)))
+        beta += (math.sqrt(t) * alpha, -math.sqrt(t) * alpha)  # the |1> branch is |-beta>
+    amp = _coherent_columns(beta, c).T.reshape(tau.shape + (2, c + 1))
+    return amp, (np.array(env) / math.sqrt(2.0)).reshape(tau.shape + (2, 2))
+
+
+def _lossy_dv_pair(tau) -> np.ndarray:
+    """(|01> + |10>)/sqrt(2) after a loss tau as P[..., a, m, i], i the photons lost: B needs two levels.
+
+    tau is a number or an array of them, whose shape leads P: P[..., 0, 1, 0], P[..., 0, 0, 1] and
+    P[..., 1, 0, 0] are sqrt(tau/2), sqrt((1 - tau)/2) and sqrt(1/2), the rest 0."""
+    tau = np.asarray(tau, dtype=float)
+    r = math.sqrt(0.5)
+    P = [(0.0, math.sqrt(0.5 * (1.0 - t)), math.sqrt(0.5 * t), 0.0, r, 0.0, 0.0, 0.0) for t in tau.reshape(-1).tolist()]
+    return np.array(P).reshape(tau.shape + (2, 2, 2))
+
+
+def _run_swap(scheme: str, alpha: float | None, Ts, T_prime: float,
+              cutoff: int | None, pair, herald) -> tuple[SwapResult, ...]:
+    """The part every scheme shares, over a stack of transmissions: checks, lossy pairs, herald, totals.
+
+    ``pair(cutoff, tau)`` is the lossy pair both parties hold at each tau of the 1-D stack, as
+    P[k, a, m, i] over (point, local, traveling, loss environment) or as he-ho's factors of it.
+    ``herald(pair, tau)`` returns the accepted outcomes as ``(labels, rhos)``, rhos a C-contiguous
+    (k, n, 4, 4) stack of unnormalized A-C matrices whose traces are the probabilities.  Those at
+    or below ``_PROB_FLOOR`` get probability 0, the zero state and negativity 0; the others, of
+    every point, are normalized and scored together in one eigen-solve.
+    """
+    Ts = [_check_range(T, "T") for T in Ts]
     T_prime = _check_range(T_prime, "T_prime")
     cutoff = _resolve_cutoff(cutoff)
-    tau = T * T_prime
+    if not Ts:
+        return ()
+    tau = np.array([T * T_prime for T in Ts])
     labels, rhos = herald(pair(cutoff, tau), tau)
-    probs = rhos.trace(axis1=1, axis2=2).real
+    probs = rhos.trace(axis1=2, axis2=3)  # every herald is real
     live = probs > _PROB_FLOOR
     states = rhos[live] / probs[live, None, None]
     scored = zip(states, [r.value for r in _negativity_stack(states, _AC_REGISTER, ["C"])])  # one eigen-solve
-    outcomes = []
-    for label, p, ok in zip(labels, probs.tolist(), live.tolist()):
-        rho, e = next(scored) if ok else (np.zeros((4, 4)), 0.0)
-        outcomes.append(SwapOutcome(label, p if ok else 0.0, DensityOperator(_AC_REGISTER, rho), e))
-    total = sum(o.probability for o in outcomes)
-    avg = sum(o.probability * o.negativity for o in outcomes) / total if total > _PROB_FLOOR else 0.0
-    echo = {"scheme": scheme, "alpha": alpha, "T": T, "T_prime": T_prime, "cutoff": cutoff}
-    return SwapResult(scheme, tuple(outcomes), total, avg, echo)
+    results = []
+    for T, point_probs, point_live in zip(Ts, probs.tolist(), live.tolist()):
+        outcomes = [SwapOutcome(label, p, *next(scored)) if ok else SwapOutcome(label, 0.0, np.zeros((4, 4)), 0.0)
+                    for label, p, ok in zip(labels, point_probs, point_live)]
+        total = sum(o.probability for o in outcomes)
+        avg = sum(o.probability * o.negativity for o in outcomes) / total if total > _PROB_FLOOR else 0.0
+        echo = {"scheme": scheme, "alpha": alpha, "T": T, "T_prime": T_prime, "cutoff": cutoff}
+        results.append(SwapResult(scheme, tuple(outcomes), total, avg, echo))
+    return tuple(results)
 
 
-def _count_herald(P: np.ndarray, tau: float) -> tuple[tuple[str, ...], np.ndarray]:
-    """Photon counts (0, 1) and (1, 0) on (B, D), read off the lossy pair on B's levels 0 and 1.
+def swap_points(scheme: str, alpha: float | None, Ts, T_prime: float = 1.0,
+                cutoff: int | None = None) -> tuple[SwapResult, ...]:
+    """One scheme at one (alpha, T', cutoff) over a sequence of transmissions T: one result per T.
+
+    ``scheme`` is "dv", which ignores ``alpha``, "he_spd" or "he_ho".  The points run as one
+    stack through every layer, and each result equals, bit for bit, that of its T alone.  A
+    bad T anywhere in the sequence, or a he-ho pair starved at any of them, raises the error
+    it raises alone.
+    """
+    if scheme == "dv":
+        return _run_swap("dv", None, Ts, T_prime, cutoff, lambda c, tau: _lossy_dv_pair(tau), _count_herald)
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    alpha = _check_alpha(alpha)
+    if scheme == "he_spd":
+        return _run_swap("he_spd", alpha, Ts, T_prime, cutoff, lambda c, tau: _hybrid_band(alpha, tau), _count_herald)
+    return _run_swap("he_ho", alpha, Ts, T_prime, cutoff, partial(_lossy_hybrid_pair, alpha),
+                     partial(_homodyne_herald, alpha))
+
+
+def _hybrid_band(alpha: float, tau: np.ndarray) -> np.ndarray:
+    """The lossy hybrid pair P[k, a, m, i] on B's levels 0 and 1 alone, all the counting herald reads."""
+    amp, env = _lossy_hybrid_pair(alpha, 1, tau)
+    return amp[..., None] * env[:, :, None, :]
+
+
+def _count_herald(P: np.ndarray, tau: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """Photon counts (0, 1) and (1, 0) on (B, D), read off each real lossy pair on B's levels 0 and 1.
 
     Row o of the splitter's one-photon block u (``_ONE_PHOTON``) maps the
     inputs (0, 1) and (1, 0) to output o, whose (A, C | Eb, Ed) amplitude
@@ -211,9 +281,9 @@ def _count_herald(P: np.ndarray, tau: float) -> tuple[tuple[str, ...], np.ndarra
     matrix is G_o = sum_{m,n} u[o,m] u*[o,n] g[m,n] ⊗ g[1-m,1-n], with
     g[m, n] = P[:, m] P[:, n]† traced over the loss environment.
     """
-    g = np.einsum("amk,bnk->mnab", P, P.conj())
-    G = np.einsum("omn,mnab,mncd->oacbd", _ONE_PHOTON_GRAM, g, g[::-1, ::-1])
-    return ("01", "10"), np.ascontiguousarray(G.reshape(2, 4, 4))  # a strided stack would trace in another order
+    g = np.einsum("kamj,kbnj->kmnab", P, P)
+    G = np.einsum("omn,kmnab,kmncd->koacbd", _ONE_PHOTON_GRAM, g, g[:, ::-1, ::-1])
+    return ("01", "10"), np.ascontiguousarray(G.reshape(-1, 2, 4, 4))  # a strided stack would trace in another order
 
 
 def dv_swap(T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapResult:
@@ -225,9 +295,9 @@ def dv_swap(T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapRe
 
     The traveling mode holds at most one photon, so the lossy pair is
     three numbers and the results are exactly cutoff-independent for any
-    requested cutoff >= 2.
+    requested cutoff >= 2.  This is ``swap_points`` on a stack of one.
     """
-    return _run_swap("dv", None, T, T_prime, cutoff, lambda c, tau: _lossy_dv_pair(tau), _count_herald)
+    return swap_points("dv", None, (T,), T_prime, cutoff)[0]
 
 
 def he_swap_spd(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapResult:
@@ -238,44 +308,55 @@ def he_swap_spd(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None
     A-C states are Bell-like with coherences damped by channel loss.
     The herald reads only B's levels 0 and 1, so the pair is built on
     those alone and the cutoff changes neither the result nor the cost.
+    This is ``swap_points`` on a stack of one.
     """
-    alpha = _check_alpha(alpha)
-    return _run_swap("he_spd", alpha, T, T_prime, cutoff,
-                     lambda c, tau: np.einsum("am,ai->ami", *_lossy_hybrid_pair(alpha, 1, tau)), _count_herald)
+    return swap_points("he_spd", alpha, (T,), T_prime, cutoff)[0]
 
 
-def _vacuum_test(d: int, beta: float) -> np.ndarray:
+def _vacuum_test(d: int, beta) -> np.ndarray:
     """The d x d two-click operator on B, M = <beta| U† (P_B>=1 ⊗ P_E>=1) U |beta>, in closed form.
 
-    No click at one output of the 50:50 splitter U is the normal-ordered :exp(-(b† ± beta)(b ±
-    beta)/2): = A(±beta) = E† diag(2^-n) E, and at both e^{-beta²}|0><0| (Cahill and Glauber,
-    Phys. Rev. 177, 1857 (1969)), so M = I - A(beta) - A(-beta) + e^{-beta²}|0><0|.  E[m, l] =
-    e^{-beta²/4} (-beta/2)^{l-m} sqrt(l!/m!) / (l-m)!, a cumulative product along each row, is
-    upper triangular, so the corner is exact with no level cut; A(-beta) is A(beta) with its odd
+    beta is a number or an array of them, whose shape leads M.  No click at one output of the
+    50:50 splitter U is the normal-ordered :exp(-(b† ± beta)(b ± beta)/2): = A(±beta) =
+    E† diag(2^-n) E, and at both e^{-beta²}|0><0| (Cahill and Glauber, Phys. Rev. 177, 1857
+    (1969)), so M = I - A(beta) - A(-beta) + e^{-beta²}|0><0|.  E[m, l] = e^{-beta²/4}
+    (-beta/2)^{l-m} sqrt(l!/m!) / (l-m)!, a cumulative product along each row, is upper
+    triangular, so the corner is exact with no level cut; A(-beta) is A(beta) with its odd
     m + l entries negated; every beta-free array comes from the per-d ``_herald_tables``.
     M[0, 0] = (1 - e^{-x})² and M[1, 1] = 1 - (1 + x) e^{-x}, x = beta²/2, vanish as beta -> 0,
     so they are not taken as 1 minus order-1 terms; below x = 1, M[1, 1] is a Horner sum.
     """
-    up, root, over, half, even2, eye = _herald_tables(d)[1]
-    steps = np.where(up, -0.5 * beta * root / over, 1.0)  # E[m, l] / E[m, l-1]
-    steps[:, 0] = math.exp(-0.25 * beta * beta)
-    F = np.cumprod(steps, axis=1) * half  # diag(2^-n/2) E: A = F† F
-    M = eye - even2 * (F.T @ F)
-    x = 0.5 * beta * beta
-    M[0, 0] = math.expm1(-x) ** 2
-    tail = 0.0  # below x = 1, P(n >= 2) for a Poisson mean x is e^{-x} x² sum_k x^k / (k+2)!, by Horner
+    beta = np.asarray(beta, dtype=float)
+    b = beta.reshape(-1)
+    ratio, below, _, half, even2, eye = _herald_tables(d)[1]
+    x = [0.5 * v * v for v in b.tolist()]
+    steps = b[:, None, None] * ratio + below  # E[m, l] / E[m, l-1]
+    steps[:, :, 0] = [[math.exp(-0.5 * v)] for v in x]
+    F = np.multiply.accumulate(steps, axis=2) * half  # diag(2^-n/2) E: A = F† F
+    M = eye - even2 * (F.swapaxes(1, 2) @ F)
+    M[:, 0, 0] = [math.expm1(-v) ** 2 for v in x]
+    M[:, 1, 1] = [_two_or_more(v) for v in x]
+    return M.reshape(beta.shape + (d, d))
+
+
+def _two_or_more(x: float) -> float:
+    """P(n >= 2) for a Poisson mean x, to its relative digits: below x = 1 it is
+    e^{-x} x² sum_k x^k / (k+2)!, by Horner."""
+    if x >= 1:
+        return -math.expm1(-x) - x * math.exp(-x)
+    tail = 0.0
     for inv in _INV_FACTORIALS:
         tail = tail * x + inv
-    M[1, 1] = math.exp(-x) * x * x * tail if x < 1 else -math.expm1(-x) - x * math.exp(-x)
-    return M
+    return math.exp(-x) * x * x * tail
 
 
 @lru_cache(maxsize=64)
 def _herald_tables(d: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Read-only beta-free arrays, built on first use.  ``_displacement`` reads (b, s, c, place, sign):
-    b = (2n+1+k) s, s and c = sqrt(n(n+k)) s at [n, k], s = 1/sqrt((n+1)(n+1+k)); D.flat = E.flat[place]
-    * sign puts E[n, k] at [n+k, n].  ``_vacuum_test`` reads (j > 0, sqrt(l), max(j, 1), 2^{-m/2} where
-    j >= 0 else 0, 2 where j is even else 0, I) at [m, l], j = l - m."""
+    b = (2n+1+k) s, s and c = sqrt(n(n+k)) s at [n, k, 0], s = 1/sqrt((n+1)(n+1+k)); D[p].flat =
+    E[..., p].flat[place] * sign puts E[n, k] at [n+k, n] for each point p.  ``_vacuum_test`` reads
+    (-sqrt(l) / (2 j) where j > 0 else 0, 1 where j <= 0 else 0, sqrt(l), 2^{-m/2} where j >= 0 else 0,
+    2 where j is even else 0, I) at [m, l], j = l - m; ``_coherent_columns`` reads its sqrt(l)."""
     n, k = np.ogrid[:d, :d]
     s = 1.0 / np.sqrt((n + 1) * (n + 1 + k))
     lower = n >= k  # as (row, column) of the matrix
@@ -283,30 +364,37 @@ def _herald_tables(d: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ..
     sign = np.where(lower | ((k - n) % 2 == 0), 1.0, -1.0)
     j = k - n
     half = np.where(j < 0, 0.0, np.sqrt(0.5) ** n)
-    tables = (((2 * n + 1 + k) * s, s, np.sqrt(n * (n + k)) * s, place, sign),
-              (j > 0, np.sqrt(np.arange(d)), np.maximum(j, 1), half, np.where(j % 2, 0.0, 2.0), np.eye(d)))
+    root = np.sqrt(np.arange(d))
+    b, c = (2 * n + 1 + k) * s, np.sqrt(n * (n + k)) * s
+    tables = ((b[..., None], s[..., None], c[..., None], place, sign[..., None]),  # [..., None]: over the points
+              (np.where(j > 0, -0.5 * root / np.maximum(j, 1), 0.0), np.where(j > 0, 0.0, 1.0), root, half,
+               np.where(j % 2, 0.0, 2.0), np.eye(d)))
     for a in tables[0] + tables[1]:
         a.setflags(write=False)
     return tables
 
 
-def _displacement(gamma: float, d: int) -> np.ndarray:
+def _displacement(gamma, d: int) -> np.ndarray:
     """The d x d corner of the real displacement D(gamma) = exp(gamma (a† - a)).
 
-    E[n, k] = <n+k|D|n> = (-1)^k <n|D|n+k> = sqrt(n!/(n+k)!) gamma^k e^{-gamma²/2} L_n^(k)(gamma²)
-    (Cahill and Glauber, Phys. Rev. 177, 1857 (1969)).  Row E[0] is the coherent amplitude
-    <k|gamma>; the normalized forward Laguerre recurrence E[n+1] = ((2n+1+k-gamma²) E[n]
-    - sqrt(n(n+k)) E[n-1]) s runs down every diagonal at once.  (The column recurrence
+    gamma is a number or an array of them, whose shape leads the result.  E[n, k] = <n+k|D|n> =
+    (-1)^k <n|D|n+k> = sqrt(n!/(n+k)!) gamma^k e^{-gamma²/2} L_n^(k)(gamma²) (Cahill and Glauber,
+    Phys. Rev. 177, 1857 (1969)).  Row E[0] is the coherent amplitude <k|gamma>; the normalized
+    forward Laguerre recurrence E[n+1] = ((2n+1+k-gamma²) E[n] - sqrt(n(n+k)) E[n-1]) s runs
+    down every diagonal of every gamma at once, one step per row.  (The column recurrence
     a D = D (a + gamma) is 1e11 off at d 65, gamma 8.5.)
     """
+    gamma = np.asarray(gamma, dtype=float)
+    g = gamma.reshape(-1)
     b, s, c, place, sign = _herald_tables(d)[0]
-    E = np.zeros((d + 1, d))  # row d stays zero as E[-1]
-    E[0] = _coherent_amplitudes(gamma, d - 1).real
-    rows, steps, back = list(E), list(b - gamma * gamma * s), list(c)
+    E = np.empty((d + 1, d, g.size))  # E[n, k, point]; row d stays zero as E[-1]
+    E[d] = 0.0
+    E[0] = _coherent_columns(g.tolist(), d - 1)
+    rows, steps, back = list(E), list(b - s * (g * g)), list(c)
     for n in range(d - 1):
         np.multiply(steps[n], rows[n], out=rows[n + 1])
         rows[n + 1] -= back[n] * rows[n - 1]
-    return E.ravel()[place] * sign
+    return (E.reshape(-1, g.size)[place] * sign).transpose(2, 0, 1).reshape(gamma.shape + (d, d))
 
 
 def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapResult:
@@ -328,30 +416,51 @@ def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int |
     whose kept weight is at most 1e-15 raises ``ValueError``: the cutoff
     is starved.  The ancilla never enters: splitter, both clicks and the
     trace over it act on B as the d x d M = <beta| U† (P_B>=1 ⊗ P_E>=1)
-    U |beta>, in closed form.  The quadrature integral is one (4d x d)
-    (d x 4d) real matrix H = (M Phi)^T Phi of the (B | D, A, C) matrix Phi,
-    contracted by C-bit slices, with no stack of kernels: a trace (K_0 = I)
-    for equal bits, K_1 = D(-g/sqrt(2)) for bits (1, 0) and K_1^T for (0,
-    1); W ⊗ W weighs the 4 x 4 result as a broadcast product.
+    U |beta>, in closed form.  The quadrature integral is three real
+    (4 x d²)(d² x 4) products of M Phi with Phi, K_1 Phi and K_1^T Phi, K
+    acting on D, and each entry of the 4 x 4 result comes from the one its
+    C bits pick: a trace (K_0 = I) for equal bits, K_1 = D(-g/sqrt(2)) for
+    bits (1, 0) and K_1^T for (0, 1).  W ⊗ W weighs it as a broadcast
+    product.  This is ``swap_points`` on a stack of one.
     """
-    alpha = _check_alpha(alpha)
+    return swap_points("he_ho", alpha, (T,), T_prime, cutoff)[0]
 
-    def herald(pair: tuple[np.ndarray, np.ndarray], tau: float) -> tuple[tuple[str], np.ndarray]:
-        amp, env = pair
-        d = amp.shape[1]
-        if np.vdot(amp[0], amp[0]).real <= _PROB_FLOOR:  # the cutoff keeps (almost) none of the pair
-            raise ValueError(f"the pair at alpha = {alpha!r} has no amplitude at or below cutoff {d - 1}")
-        M = _vacuum_test(d, math.sqrt(2.0 * tau) * alpha)
-        g = 4.0 * math.sqrt(tau) * alpha  # the feed-forward phase on C is e^{-i g x}
-        K1 = _displacement(-g / math.sqrt(2.0), d)
-        # (B | D, A, C) through the midpoint splitter, handed over as a temporary it can free
-        Phi = bs_on_axes(np.einsum("am,cn->mnac", amp, amp), (0, 1), FIFTY_FIFTY).reshape(d, -1)
-        H = ((M @ Phi).T @ Phi).reshape(d, 2, 2, d, 2, 2)  # [n, A, C, k, A', C']: both clicks as M on B
-        rho = np.einsum("nacnbe->acbe", H)  # K_0 = I, kept where the C bits agree
-        rho[:, 1, :, 0] = np.einsum("nakb,nk->ab", H[:, :, 1, :, :, 0], K1)
-        rho[:, 0, :, 1] = np.einsum("nakb,kn->ab", H[:, :, 0, :, :, 1], K1)  # K_{-1} = K_1^T
-        W = env @ env.T
-        return ("click_click",), (W[:, None, :, None] * W[:, None, :] * rho).reshape(1, 4, 4)
 
-    return _run_swap("he_ho", alpha, T, T_prime, cutoff, partial(_lossy_hybrid_pair, alpha), herald)
+def _homodyne_herald(alpha: float, pair: tuple[np.ndarray, np.ndarray],
+                     tau: np.ndarray) -> tuple[tuple[str], np.ndarray]:
+    """he-ho's accepted outcome at each point of the stack, in blocks of at most _HERALD_BLOCK / d² points."""
+    amp, env = pair
+    d = amp.shape[2]
+    if min((amp[:, 0] ** 2).sum(axis=1).tolist()) <= _PROB_FLOOR:  # the cutoff keeps (almost) none of a pair
+        raise ValueError(f"the pair at alpha = {alpha!r} has no amplitude at or below cutoff {d - 1}")
+    step = max(1, _HERALD_BLOCK // (d * d))
+    blocks = [_homodyne_contraction(alpha, amp[i:i + step], env[i:i + step], tau[i:i + step])
+              for i in range(0, len(tau), step)]
+    return ("click_click",), np.concatenate(blocks)
 
+
+def _homodyne_contraction(alpha: float, amp: np.ndarray, env: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The (k, 1, 4, 4) A-C matrices of a block of k he-ho points.
+
+    With Phi[m, n, x] over (B, D, (A, C)), the quadrature integral is sum_{m,n,k} (M Phi)[m, n, x]
+    K[n, k] Phi[m, k, y]: K = I where the C bits of x and y agree, K_1 where they are (1, 0) and
+    K_1^T where they are (0, 1).  So it is three (4 x d²)(d² x 4) products of M Phi with Phi,
+    K_1 Phi and K_1^T Phi (K acting on D), each entry read from the one its C bits pick.
+    """
+    k, _, d = amp.shape
+    M = _vacuum_test(d, [math.sqrt(2.0 * t) * alpha for t in tau.tolist()])
+    g = [4.0 * math.sqrt(t) * alpha for t in tau.tolist()]  # the feed-forward phase on C is e^{-i g x}
+    K1 = _displacement([-v / math.sqrt(2.0) for v in g], d)
+    # Z[point, kernel, B, D, (A, C)]: Phi through the midpoint splitter one point a call (in BLAS the
+    # digits of a product's column can depend on how many columns it has), then K_1 Phi and K_1^T Phi
+    Z = np.empty((k, 3, d, d, 4))
+    for a, out in zip(amp, Z[:, 0]):
+        out[:] = bs_on_axes(a.T[:, None, :, None] * a.T[None, :, None, :], (0, 1), FIFTY_FIFTY).reshape(d, d, 4)
+    K = np.empty((k, 2, 1, d, d))
+    K[:, 0, 0], K[:, 1, 0] = K1, K1.swapaxes(1, 2)
+    np.matmul(K, Z[:, :1], out=Z[:, 1:])
+    MPhi = M @ Z[:, 0].reshape(k, d, 4 * d)  # both clicks as M on B
+    R = MPhi.reshape(k, 1, d * d, 4).swapaxes(2, 3) @ Z.reshape(k, 3, d * d, 4)  # [point, kernel, x, y]
+    W = env @ env.swapaxes(1, 2)
+    return (W[:, :, None, :, None] * W[:, None, :, None, :]
+            * R[:, _KERNEL_OF, _AC_ROWS, _AC_COLS].reshape(k, 2, 2, 2, 2)).reshape(k, 1, 4, 4)

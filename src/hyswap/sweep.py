@@ -12,9 +12,12 @@ Example config::
 
 ``T_values`` may be given instead of ``one_minus_T_range``.  Rows are
 computed in-process and emitted in config order (schemes outermost, then
-alpha, then T).  ``parallelism`` (>= 1) and ``homodyne.x_max`` / ``.points``
-(> 0 and finite / >= 1) are validated but ignored, as the homodyne integral
-is exact, so the output is the same for any value of them.
+alpha, then T).  The T values of one (scheme, alpha) group run as one stack
+through ``protocols.swap_points``, at most ``_ROWS_PER_CALL`` at a time, and
+each row equals, byte for byte, the row ``hyswap point`` prints at the same
+inputs.  ``parallelism`` (>= 1) and ``homodyne.x_max`` / ``.points`` (> 0
+and finite / >= 1) are validated but ignored, as the homodyne integral is
+exact, so the output is the same for any value of them.
 """
 
 from __future__ import annotations
@@ -26,16 +29,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .closed_form import SCHEMES, _finite_alpha, closed_form
-from .protocols import (
-    default_cutoff,
-    dv_swap,
-    he_swap_homodyne,
-    he_swap_spd,
-)
-from .optics import homodyne_grid  # noqa: F401  (never called here: perfbench's WRAPPED names it)
+from .protocols import default_cutoff, swap_points
+# never called here: perfbench's WRAPPED names them all
+from .protocols import dv_swap, he_swap_homodyne, he_swap_spd  # noqa: F401
+from .optics import homodyne_grid  # noqa: F401
 
 __all__ = ["CSV_COLUMNS", "SCHEME_ALIASES", "SweepConfig", "ConfigError",
-           "parse_config", "evaluate_point", "run_sweep", "format_value"]
+           "parse_config", "evaluate_points", "evaluate_point", "run_sweep", "format_value"]
 
 CSV_COLUMNS = [
     "scheme", "alpha", "T", "T_prime", "cutoff",
@@ -46,6 +46,7 @@ CSV_COLUMNS = [
 SCHEME_ALIASES = {s.replace("_", "-"): s for s in SCHEMES}
 
 _MAX_RANGE_POINTS = 1_000_000  # most values one_minus_T_range may ask for
+_ROWS_PER_CALL = 256  # most T values of a (scheme, alpha) group one stacked call takes
 
 
 class ConfigError(ValueError):
@@ -176,34 +177,39 @@ def parse_config(path: str) -> SweepConfig:
     return cfg
 
 
-def evaluate_point(scheme: str, alpha: float, T: float, T_prime: float,
-                   cutoff: int, x_max: float | None = None, points: int | None = None) -> dict:
-    """One (scheme, alpha, T) evaluation: simulated and closed-form row; the grid arguments are ignored."""
+def evaluate_points(scheme: str, alpha: float, Ts, T_prime: float, cutoff: int) -> list[dict]:
+    """Simulated and closed-form rows of one scheme at one (alpha, T', cutoff) over a sequence of T.
+
+    The simulation is one ``swap_points`` call for all of them; each row equals that of its T alone.
+    """
     internal = SCHEME_ALIASES.get(scheme)
     if internal is None:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if internal == "dv":
-        sim = dv_swap(T, T_prime, cutoff)
-    elif internal == "he_spd":
-        sim = he_swap_spd(alpha, T, T_prime, cutoff)
-    else:
-        sim = he_swap_homodyne(alpha, T, T_prime, cutoff)
-    ref = closed_form(internal, alpha, T, T_prime)
-    p_sim = sim.total_success_probability
-    e_sim = sim.averaged_negativity
-    return {
-        "scheme": scheme,
-        "alpha": alpha,
-        "T": T,
-        "T_prime": T_prime,
-        "cutoff": cutoff,
-        "p_sim": p_sim,
-        "E_sim": e_sim,
-        "p_closed": ref.p,
-        "E_closed": ref.E,
-        "err_p": abs(p_sim - ref.p),
-        "err_E": abs(e_sim - ref.E),
-    }
+    rows = []
+    for T, sim in zip(Ts, swap_points(internal, alpha, Ts, T_prime, cutoff)):
+        ref = closed_form(internal, alpha, T, T_prime)
+        p_sim = sim.total_success_probability
+        e_sim = sim.averaged_negativity
+        rows.append({
+            "scheme": scheme,
+            "alpha": alpha,
+            "T": T,
+            "T_prime": T_prime,
+            "cutoff": cutoff,
+            "p_sim": p_sim,
+            "E_sim": e_sim,
+            "p_closed": ref.p,
+            "E_closed": ref.E,
+            "err_p": abs(p_sim - ref.p),
+            "err_E": abs(e_sim - ref.E),
+        })
+    return rows
+
+
+def evaluate_point(scheme: str, alpha: float, T: float, T_prime: float,
+                   cutoff: int, x_max: float | None = None, points: int | None = None) -> dict:
+    """One (scheme, alpha, T) row, ``evaluate_points`` on a stack of one; the grid arguments are ignored."""
+    return evaluate_points(scheme, alpha, (T,), T_prime, cutoff)[0]
 
 
 def format_value(v) -> str:
@@ -215,19 +221,22 @@ def format_value(v) -> str:
 def run_sweep(config: SweepConfig) -> int:
     """Run every configured point and write the CSV; returns the row count.
 
-    Points are computed in-process, one after another, and written in config order;
-    ``config.parallelism`` is ignored.  The output is opened before the first point
-    and removed if any point fails, so a failed sweep leaves no CSV.
+    Points are computed in-process, one ``evaluate_points`` call per (scheme, alpha)
+    group (per ``_ROWS_PER_CALL`` T values of a longer one), and written in config
+    order; ``config.parallelism`` is ignored.  The output is opened before the first
+    point and removed if any point fails, so a failed sweep leaves no CSV.
     """
     out = Path(config.output_path)
     fh = out.open("w", newline="", encoding="utf-8")
+    Ts = config.T_values
     try:
         with fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for scheme, alpha, T in itertools.product(config.schemes, config.alpha_values, config.T_values):
-                row = evaluate_point(scheme, alpha, T, config.T_prime, config.cutoff)
-                writer.writerow([format_value(row[col]) for col in CSV_COLUMNS])
+            for scheme, alpha in itertools.product(config.schemes, config.alpha_values):
+                for i in range(0, len(Ts), _ROWS_PER_CALL):
+                    for row in evaluate_points(scheme, alpha, Ts[i:i + _ROWS_PER_CALL], config.T_prime, config.cutoff):
+                        writer.writerow([format_value(row[col]) for col in CSV_COLUMNS])
     except BaseException:  # a bad point, out of memory, an interrupt: re-raised
         out.unlink(missing_ok=True)
         raise

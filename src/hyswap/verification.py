@@ -98,12 +98,11 @@ def check_dv_loss_limit() -> CriterionResult:
 def check_closed_form_grid() -> CriterionResult:
     t0 = time.perf_counter()
     worst_p = worst_e = 0.0
-    for loss in np.arange(0.0, 0.91, 0.1):
-        T = 1.0 - float(loss)
-        for tp in (0.7, 1.0):
-            sims = [dv_swap(T, tp, 12)] + [he_swap_spd(alpha, T, tp, 12) for alpha in (0.3, 0.5, 0.7)]
-            for alpha, sim in zip((0.3, 0.3, 0.5, 0.7), sims):  # dv takes no alpha: once per (T, T')
-                ref = closed_form(sim.scheme, alpha, T, tp)
+    Ts = [1.0 - float(loss) for loss in np.arange(0.0, 0.91, 0.1)]
+    for tp in (0.7, 1.0):
+        for scheme, alpha in (("dv", 0.3), ("he_spd", 0.3), ("he_spd", 0.5), ("he_spd", 0.7)):  # dv ignores alpha
+            for T, sim in zip(Ts, protocols.swap_points(scheme, alpha, Ts, tp, 12)):
+                ref = closed_form(scheme, alpha, T, tp)
                 worst_p = max(worst_p, abs(sim.total_success_probability - ref.p))
                 worst_e = max(worst_e, abs(sim.averaged_negativity - ref.E))
     elapsed = time.perf_counter() - t0
@@ -130,21 +129,18 @@ def check_headline_point() -> CriterionResult:
     )
 
 
+def _hybrid_and_dv_negativities(alpha: float, losses: np.ndarray) -> list[tuple[float, float]]:
+    """(E_he-spd, E_dv) at T = 1 - loss for each loss, T' 1 and cutoff 12: one stacked call per scheme."""
+    Ts = [1.0 - float(loss) for loss in losses]
+    he, dv = (protocols.swap_points(scheme, alpha, Ts, 1.0, 12) for scheme in ("he_spd", "dv"))
+    return [(h.averaged_negativity, v.averaged_negativity) for h, v in zip(he, dv)]
+
+
 def check_negativity_ordering() -> CriterionResult:
-    margin_bad = None
-    for loss in np.arange(0.05, 0.901, 0.05):
-        T = 1.0 - float(loss)
-        he = he_swap_spd(0.3, T, 1.0, 12).averaged_negativity
-        dv = dv_swap(T, 1.0, 12).averaged_negativity
-        if he <= dv:
-            margin_bad = (loss, he - dv)
-            break
-    worst_gap = 0.0
-    for loss in np.arange(0.0, 0.201, 0.05):
-        T = 1.0 - float(loss)
-        he = he_swap_spd(0.7, T, 1.0, 12).averaged_negativity
-        dv = dv_swap(T, 1.0, 12).averaged_negativity
-        worst_gap = max(worst_gap, abs(he - dv))
+    losses = np.arange(0.05, 0.901, 0.05)
+    broken = [(loss, he - dv) for loss, (he, dv) in zip(losses, _hybrid_and_dv_negativities(0.3, losses)) if he <= dv]
+    margin_bad = broken[0] if broken else None  # the first break
+    worst_gap = max(abs(he - dv) for he, dv in _hybrid_and_dv_negativities(0.7, np.arange(0.0, 0.201, 0.05)))
     ok = margin_bad is None and worst_gap <= 0.02
     detail = f"alpha=0.7 max|E_he-E_dv|={worst_gap:.3f} on loss<=0.2"
     if margin_bad is not None:
@@ -161,8 +157,7 @@ def check_homodyne_scheme() -> CriterionResult:
     t0 = time.perf_counter()
     worst_p = worst_e = 0.0
     for alpha in (0.3, 0.5):
-        for T in (0.5, 1.0):
-            sim = he_swap_homodyne(alpha, T, 1.0, 12)
+        for T, sim in zip((0.5, 1.0), protocols.swap_points("he_ho", alpha, (0.5, 1.0), 1.0, 12)):
             ref = closed_form("he_ho", alpha, T, 1.0)
             worst_p = max(worst_p, abs(sim.total_success_probability - ref.p))
             worst_e = max(worst_e, abs(sim.averaged_negativity - ref.E))

@@ -20,7 +20,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hyswap"
 LAYERTRACE = PACKAGE.parents[1] / "perfbench" / "layertrace.py"
 PIPELINES = ("protocols", "sweep", "negativity", "closed_form")
-PIPELINE_TOOLBOX = {"DensityOperator", "ModeRegister", "qubit", "_coherent_amplitudes", "FIFTY_FIFTY", "bs_on_axes"}
+PIPELINE_TOOLBOX = {"DensityOperator", "ModeRegister", "qubit", "FIFTY_FIFTY", "bs_on_axes"}
 
 
 def unused_imports(source: str) -> list[str]:

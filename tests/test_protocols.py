@@ -741,30 +741,32 @@ def _he_ho_herald_as_first_written(amp, env, tau, alpha):
 
 
 def test_he_ho_contraction_matches_the_kernel_stack(monkeypatch):
-    """The herald contracts H with I, K_1 and K_1^T by C-bit slices; the A-C matrix stays within
-    5e-15 of the stacked-kernel formula.  The cutoffs start at the smallest keeping the tail of
-    sqrt(2) alpha at most 1e-9 (5, 13, 22, 49 for the alphas below) and run to 64."""
+    """The herald's A-C matrix stays within 5e-15 of the stacked-kernel formula at every point of
+    a stacked call.  The cutoffs start at the smallest keeping the tail of sqrt(2) alpha at most
+    1e-9 (5, 13, 22, 49 for the alphas below) and run to 64."""
     import hyswap.protocols as protocols
 
     heralded = []
     real_run = protocols._run_swap
 
-    def run_swap(scheme, alpha, T, T_prime, c, pair, herald):
+    def run_swap(scheme, alpha, Ts, T_prime, c, pair, herald):
         def recorded(value, tau):
             out = herald(value, tau)
             heralded.append((value, tau, out[1]))
             return out
-        return real_run(scheme, alpha, T, T_prime, c, pair, recorded)
+        return real_run(scheme, alpha, Ts, T_prime, c, pair, recorded)
 
     monkeypatch.setattr(protocols, "_run_swap", run_swap)
     worst = 0.0
     for alpha, smallest in ((0.2, 5), (0.8, 13), (1.5, 22), (3.0, 49)):
         for cutoff in sorted({smallest, (smallest + 64) // 2, 64}):
-            for T, tp in ((0.0, 1.0), (0.37, 0.6), (0.9, 1.0), (1.0, 1.0), (1.0, 0.6)):
-                he_swap_homodyne(alpha, T, tp, cutoff)
+            for Ts, tp in (((0.0, 0.9, 1.0), 1.0), ((0.37, 1.0), 0.6)):
+                protocols.swap_points("he_ho", alpha, Ts, tp, cutoff)
                 (amp, env), tau, rho = heralded.pop()
-                assert rho.shape == (1, 4, 4) and rho.flags.c_contiguous
-                worst = max(worst, float(np.abs(rho[0] - _he_ho_herald_as_first_written(amp, env, tau, alpha)).max()))
+                assert rho.shape == (len(Ts), 1, 4, 4) and rho.flags.c_contiguous
+                for p in range(len(Ts)):
+                    ref = _he_ho_herald_as_first_written(amp[p], env[p], tau[p], alpha)
+                    worst = max(worst, float(np.abs(rho[p, 0] - ref).max()))
     assert worst <= 5e-15
 
 
@@ -807,7 +809,10 @@ def test_counting_points_cross_the_traced_layers(monkeypatch):
 
 
 def test_each_point_runs_one_eigen_solve(monkeypatch):
-    """All outcomes of a point share one eigvalsh call: a per-outcome loop would make two."""
+    """All outcomes of a point share one eigvalsh call: a per-outcome loop would make two.  A
+    k-point call makes one too, over all the outcomes of all its points."""
+    from hyswap.protocols import swap_points
+
     calls = []
     real = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: calls.append(a.shape) or real(a, *args, **kw))
@@ -816,12 +821,17 @@ def test_each_point_runs_one_eigen_solve(monkeypatch):
         calls.clear()
         run()
         assert calls == [stack]
+    Ts = (0.2, 0.5, 0.7, 1.0)
+    for scheme, outcomes in (("dv", 2), ("he_spd", 2), ("he_ho", 1)):
+        calls.clear()
+        swap_points(scheme, 0.8, Ts, 0.9, 8)
+        assert calls == [(outcomes * len(Ts), 4, 4)]
 
 
 @pytest.mark.parametrize("cutoff", [2, 8, 12])
 def test_stacked_outcomes_equal_one_matrix_at_a_time(monkeypatch, cutoff):
-    """Each outcome's probability, state and negativity are bit for bit those
-    of its herald matrix taken alone: trace, division, single negativity().
+    """Each outcome's probability, state and negativity, at every point of a stacked call, are
+    bit for bit those of its herald matrix taken alone: trace, division, single negativity().
     Every herald's stack is float64, which the kernel casts to complex128."""
     import hyswap.protocols as protocols
     from hyswap.negativity import _negativity_stack
@@ -829,26 +839,26 @@ def test_stacked_outcomes_equal_one_matrix_at_a_time(monkeypatch, cutoff):
     heralded = []
     real_run = protocols._run_swap
 
-    def run_swap(scheme, alpha, T, T_prime, c, pair, herald):
+    def run_swap(scheme, alpha, Ts, T_prime, c, pair, herald):
         def recorded(*args):
             out = herald(*args)
             heralded.append(out)
             return out
-        return real_run(scheme, alpha, T, T_prime, c, pair, recorded)
+        return real_run(scheme, alpha, Ts, T_prime, c, pair, recorded)
 
     monkeypatch.setattr(protocols, "_run_swap", run_swap)
     ac = ModeRegister((("A", qubit()), ("C", qubit())))
+    Ts = (0.0, 0.3, 0.77, 1.0)
     dead = 0
     for alpha in (0.0, 0.2, 0.5, 0.8):
-        for T in (0.0, 0.3, 0.77, 1.0):
-            for tp in (1.0, 0.6):
-                for run in (partial(dv_swap, T, tp, cutoff), partial(he_swap_spd, alpha, T, tp, cutoff),
-                            partial(he_swap_homodyne, alpha, T, tp, cutoff)):
-                    res = run()
-                    labels, rhos = heralded.pop()
-                    assert rhos.dtype == np.float64  # the midpoint splitter's blocks are real at phi = pi
+        for tp in (1.0, 0.6):
+            for scheme in ("dv", "he_spd", "he_ho"):
+                results = protocols.swap_points(scheme, alpha, Ts, tp, cutoff)
+                labels, rhos = heralded.pop()
+                assert rhos.dtype == np.float64  # the midpoint splitter's blocks are real at phi = pi
+                for res, point in zip(results, rhos, strict=True):
                     assert tuple(o.label for o in res.per_outcome) == labels
-                    for o, rho in zip(res.per_outcome, rhos):
+                    for o, rho in zip(res.per_outcome, point, strict=True):
                         p = float(np.trace(rho).real)
                         if p <= 1e-15:
                             dead += 1
@@ -862,6 +872,70 @@ def test_stacked_outcomes_equal_one_matrix_at_a_time(monkeypatch, cutoff):
     skew = np.stack([np.eye(4), np.diag([0.5, 0.5, 0, 0]) + np.triu(np.ones((4, 4)), 1) * 1e-6])
     with pytest.raises(ValueError, match=r"density operator is not Hermitian \(defect 1e-06\)"):
         _negativity_stack(skew.astype(complex), ac, ["C"])
+
+
+@pytest.mark.parametrize("cutoff", [2, 8, 12, 16])
+def test_stacked_points_equal_each_point_alone(cutoff):
+    """Each row of a k-point swap_points call is, bit for bit, the call on its T alone, for every
+    scheme, with T in no order and repeated.  The he-ho alpha keeps the tail of sqrt(2) alpha at
+    most 1e-9 at the cutoff."""
+    from hyswap import coherent_tail_mass
+    from hyswap.protocols import swap_points
+
+    he_ho_alpha = {2: 0.02, 8: 0.4, 12: 0.7, 16: 0.9}[cutoff]
+    assert coherent_tail_mass(math.sqrt(2.0) * he_ho_alpha, cutoff) <= 1e-9
+    Ts = (1.0, 0.37, 0.0, 0.37)
+    for scheme, alpha in (("dv", None), ("he_spd", 0.5), ("he_ho", he_ho_alpha)):
+        for tp in (0.6, 1.0):
+            stacked = swap_points(scheme, alpha, Ts, tp, cutoff)
+            assert len(stacked) == len(Ts)
+            for T, res in zip(Ts, stacked):
+                alone = swap_points(scheme, alpha, [T], tp, cutoff)[0]
+                assert res.scheme == alone.scheme and res.parameters_echo == alone.parameters_echo
+                assert res.total_success_probability == alone.total_success_probability
+                assert res.averaged_negativity == alone.averaged_negativity
+                for o, a in zip(res.per_outcome, alone.per_outcome, strict=True):
+                    assert (o.label, o.probability, o.negativity) == (a.label, a.probability, a.negativity)
+                    assert np.array_equal(o.state, a.state)
+    assert swap_points("he_ho", 0.5, [], 0.6, cutoff) == ()
+
+
+def test_he_ho_blocks_of_a_long_stack_equal_one_block(monkeypatch):
+    """A he-ho stack runs in blocks of at most _HERALD_BLOCK / d² points, so its working memory
+    stays bounded at any length; a block boundary changes no bit of any point."""
+    import hyswap.protocols as protocols
+
+    Ts = (0.9, 0.0, 0.37, 1.0, 0.6)
+    whole = protocols.swap_points("he_ho", 0.6, Ts, 0.8, 12)
+    monkeypatch.setattr(protocols, "_HERALD_BLOCK", 2 * 13 * 13)  # blocks of two points at cutoff 12
+    for res, blocked in zip(whole, protocols.swap_points("he_ho", 0.6, Ts, 0.8, 12), strict=True):
+        assert res.total_success_probability == blocked.total_success_probability
+        assert res.averaged_negativity == blocked.averaged_negativity
+        assert np.array_equal(res.per_outcome[0].state, blocked.per_outcome[0].state)
+
+
+def test_stacked_points_raise_what_a_point_raises():
+    """A starved he-ho pair anywhere in a stack, or a bad T anywhere, raises the error of that point alone."""
+    import re
+
+    from hyswap.protocols import swap_points
+
+    starved = re.escape("the pair at alpha = 40.0 has no amplitude at or below cutoff 12")
+    with pytest.raises(ValueError, match=starved):
+        he_swap_homodyne(40.0, 0.9, 1.0, 12)
+    for Ts in ((0.0, 0.9), (0.9, 0.0), (0.0, 0.9, 0.0)):
+        with pytest.raises(ValueError, match=starved):
+            swap_points("he_ho", 40.0, Ts, 1.0, 12)
+    assert swap_points("he_ho", 40.0, (0.0, 0.0), 1.0, 12)[1].total_success_probability == 0.0  # nothing to cut at T = 0
+    bad_T = r"^T must lie in \[0, 1\]$"
+    for scheme in ("dv", "he_spd", "he_ho"):
+        for Ts in ((0.5, 1.5), (float("nan"), 0.5), (0.5, 0.2, -0.1)):
+            with pytest.raises(ValueError, match=bad_T):
+                swap_points(scheme, 0.5, Ts, 1.0, 8)
+    with pytest.raises(ValueError, match=bad_T):
+        dv_swap(1.5)
+    with pytest.raises(ValueError, match="unknown scheme 'he-ho'"):
+        swap_points("he-ho", 0.5, (0.5,))
 
 
 def test_pipelines_build_no_dense_splitter_or_kraus_stack(monkeypatch):

@@ -257,6 +257,26 @@ def test_run_sweep_parallel_output_is_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("cutoff", [12, 16])
+def test_sweep_rows_equal_cli_point_rows(tmp_path, capsys, cutoff):
+    """Each row of a stacked 3-scheme sweep is, byte for byte, what ``hyswap point`` prints at its
+    inputs, the unreachable T = 0 rows included.  From cutoff 15 on, a BLAS product's column can
+    depend on how many columns it has, so a splitter run over many points at once would show."""
+    out = tmp_path / "all.csv"
+    cfg = write_config(tmp_path, "schemes = dv, he-spd, he-ho\nalpha_values = 0.0, 0.6\n"
+                                 f"T_values = 1.0, 0.37, 0.0\ncutoff = {cutoff}\noutput_path = {out}\n")
+    assert main(["sweep", cfg]) == 0
+    header, *rows = out.read_text(encoding="utf-8").splitlines()
+    assert header == ",".join(CSV_COLUMNS) and len(rows) == 18
+    if cutoff == 12:
+        assert "dv,0,0,1,12,0,0,0,0.207106781187,0,0.207106781187" in rows
+    capsys.readouterr()
+    for row in rows:
+        scheme, alpha, T = row.split(",")[:3]
+        assert main(["point", "--scheme", scheme, "--alpha", alpha, "--T", T, "--cutoff", str(cutoff)]) == 0
+        assert capsys.readouterr().out.splitlines() == [header, row]
+
+
 def test_sweep_config_is_frozen():
     cfg = SweepConfig(("dv",), (0.0,), (1.0,), 1.0, 4, "o.csv", 1)
     with pytest.raises(Exception):
@@ -516,7 +536,7 @@ def test_sweep_opens_the_output_before_the_first_point(tmp_path, monkeypatch, ca
     out = tmp_path / "dangling.csv"
     out.symlink_to(tmp_path / "missing" / "target.csv")
     cfg = write_config(tmp_path, f"schemes = dv\nalpha_values = 0.0\nT_values = 1.0\noutput_path = {out}\n")
-    monkeypatch.setattr(sweep, "evaluate_point", forbidden)
+    monkeypatch.setattr(sweep, "evaluate_points", forbidden)
     assert main(["sweep", cfg]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
@@ -526,17 +546,19 @@ def test_failed_sweep_removes_its_partial_csv(tmp_path, monkeypatch):
     import hyswap.sweep as sweep
 
     calls = []
+    real = sweep.evaluate_points
 
-    def second_point_fails(*args, **kwargs):
+    def second_group_fails(*args, **kwargs):
         calls.append(args)
         if len(calls) == 2:
             raise ValueError("bad point")
-        return evaluate_point(*args, **kwargs)
+        return real(*args, **kwargs)
 
     out = tmp_path / "out.csv"
     out.write_text("an earlier sweep\n")
-    cfg = parse_config(write_config(tmp_path, BASE_CONFIG.format(out=out)))
-    monkeypatch.setattr(sweep, "evaluate_point", second_point_fails)
+    two_groups = BASE_CONFIG.replace("alpha_values = 0.0", "alpha_values = 0.0, 0.5")  # the first one's rows are written
+    cfg = parse_config(write_config(tmp_path, two_groups.format(out=out)))
+    monkeypatch.setattr(sweep, "evaluate_points", second_group_fails)
     with pytest.raises(ValueError, match="bad point"):
         run_sweep(cfg)
     assert len(calls) == 2

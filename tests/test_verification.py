@@ -2,7 +2,6 @@
 broken settings it has to fail, otherwise it is not measuring anything."""
 
 import io
-import math
 import os
 import re
 import subprocess
@@ -40,10 +39,13 @@ def test_cutoff_convergence_check_flags_starved_cutoff():
 # mutants of the functions the pipelines call, each built around the real one
 
 
+# (each takes a number or a stack of them, as the pipelines' functions do)
+
+
 def _drop_branch_sign(real):
     def pair(alpha, c, tau):
         amp, env = real(alpha, c, tau)
-        amp[1] *= (-1.0) ** np.arange(c + 1)  # cancels the (-1)^m of the |1> branch
+        amp[..., 1, :] *= (-1.0) ** np.arange(c + 1)  # cancels the (-1)^m of the |1> branch
         return amp, env
     return pair
 
@@ -51,7 +53,7 @@ def _drop_branch_sign(real):
 def _swap_kept_and_lost(real):
     def pair(tau):
         P = real(tau)
-        P[0, 1, 0], P[0, 0, 1] = P[0, 0, 1], P[0, 1, 0]
+        P[..., 0, [1, 0], [0, 1]] = P[..., 0, [0, 1], [1, 0]]
         return P
     return pair
 
@@ -59,7 +61,7 @@ def _swap_kept_and_lost(real):
 def _drop_no_click_on_both(real):
     def vacuum_test(d, beta):
         M = real(d, beta)
-        M[0, 0] -= math.exp(-beta * beta)  # the e^{-beta²}|0><0| term
+        M[..., 0, 0] -= np.exp(-np.square(beta))  # the e^{-beta²}|0><0| term
         return M
     return vacuum_test
 
@@ -69,7 +71,10 @@ def _drop_no_click_on_both(real):
     ("_lossy_hybrid_pair", _drop_branch_sign, lambda: he_swap_homodyne(0.5, 0.6), ver.check_loss_routes_agree),
     ("_lossy_dv_pair", _swap_kept_and_lost, lambda: dv_swap(0.6), ver.check_loss_routes_agree),
     ("_vacuum_test", _drop_no_click_on_both, lambda: he_swap_homodyne(0.5, 0.6), ver.check_property_suite),
-], ids=["hybrid-pair-sign", "hybrid-pair-sign-homodyne", "dv-pair-kept-lost", "vacuum-test-both-off"])
+    ("_lossy_hybrid_pair", _drop_branch_sign, lambda: he_swap_spd(0.5, 0.6), ver.check_closed_form_grid),
+    ("_lossy_dv_pair", _swap_kept_and_lost, lambda: dv_swap(0.6), ver.check_closed_form_grid),
+], ids=["hybrid-pair-sign", "hybrid-pair-sign-homodyne", "dv-pair-kept-lost", "vacuum-test-both-off",
+        "hybrid-pair-sign-grid", "dv-pair-kept-lost-grid"])
 def test_verify_line_fails_when_a_pipeline_function_breaks(monkeypatch, name, mutate, run, check):
     """A fault in what the pipelines call must turn the verify line that checks it to FAIL."""
     assert check().passed
@@ -155,6 +160,16 @@ def test_warm_verify_pass_leaves_no_cpu_behind():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
     assert out.returncode == 0, out.stderr
     assert float(out.stdout) < 0.05, f"{float(out.stdout) * 1e3:.0f} ms of CPU beyond the pass's wall time"
+
+
+def test_verify_pass_stacks_its_points(monkeypatch):
+    """One pass of the battery runs the swap runner 26 times: each grid of points at one (scheme,
+    alpha, T') is one stacked call.  Looping the grids point by point made 142 calls."""
+    calls = []
+    real_run = protocols._run_swap
+    monkeypatch.setattr(protocols, "_run_swap", lambda *args: calls.append(args[0]) or real_run(*args))
+    assert all(r.passed for r in ver.run_all())
+    assert len(calls) == 26
 
 
 def test_cheap_checks_pass_individually():

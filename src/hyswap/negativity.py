@@ -92,7 +92,7 @@ def negativity(rho: DensityOperator, transpose_modes: list[str]) -> NegativityRe
     divided by the input's trace (post-selected states arrive with their
     outcome probability in the trace); the factor is reported.
     Eigenvalues at or above -1e-12 are treated as numerical zeros.  This
-    is ``_negativity_stack``, the kernel the swap runner calls once per
-    point on all its outcomes, on a stack of one.
+    is ``_negativity_stack``, which ``protocols.swap_points`` calls once
+    on the outcomes of all its points, on a stack of one.
     """
     return _negativity_stack(np.ascontiguousarray(rho.matrix)[None], rho.register, transpose_modes)[0]

@@ -7,63 +7,38 @@ surviving A-C state, conditioned on the accepted outcomes, is the
 protocol output.
 
 The three schemes differ only in the resource pair and the herald, the
-midpoint measurement.  One private runner does the rest, for a stack of
-transmissions T at one (scheme, alpha, T', cutoff): it validates every T,
-T' and the cutoff, forms tau = T * T', builds the lossy pairs and sums the
-herald's outcomes, a (point, outcome) stack of unnormalized A-C matrices
-whose traces are the probabilities, into one ``SwapResult`` per point.
-Outcomes at or below ``_PROB_FLOOR`` carry the zero state; the others, of
-every point, are normalized and scored together in one negativity
-eigen-solve.  Each layer runs once over the stack, and each point's result
-equals, bit for bit, that of the point alone.  ``swap_points`` is the
-runner's public entry; ``sweep.run_sweep`` calls it once per (scheme,
-alpha) group of rows, and the three scheme functions are it on a stack of
-one.
+midpoint measurement:
 
-* ``dv_swap``: vacuum/single-photon Bell pairs, counting herald.
-* ``he_swap_spd``: hybrid qubit/coherent pairs, counting herald.
-* ``he_swap_homodyne``: hybrid pairs, vacuum-test-and-homodyne herald.
+* ``dv_swap``: vacuum/single-photon Bell pairs (``_lossy_dv_pair``),
+  photon-counting herald (``_count_herald``).
+* ``he_swap_spd``: hybrid qubit/coherent pairs (``_lossy_hybrid_pair``),
+  the same counting herald behind single-photon detectors.
+* ``he_swap_homodyne``: hybrid pairs, a vacuum test on B and homodyne
+  readout of D (``_homodyne_herald``).
 
-The counting herald accepts the photon counts (0, 1) and (1, 0) on
-(B, D); for the hybrid pairs these are single-photon detectors and "two
-or more" is rejected.  It builds no midpoint register: the splitter
-conserves photon number, so those outcomes come only from the inputs
-(0, 1) and (1, 0), mixed by its 2 x 2 one-photon block, and each is a sum
-of four Kronecker products of g[m, n] = tr_env P[:, m] P[:, n]†, m, n <= 1.
+``swap_points`` runs one scheme over a stack of transmissions T, every
+step once over the stack; the three scheme functions are it on a stack
+of one, and ``sweep.run_sweep`` calls it once per (scheme, alpha) group
+of rows.  Every step is exact at any cutoff:
 
-The homodyne herald tests B for vacuum against an ancillary coherent
-beam (two on-off detectors must both click) and reads D out along the
-x_{pi/2} quadrature; every value x is accepted and a feed-forward phase
-e^{-i g x}, g = 4 sqrt(tau) alpha, on C undoes the outcome-dependent
-rotation, so the integral over x is an operator on D, not a grid sum:
-K_1 = int dx |x><x| e^{-i g x} = D(-g/sqrt(2)), a real displacement whose
-d x d corner is exact, contracted with the slices where C's bits differ
-(K_1^T the other way) while a trace stands for K_0 = I where they agree.
-The ancilla never enters the register: the vacuum test acts on B as the
-d x d corner of its operator M, exact in closed form, with no ancilla or
-output level cut.  M and K_1 read their beta-free arrays from one table
-per cutoff, built on first use.
+* Channel loss keeps the global state pure until measurement, so each
+  lossy pair is written in closed form over its loss environment and
+  only the traveling mode is cut; no full-register density matrix is
+  ever formed.
+* The counting herald reads only levels 0 and 1 of B and D, so its pairs
+  hold only those two levels, and it costs the same at every cutoff.
+* The homodyne herald accepts every quadrature value, so its integral
+  is an operator on D, and its vacuum test an operator on B with the
+  ancilla traced out in closed form; each is taken as its exact d x d
+  corner.
+* Detector inefficiency T' enters as the substitution T -> T * T' (loss
+  commutes with the balanced midpoint splitter, and an inefficient
+  detector is an ideal one behind a loss); the tests check it against
+  explicitly modeled inefficient detectors.
 
-Channel loss keeps the global state pure until measurement, so the
-reduced A-C state never needs a full-register density matrix.  Both
-parties hold the same lossy pair, written in closed form over its loss
-environment E.  After a loss tau the hybrid pair is (|0>|beta>|eps> +
-|1>|-beta>|-eps>)/sqrt(2), beta = sqrt(tau) alpha, eps = sqrt(1-tau)
-alpha, and |±eps> = c+ |even> ± c- |odd> over the orthonormal even and
-odd parts of |eps>, c± = sqrt((1 ± e^{-2 eps²})/2).  So P[a, m, i] holds
-E in that two-state basis and only the traveling mode is cut; the dv
-pair is three numbers.  Any phase the splitter dilation puts on E is
-removed by every trace over E.  The homodyne herald reads the hybrid P
-as the product amp[a, m] env[a, i] it is, exactly.  The counting herald
-reads only levels 0 and 1 of B and D, so its pairs hold only those two
-levels: it is exact, and costs the same, at every cutoff.
 Every splitter acts block by block in total photon number, from the
 blocks ``optics`` caches; at the midpoint's phi = pi they are real
-orthogonal, so every herald runs in real arithmetic.  Detector
-inefficiency T' enters as the substitution T -> T * T' (loss commutes
-with the balanced midpoint splitter, and an inefficient detector is an
-ideal one behind a loss); the tests check it against explicitly modeled
-inefficient detectors.
+orthogonal, so every herald runs in real arithmetic.
 
 The module holds these three pipelines and nothing else.  From the
 reference toolbox they read only registers, ``DensityOperator`` and the
@@ -78,7 +53,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -187,9 +162,12 @@ def _coherent_columns(beta: list[float], c: int) -> np.ndarray:
 def _lossy_hybrid_pair(alpha: float, c: int, tau) -> tuple[np.ndarray, np.ndarray]:
     """The hybrid pair after a loss tau as its factors (amp, env): P[..., a, m, i] = amp[..., a, m] env[..., a, i].
 
-    tau is a number or an array of them, whose shape leads both factors.  amp[..., 0, :] is
-    |sqrt(tau) alpha> on B cut at c and amp[..., 1, :] = (-1)^m amp[..., 0, :]; env[..., 0, :] =
-    (c+, c-) / sqrt(2) and env[..., 1, :] = (c+, -c-) / sqrt(2), c± those of |±eps> on |even>, |odd>.
+    tau is a number or an array of them, whose shape leads both factors.  The pair is (|0>|beta>|eps>
+    + |1>|-beta>|-eps>)/sqrt(2), beta = sqrt(tau) alpha, eps = sqrt(1-tau) alpha, and |±eps> = c+ |even>
+    ± c- |odd> over the orthonormal even and odd parts of |eps>, c± = sqrt((1 ± e^{-2 eps²})/2); any
+    phase the splitter dilation puts on the environment is removed by every trace over it.  So
+    amp[..., 0, :] is |beta> on B cut at c, amp[..., 1, :] = (-1)^m amp[..., 0, :], env[..., 0, :] =
+    (c+, c-) / sqrt(2) and env[..., 1, :] = (c+, -c-) / sqrt(2).
     """
     tau = np.asarray(tau, dtype=float)
     env, beta = [], []
@@ -213,24 +191,34 @@ def _lossy_dv_pair(tau) -> np.ndarray:
     return np.array(P).reshape(tau.shape + (2, 2, 2))
 
 
-def _run_swap(scheme: str, alpha: float | None, Ts, T_prime: float,
-              cutoff: int | None, pair, herald) -> tuple[SwapResult, ...]:
-    """The part every scheme shares, over a stack of transmissions: checks, lossy pairs, herald, totals.
+def swap_points(scheme: str, alpha: float | None, Ts, T_prime: float = 1.0,
+                cutoff: int | None = None) -> tuple[SwapResult, ...]:
+    """One scheme at one (alpha, T', cutoff) over a sequence of transmissions T: one result per T.
 
-    ``pair(cutoff, tau)`` is the lossy pair both parties hold at each tau of the 1-D stack, as
-    P[k, a, m, i] over (point, local, traveling, loss environment) or as he-ho's factors of it.
-    ``herald(pair, tau)`` returns the accepted outcomes as ``(labels, rhos)``, rhos a C-contiguous
-    (k, n, 4, 4) stack of unnormalized A-C matrices whose traces are the probabilities.  Those at
-    or below ``_PROB_FLOOR`` get probability 0, the zero state and negativity 0; the others, of
-    every point, are normalized and scored together in one eigen-solve.
+    ``scheme`` is "dv", which ignores ``alpha``, "he_spd" or "he_ho".  The points run as one stack
+    of tau = T * T' through the scheme's lossy pair and herald.  The herald returns the accepted
+    outcomes as ``(labels, rhos)``, rhos a C-contiguous (k, n, 4, 4) stack of unnormalized A-C
+    matrices whose traces are the probabilities.  Those at or below ``_PROB_FLOOR`` get
+    probability 0, the zero state and negativity 0; the others, of every point, are normalized and
+    scored together in one eigen-solve.  Each result equals, bit for bit, that of its T alone.  A
+    bad T anywhere in the sequence, or a he-ho pair starved at any of them, raises the error it
+    raises alone.
     """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    alpha = None if scheme == "dv" else _check_alpha(alpha)
     Ts = [_check_range(T, "T") for T in Ts]
     T_prime = _check_range(T_prime, "T_prime")
     cutoff = _resolve_cutoff(cutoff)
     if not Ts:
         return ()
     tau = np.array([T * T_prime for T in Ts])
-    labels, rhos = herald(pair(cutoff, tau), tau)
+    if scheme == "dv":
+        labels, rhos = _count_herald(_lossy_dv_pair(tau))
+    elif scheme == "he_spd":
+        labels, rhos = _count_herald(np.einsum("kam,kai->kami", *_lossy_hybrid_pair(alpha, 1, tau)))  # B's levels 0, 1
+    else:
+        labels, rhos = _homodyne_herald(alpha, *_lossy_hybrid_pair(alpha, cutoff, tau), tau)
     probs = rhos.trace(axis1=2, axis2=3)  # every herald is real
     live = probs > _PROB_FLOOR
     states = rhos[live] / probs[live, None, None]
@@ -246,40 +234,14 @@ def _run_swap(scheme: str, alpha: float | None, Ts, T_prime: float,
     return tuple(results)
 
 
-def swap_points(scheme: str, alpha: float | None, Ts, T_prime: float = 1.0,
-                cutoff: int | None = None) -> tuple[SwapResult, ...]:
-    """One scheme at one (alpha, T', cutoff) over a sequence of transmissions T: one result per T.
+def _count_herald(P: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """Photon counts (0, 1) and (1, 0) on (B, D), read off each real lossy pair P[k, a, m, i] on B's levels 0 and 1.
 
-    ``scheme`` is "dv", which ignores ``alpha``, "he_spd" or "he_ho".  The points run as one
-    stack through every layer, and each result equals, bit for bit, that of its T alone.  A
-    bad T anywhere in the sequence, or a he-ho pair starved at any of them, raises the error
-    it raises alone.
-    """
-    if scheme == "dv":
-        return _run_swap("dv", None, Ts, T_prime, cutoff, lambda c, tau: _lossy_dv_pair(tau), _count_herald)
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    alpha = _check_alpha(alpha)
-    if scheme == "he_spd":
-        return _run_swap("he_spd", alpha, Ts, T_prime, cutoff, lambda c, tau: _hybrid_band(alpha, tau), _count_herald)
-    return _run_swap("he_ho", alpha, Ts, T_prime, cutoff, partial(_lossy_hybrid_pair, alpha),
-                     partial(_homodyne_herald, alpha))
-
-
-def _hybrid_band(alpha: float, tau: np.ndarray) -> np.ndarray:
-    """The lossy hybrid pair P[k, a, m, i] on B's levels 0 and 1 alone, all the counting herald reads."""
-    amp, env = _lossy_hybrid_pair(alpha, 1, tau)
-    return amp[..., None] * env[:, :, None, :]
-
-
-def _count_herald(P: np.ndarray, tau: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-    """Photon counts (0, 1) and (1, 0) on (B, D), read off each real lossy pair on B's levels 0 and 1.
-
-    Row o of the splitter's one-photon block u (``_ONE_PHOTON``) maps the
-    inputs (0, 1) and (1, 0) to output o, whose (A, C | Eb, Ed) amplitude
-    is u[o, 0] P[:, 0] ⊗ P[:, 1] + u[o, 1] P[:, 1] ⊗ P[:, 0].  Its Gram
-    matrix is G_o = sum_{m,n} u[o,m] u*[o,n] g[m,n] ⊗ g[1-m,1-n], with
-    g[m, n] = P[:, m] P[:, n]† traced over the loss environment.
+    No midpoint register is built: the splitter conserves photon number, so these outcomes come
+    only from the inputs (0, 1) and (1, 0), mixed by its one-photon block u (``_ONE_PHOTON``).
+    Row o of u maps them to output o, whose (A, C | Eb, Ed) amplitude is u[o, 0] P[:, 0] ⊗ P[:, 1]
+    + u[o, 1] P[:, 1] ⊗ P[:, 0].  Its Gram matrix is G_o = sum_{m,n} u[o,m] u*[o,n] g[m,n] ⊗
+    g[1-m,1-n], with g[m, n] = P[:, m] P[:, n]† traced over the loss environment.
     """
     g = np.einsum("kamj,kbnj->kmnab", P, P)
     G = np.einsum("omn,kmnab,kmncd->koacbd", _ONE_PHOTON_GRAM, g, g[:, ::-1, ::-1])
@@ -292,10 +254,8 @@ def dv_swap(T: float, T_prime: float = 1.0, cutoff: int | None = None) -> SwapRe
     Both pairs start as (|01> + |10>)/sqrt(2) on (local, traveling)
     modes; the midpoint accepts the photon-counting outcomes (0,1) and
     (1,0), heralding (|01>+|10>)/sqrt(2) and (|01>-|10>)/sqrt(2) on A-C.
-
-    The traveling mode holds at most one photon, so the lossy pair is
-    three numbers and the results are exactly cutoff-independent for any
-    requested cutoff >= 2.  This is ``swap_points`` on a stack of one.
+    The results are exactly cutoff-independent for any requested cutoff
+    >= 2.  This is ``swap_points`` on a stack of one.
     """
     return swap_points("dv", None, (T,), T_prime, cutoff)[0]
 
@@ -306,9 +266,8 @@ def he_swap_spd(alpha: float, T: float, T_prime: float = 1.0, cutoff: int | None
     The accepted outcomes are (vacuum, one photon) and (one photon,
     vacuum) on (B, D); any "two or more" count is rejected.  Heralded
     A-C states are Bell-like with coherences damped by channel loss.
-    The herald reads only B's levels 0 and 1, so the pair is built on
-    those alone and the cutoff changes neither the result nor the cost.
-    This is ``swap_points`` on a stack of one.
+    The cutoff changes neither the result nor the cost.  This is
+    ``swap_points`` on a stack of one.
     """
     return swap_points("he_spd", alpha, (T,), T_prime, cutoff)[0]
 
@@ -408,28 +367,15 @@ def he_swap_homodyne(alpha: float, T: float, T_prime: float = 1.0, cutoff: int |
     outcome-dependent phase is undone on C by the feed-forward
     correction.  All quadrature values are accepted: only the two clicks
     gate success.  The single reported outcome carries the
-    quadrature-averaged corrected state, integrated exactly.
-
-    Each lossy pair is a product amp[a, m] env[a, i], so only the four
-    B ⊗ D states Phi_ac = S(amp_a ⊗ amp_c) exist, S the midpoint splitter,
-    and loss enters as the 2 x 2 environment Gram W = env env^T.  A pair
+    quadrature-averaged corrected state, integrated exactly.  A pair
     whose kept weight is at most 1e-15 raises ``ValueError``: the cutoff
-    is starved.  The ancilla never enters: splitter, both clicks and the
-    trace over it act on B as the d x d M = <beta| U† (P_B>=1 ⊗ P_E>=1)
-    U |beta>, in closed form.  The quadrature integral is three real
-    (4 x d²)(d² x 4) products of M Phi with Phi, K_1 Phi and K_1^T Phi, K
-    acting on D, and each entry of the 4 x 4 result comes from the one its
-    C bits pick: a trace (K_0 = I) for equal bits, K_1 = D(-g/sqrt(2)) for
-    bits (1, 0) and K_1^T for (0, 1).  W ⊗ W weighs it as a broadcast
-    product.  This is ``swap_points`` on a stack of one.
+    is starved.  This is ``swap_points`` on a stack of one.
     """
     return swap_points("he_ho", alpha, (T,), T_prime, cutoff)[0]
 
 
-def _homodyne_herald(alpha: float, pair: tuple[np.ndarray, np.ndarray],
-                     tau: np.ndarray) -> tuple[tuple[str], np.ndarray]:
+def _homodyne_herald(alpha: float, amp: np.ndarray, env: np.ndarray, tau: np.ndarray) -> tuple[tuple[str], np.ndarray]:
     """he-ho's accepted outcome at each point of the stack, in blocks of at most _HERALD_BLOCK / d² points."""
-    amp, env = pair
     d = amp.shape[2]
     if min((amp[:, 0] ** 2).sum(axis=1).tolist()) <= _PROB_FLOOR:  # the cutoff keeps (almost) none of a pair
         raise ValueError(f"the pair at alpha = {alpha!r} has no amplitude at or below cutoff {d - 1}")
@@ -442,10 +388,14 @@ def _homodyne_herald(alpha: float, pair: tuple[np.ndarray, np.ndarray],
 def _homodyne_contraction(alpha: float, amp: np.ndarray, env: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """The (k, 1, 4, 4) A-C matrices of a block of k he-ho points.
 
-    With Phi[m, n, x] over (B, D, (A, C)), the quadrature integral is sum_{m,n,k} (M Phi)[m, n, x]
-    K[n, k] Phi[m, k, y]: K = I where the C bits of x and y agree, K_1 where they are (1, 0) and
-    K_1^T where they are (0, 1).  So it is three (4 x d²)(d² x 4) products of M Phi with Phi,
-    K_1 Phi and K_1^T Phi (K acting on D), each entry read from the one its C bits pick.
+    Each lossy pair is amp[a, m] env[a, i], so only the four B ⊗ D states Phi_ac = S(amp_a ⊗
+    amp_c) exist, S the midpoint splitter, and loss enters as the environment Gram W = env env^T,
+    which weighs the result as W ⊗ W.  Both clicks act on B as the vacuum test M.  Every readout x
+    is accepted and its feed-forward phase e^{-i g x}, g = 4 sqrt(tau) alpha, undone on C, so the
+    integral over x is an operator on D: K_0 = I where C's bits agree and K_1 = int dx |x><x|
+    e^{-i g x} = D(-g/sqrt(2)) where they differ (K_1^T the other way).  With Phi[m, n, x] over
+    (B, D, (A, C)) it is sum_{m,n,k} (M Phi)[m, n, x] K[n, k] Phi[m, k, y]: three (4 x d²)(d² x 4)
+    products of M Phi with Phi, K_1 Phi and K_1^T Phi, each entry read from the one its C bits pick.
     """
     k, _, d = amp.shape
     M = _vacuum_test(d, [math.sqrt(2.0 * t) * alpha for t in tau.tolist()])

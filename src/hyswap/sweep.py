@@ -15,9 +15,9 @@ computed in-process and emitted in config order (schemes outermost, then
 alpha, then T).  The T values of one (scheme, alpha) group run as one stack
 through ``protocols.swap_points``, at most ``_ROWS_PER_CALL`` at a time, and
 each row equals, byte for byte, the row ``hyswap point`` prints at the same
-inputs.  ``parallelism`` (>= 1) and ``homodyne.x_max`` / ``.points`` (> 0
-and finite / >= 1) are validated but ignored, as the homodyne integral is
-exact, so the output is the same for any value of them.
+inputs.  ``parallelism`` and ``homodyne.points`` (each >= 1) are
+validated but ignored, as the homodyne integral is exact, so the output
+is the same for any value of them.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class SweepConfig:
 
 _KNOWN_KEYS = {
     "schemes", "alpha_values", "T_values", "one_minus_T_range", "T_prime",
-    "cutoff", "homodyne.x_max", "homodyne.points", "output_path",
+    "cutoff", "homodyne.points", "output_path",
     "parallelism",
 }
 
@@ -136,9 +136,11 @@ def parse_config(path: str) -> SweepConfig:
             raise ConfigError(f"invalid value for schemes: {s!r}")
     alphas = _parse_floats(entries["alpha_values"], "alpha_values")
     if "T_values" in entries:
-        ts = _parse_floats(entries["T_values"], "T_values")
+        t_key = "T_values"
+        ts = _parse_floats(entries[t_key], t_key)
     else:
-        ts = tuple(1.0 - v for v in _parse_range(entries["one_minus_T_range"], "one_minus_T_range"))
+        t_key = "one_minus_T_range"
+        ts = tuple(1.0 - v for v in _parse_range(entries[t_key], t_key))
 
     def _scalar(key, conv, default):
         if key not in entries:
@@ -160,12 +162,11 @@ def parse_config(path: str) -> SweepConfig:
     checks = [
         ("schemes", bool(cfg.schemes), "must not be empty"),
         ("alpha_values", bool(cfg.alpha_values), "must not be empty"),
-        ("T_values", bool(cfg.T_values), "must not be empty"),
+        (t_key, bool(cfg.T_values), "must not be empty"),
         ("alpha_values", all(map(_finite_alpha, cfg.alpha_values)), "must be finite, with |alpha|^2 finite too"),
-        ("T_values", all(0.0 <= t <= 1.0 for t in cfg.T_values), "must lie in [0, 1]"),
+        (t_key, all(0.0 <= t <= 1.0 for t in cfg.T_values), "must lie in [0, 1]"),
         ("T_prime", 0.0 <= cfg.T_prime <= 1.0, "must lie in [0, 1]"),
         ("cutoff", cfg.cutoff >= 2, "must be >= 2"),
-        ("homodyne.x_max", 0.0 < _scalar("homodyne.x_max", float, 1.0) < math.inf, "must be positive and finite"),
         ("homodyne.points", _scalar("homodyne.points", int, 1) >= 1, "must be >= 1"),
         ("parallelism", cfg.parallelism >= 1, "must be >= 1"),
         ("output_path", Path(cfg.output_path).parent.is_dir(), "its directory does not exist"),

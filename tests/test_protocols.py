@@ -747,22 +747,20 @@ def test_he_ho_contraction_matches_the_kernel_stack(monkeypatch):
     import hyswap.protocols as protocols
 
     heralded = []
-    real_run = protocols._run_swap
+    real_herald = protocols._homodyne_herald
 
-    def run_swap(scheme, alpha, Ts, T_prime, c, pair, herald):
-        def recorded(value, tau):
-            out = herald(value, tau)
-            heralded.append((value, tau, out[1]))
-            return out
-        return real_run(scheme, alpha, Ts, T_prime, c, pair, recorded)
+    def recorded(alpha, amp, env, tau):
+        out = real_herald(alpha, amp, env, tau)
+        heralded.append((amp, env, tau, out[1]))
+        return out
 
-    monkeypatch.setattr(protocols, "_run_swap", run_swap)
+    monkeypatch.setattr(protocols, "_homodyne_herald", recorded)
     worst = 0.0
     for alpha, smallest in ((0.2, 5), (0.8, 13), (1.5, 22), (3.0, 49)):
         for cutoff in sorted({smallest, (smallest + 64) // 2, 64}):
             for Ts, tp in (((0.0, 0.9, 1.0), 1.0), ((0.37, 1.0), 0.6)):
                 protocols.swap_points("he_ho", alpha, Ts, tp, cutoff)
-                (amp, env), tau, rho = heralded.pop()
+                amp, env, tau, rho = heralded.pop()
                 assert rho.shape == (len(Ts), 1, 4, 4) and rho.flags.c_contiguous
                 for p in range(len(Ts)):
                     ref = _he_ho_herald_as_first_written(amp[p], env[p], tau[p], alpha)
@@ -837,16 +835,12 @@ def test_stacked_outcomes_equal_one_matrix_at_a_time(monkeypatch, cutoff):
     from hyswap.negativity import _negativity_stack
 
     heralded = []
-    real_run = protocols._run_swap
-
-    def run_swap(scheme, alpha, Ts, T_prime, c, pair, herald):
-        def recorded(*args):
+    for name in ("_count_herald", "_homodyne_herald"):
+        def recorded(*args, herald=getattr(protocols, name)):
             out = herald(*args)
             heralded.append(out)
             return out
-        return real_run(scheme, alpha, Ts, T_prime, c, pair, recorded)
-
-    monkeypatch.setattr(protocols, "_run_swap", run_swap)
+        monkeypatch.setattr(protocols, name, recorded)
     ac = ModeRegister((("A", qubit()), ("C", qubit())))
     Ts = (0.0, 0.3, 0.77, 1.0)
     dead = 0

@@ -52,7 +52,6 @@ def test_parse_config_full(tmp_path):
         "one_minus_T_range = 0:0.2:0.1\n"
         "T_prime = 0.9\n"
         "cutoff = 8\n"
-        "homodyne.x_max = 5.0\n"
         "homodyne.points = 101\n"
         "output_path = out.csv\n"
         "parallelism = 2\n"
@@ -93,6 +92,14 @@ def test_parse_config_reads_cutoff_env_only_without_cutoff_key(tmp_path, monkeyp
 def test_parse_config_unknown_key_named(tmp_path):
     path = write_config(tmp_path, "schemes = dv\nbeta_values = 1\n")
     with pytest.raises(ConfigError, match="unknown config key: beta_values"):
+        parse_config(path)
+
+
+def test_parse_config_rejects_the_removed_x_max_key(tmp_path):
+    """The homodyne integral is exact, so no quadrature window is read: the key is unknown."""
+    path = write_config(tmp_path, "schemes = he-ho\nalpha_values = 0.3\nT_values = 1.0\nhomodyne.x_max = 5.0\n"
+                                  "output_path = o.csv\n")
+    with pytest.raises(ConfigError, match="unknown config key: homodyne.x_max"):
         parse_config(path)
 
 
@@ -437,11 +444,9 @@ BAD_SWEEP_VALUES = [
     ("alpha_values = 0.3, 1e200\nT_values = 1.0\n", "alpha_values"),  # |alpha|² overflows
     ("alpha_values = 0.3\nT_values = 1.0, 1.5\n", "T_values"),
     ("alpha_values = 0.3\nT_values = -0.1\n", "T_values"),
-    ("alpha_values = 0.3\none_minus_T_range = 0:1.5:0.5\n", "T_values"),
+    ("alpha_values = 0.3\none_minus_T_range = 0:1.5:0.5\n", "one_minus_T_range"),  # T = -0.5: the key written
     ("alpha_values = 0.3\nT_values = 1.0\nT_prime = 1.2\n", "T_prime"),
     ("alpha_values = 0.3\nT_values = 1.0\nhomodyne.points = 0\n", "homodyne.points"),
-    ("alpha_values = 0.3\nT_values = 1.0\nhomodyne.x_max = 0\n", "homodyne.x_max"),
-    ("alpha_values = 0.3\nT_values = 1.0\nhomodyne.x_max = inf\n", "homodyne.x_max"),
     ("alpha_values = 0.3\nT_values = 1.0\ncutoff = 1\n", "cutoff"),
     ("alpha_values = 0.3\nT_values = 1.0\nparallelism = 0\n", "parallelism"),
     ("alpha_values =\nT_values = 1.0\n", "alpha_values"),

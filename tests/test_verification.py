@@ -163,11 +163,11 @@ def test_warm_verify_pass_leaves_no_cpu_behind():
 
 
 def test_verify_pass_stacks_its_points(monkeypatch):
-    """One pass of the battery runs the swap runner 26 times: each grid of points at one (scheme,
+    """One pass of the battery calls ``swap_points`` 26 times: each grid of points at one (scheme,
     alpha, T') is one stacked call.  Looping the grids point by point made 142 calls."""
     calls = []
-    real_run = protocols._run_swap
-    monkeypatch.setattr(protocols, "_run_swap", lambda *args: calls.append(args[0]) or real_run(*args))
+    real_run = protocols.swap_points
+    monkeypatch.setattr(protocols, "swap_points", lambda *args: calls.append(args[0]) or real_run(*args))
     assert all(r.passed for r in ver.run_all())
     assert len(calls) == 26
 

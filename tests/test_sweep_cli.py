@@ -95,10 +95,14 @@ def test_parse_config_unknown_key_named(tmp_path):
         parse_config(path)
 
 
-def test_parse_config_rejects_the_removed_x_max_key(tmp_path):
-    """The homodyne integral is exact, so no quadrature window is read: the key is unknown."""
-    path = write_config(tmp_path, "schemes = he-ho\nalpha_values = 0.3\nT_values = 1.0\nhomodyne.x_max = 5.0\n"
-                                  "output_path = o.csv\n")
+@pytest.mark.parametrize("value", ["5.0", "0", "inf"])
+def test_parse_config_rejects_the_removed_x_max_key(tmp_path, value):
+    """The homodyne integral is exact, so no quadrature window is read: the key is unknown.
+
+    Values its range check used to refuse (0, inf) fail the same way as a once-valid one.
+    """
+    path = write_config(tmp_path, "schemes = he-ho\nalpha_values = 0.3\nT_values = 1.0\n"
+                                  f"homodyne.x_max = {value}\noutput_path = o.csv\n")
     with pytest.raises(ConfigError, match="unknown config key: homodyne.x_max"):
         parse_config(path)
 

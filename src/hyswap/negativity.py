@@ -1,4 +1,12 @@
-"""Entanglement negativity via the partial transpose."""
+"""Entanglement negativity via the partial transpose.
+
+One kernel, ``_negativity_stack``, scores a whole (k, d, d) stack with one
+eigen-solve and returns each matrix's negative eigenvalues and trace;
+``negativity`` is it on a stack of one, wrapped in a ``NegativityReport``.
+Real-valued data stays real: a stack whose imaginary part is exactly zero
+(every herald stack of ``protocols``, and any complex128
+``DensityOperator`` built from real amplitudes) is scored in float64.
+"""
 
 from __future__ import annotations
 
@@ -59,16 +67,22 @@ def partial_transpose(rho: DensityOperator, transpose_modes: list[str]) -> Densi
     return DensityOperator(rho.register, _partial_transpose_stack(rho.matrix[None], rho.register, transpose_modes)[0])
 
 
-def _negativity_stack(mats: np.ndarray, reg: ModeRegister, transpose_modes: list[str]) -> list[NegativityReport]:
-    """``negativity`` of each matrix of a C-contiguous (k, d, d) stack over ``reg``, one eigen-solve for all.
+def _negativity_stack(mats: np.ndarray, reg: ModeRegister,
+                      transpose_modes: list[str]) -> tuple[list[tuple[float, ...]], list[float]]:
+    """The negative eigenvalues and the trace of each matrix of a C-contiguous (k, d, d) stack over
+    ``reg``, one eigen-solve for all: ``(negatives, traces)``, each a list over the stack.
 
     Each matrix takes the elementwise steps it would take alone, so its
-    report is bit-identical to a single call's; the Hermiticity error
+    result is bit-identical to a single call's; the Hermiticity error
     names the stack's worst defect.  The partial transpose of rho + rho†
-    is pt + pt†, so the sum is transposed once.  A real stack is cast once
-    to complex128, the dtype ``DensityOperator`` gives a single matrix.
+    is pt + pt†, so the sum is transposed once.  A stack with no imaginary
+    part, every herald stack and every real-valued ``DensityOperator``
+    among them, is scored in float64 (a real symmetric eigen-solve); any
+    other is scored in complex128.  No report is built here: a caller
+    forms ``-2 * sum(negatives[i])`` itself.
     """
-    mats = mats.astype(np.complex128, copy=False)
+    real = not np.iscomplexobj(mats) or not mats.imag.any()
+    mats = (mats.real if real else mats).astype(np.float64 if real else np.complex128, copy=False)
     herm = mats.conj().transpose(0, 2, 1)
     defect = float(np.abs(mats - herm).max(initial=0.0))
     if defect > 1e-8:
@@ -78,11 +92,7 @@ def _negativity_stack(mats: np.ndarray, reg: ModeRegister, transpose_modes: list
     if any(abs(t) < 1e-290 for t in factors):
         raise ValueError("density operator has vanishing trace")
     sym = _partial_transpose_stack(mats + herm, reg, transpose_modes) / (2.0 * tr)[:, None, None]
-    reports = []
-    for eigs, factor in zip(np.linalg.eigvalsh(sym).tolist(), factors):
-        negatives = tuple(e for e in eigs if e < -1e-12)
-        reports.append(NegativityReport(-2.0 * sum(negatives), negatives, factor))
-    return reports
+    return [tuple(e for e in eigs if e < -1e-12) for eigs in np.linalg.eigvalsh(sym).tolist()], factors
 
 
 def negativity(rho: DensityOperator, transpose_modes: list[str]) -> NegativityReport:
@@ -93,6 +103,8 @@ def negativity(rho: DensityOperator, transpose_modes: list[str]) -> NegativityRe
     outcome probability in the trace); the factor is reported.
     Eigenvalues at or above -1e-12 are treated as numerical zeros.  This
     is ``_negativity_stack``, which ``protocols.swap_points`` calls once
-    on the outcomes of all its points, on a stack of one.
+    on the outcomes of all its points, on a stack of one: a state whose
+    imaginary part is zero is scored in float64.
     """
-    return _negativity_stack(np.ascontiguousarray(rho.matrix)[None], rho.register, transpose_modes)[0]
+    (negatives,), (factor,) = _negativity_stack(np.ascontiguousarray(rho.matrix)[None], rho.register, transpose_modes)
+    return NegativityReport(-2.0 * sum(negatives), negatives, factor)

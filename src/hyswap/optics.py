@@ -195,13 +195,25 @@ def loss_channel(T: float, cutoff: int) -> np.ndarray:
     return kraus
 
 
+@lru_cache(maxsize=64)
+def _off_band(shape: tuple[int, int, int]) -> np.ndarray:
+    """Read-only mask of the elements [k, m, n] off the loss band n = m + k of a Kraus stack."""
+    k, m, n = np.indices(shape, sparse=True)
+    mask = n != m + k
+    mask.setflags(write=False)
+    return mask
+
+
 def apply_loss(rho: DensityOperator, mode: str, kraus: np.ndarray) -> DensityOperator:
     """Kraus sum ``sum_k A_k rho A_k†`` on one bosonic mode, as band arithmetic.
 
     A loss operator is nonzero only on its k-th superdiagonal, ``a_k[m] = A_k[m, m+k]``,
     so the sum is d shifted, weighted slices of rho on the mode's ket and bra axes:
-    ``out[m, m'] = sum_k a_k[m] rho[m+k, m'+k] conj(a_k[m'])``.  A stack with a
-    nonzero element off that band raises ``ValueError``.
+    ``out[m, m'] = sum_k a_k[m] rho[m+k, m'+k] conj(a_k[m'])``, taken on a (d, d, rest)
+    layout with the mode's two axes first.  When rho and the stack both have no
+    imaginary part the sum runs in float64; each product and sum is then the real part
+    of the complex one, bit for bit, and the result is a complex128 ``DensityOperator``
+    as always.  A stack with a nonzero element off that band raises ``ValueError``.
     """
     reg = rho.register
     d = _bosonic_dim(reg, mode, "loss channel")
@@ -210,16 +222,19 @@ def apply_loss(rho: DensityOperator, mode: str, kraus: np.ndarray) -> DensityOpe
             f"channel dimension {kraus.shape[-1]} does not match mode {mode!r} "
             f"dimension {d}"
         )
-    band = np.arange(len(kraus))[:, None, None] == np.arange(d) - np.arange(d)[:, None]  # [k, m, n]: n = m + k
-    if np.any(kraus[~band]):
+    if np.any(kraus[_off_band(kraus.shape)]):
         raise ValueError("loss Kraus stack has a nonzero element off its band: A_k[m, n] must be 0 unless n = m + k")
+    m = rho.matrix
+    if not m.imag.any() and not (np.iscomplexobj(kraus) and kraus.imag.any()):
+        m, kraus = m.real, kraus.real
     ax = reg.axis(mode)
     pre, post = math.prod(reg.dims[:ax]), math.prod(reg.dims[ax + 1:])
-    t = rho.matrix.reshape(pre, d, post, pre, d, post)
+    t = m.reshape(pre, d, post, pre, d, post).transpose(1, 4, 0, 2, 3, 5).reshape(d, d, -1)
     out = np.zeros(t.shape, np.result_type(t, kraus))
     for k, A in enumerate(kraus[:d]):
         a = np.diagonal(A, k)
-        out[:, :d - k, :, :, :d - k] += a[:, None, None, None, None] * t[:, k:, :, :, k:] * a.conj()[:, None]
+        out[:d - k, :d - k] += a[:, None, None] * t[k:, k:] * a.conj()[:, None]
+    out = out.reshape(d, d, pre, post, pre, post).transpose(2, 0, 3, 4, 1, 5)
     return DensityOperator(reg, out.reshape(reg.dim, reg.dim))
 
 
@@ -235,7 +250,7 @@ def apply_loss_dilated(rho: DensityOperator, mode: str, T: float) -> DensityOper
     params = BeamSplitterParams.from_transmission(T)
     blocks, _, slot = _bs_blocks(d, d, params.theta, params.phi)
     k, n, _ = _binomial_roots(d)
-    kraus = np.zeros((d, d, d), dtype=np.complex128)
+    kraus = np.zeros((d, d, d), dtype=blocks.dtype)  # float64: from_transmission's phi is pi
     kraus[k, n - k, n] = blocks[n, slot[n - k, k], slot[n, 0]]  # n photons in, k lost to e
     return apply_loss(rho, mode, kraus)
 

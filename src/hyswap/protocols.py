@@ -222,7 +222,8 @@ def swap_points(scheme: str, alpha: float | None, Ts, T_prime: float = 1.0,
     probs = rhos.trace(axis1=2, axis2=3)  # every herald is real
     live = probs > _PROB_FLOOR
     states = rhos[live] / probs[live, None, None]
-    scored = zip(states, [r.value for r in _negativity_stack(states, _AC_REGISTER, ["C"])])  # one eigen-solve
+    negatives, _ = _negativity_stack(states, _AC_REGISTER, ["C"])  # one eigen-solve, in float64
+    scored = zip(states, [-2.0 * sum(n) for n in negatives])
     results = []
     for T, point_probs, point_live in zip(Ts, probs.tolist(), live.tolist()):
         outcomes = [SwapOutcome(label, p, *next(scored)) if ok else SwapOutcome(label, 0.0, np.zeros((4, 4)), 0.0)

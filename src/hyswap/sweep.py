@@ -13,20 +13,22 @@ Example config::
 ``T_values`` may be given instead of ``one_minus_T_range``.  Rows are
 computed in-process and emitted in config order (schemes outermost, then
 alpha, then T).  The T values of one (scheme, alpha) group run as one stack
-through ``protocols.swap_points``, at most ``_ROWS_PER_CALL`` at a time, and
-each row equals, byte for byte, the row ``hyswap point`` prints at the same
-inputs.  ``parallelism`` and ``homodyne.points`` (each >= 1) are
-validated but ignored, as the homodyne integral is exact, so the output
-is the same for any value of them.
+through ``protocols.swap_points``, at most ``_ROWS_PER_CALL`` at a time (dv,
+which ignores alpha, under the first alpha only), and each row equals, byte
+for byte, the row ``hyswap point`` prints at the same inputs.
+``parallelism`` and ``homodyne.points`` (each >= 1) are validated but
+ignored, as the homodyne integral is exact, so the output is the same for
+any value of them.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .closed_form import SCHEMES, _finite_alpha, closed_form
 from .protocols import default_cutoff, swap_points
@@ -47,6 +49,7 @@ SCHEME_ALIASES = {s.replace("_", "-"): s for s in SCHEMES}
 
 _MAX_RANGE_POINTS = 1_000_000  # most values one_minus_T_range may ask for
 _ROWS_PER_CALL = 256  # most T values of a (scheme, alpha) group one stacked call takes
+_COMPUTED = CSV_COLUMNS[5:]  # a row's columns after the five that echo its inputs
 
 
 class ConfigError(ValueError):
@@ -224,20 +227,32 @@ def run_sweep(config: SweepConfig) -> int:
 
     Points are computed in-process, one ``evaluate_points`` call per (scheme, alpha)
     group (per ``_ROWS_PER_CALL`` T values of a longer one), and written in config
-    order; ``config.parallelism`` is ignored.  The output is opened before the first
+    order; ``config.parallelism`` is ignored.  dv ignores alpha, so its chunks run
+    under the first alpha only: their computed columns, 48 bytes a T value, are
+    written again under every later alpha.  The output is opened before the first
     point and removed if any point fails, so a failed sweep leaves no CSV.
     """
     out = Path(config.output_path)
     fh = out.open("w", newline="", encoding="utf-8")
-    Ts = config.T_values
+    Ts, T_prime, cutoff = config.T_values, config.T_prime, config.cutoff
     try:
         with fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for scheme, alpha in itertools.product(config.schemes, config.alpha_values):
-                for i in range(0, len(Ts), _ROWS_PER_CALL):
-                    for row in evaluate_points(scheme, alpha, Ts[i:i + _ROWS_PER_CALL], config.T_prime, config.cutoff):
-                        writer.writerow([format_value(row[col]) for col in CSV_COLUMNS])
+            for scheme in config.schemes:
+                dv_chunks = []  # dv's computed columns of each chunk, an array (T values x columns)
+                for alpha in config.alpha_values:
+                    for c, i in enumerate(range(0, len(Ts), _ROWS_PER_CALL)):
+                        chunk = Ts[i:i + _ROWS_PER_CALL]
+                        if c < len(dv_chunks):
+                            computed = dv_chunks[c].tolist()
+                        else:
+                            rows = evaluate_points(scheme, alpha, chunk, T_prime, cutoff)
+                            computed = [[row[col] for col in _COMPUTED] for row in rows]
+                            if SCHEME_ALIASES[scheme] == "dv":
+                                dv_chunks.append(np.array(computed))
+                        for T, values in zip(chunk, computed):
+                            writer.writerow([format_value(v) for v in (scheme, alpha, T, T_prime, cutoff, *values)])
     except BaseException:  # a bad point, out of memory, an interrupt: re-raised
         out.unlink(missing_ok=True)
         raise

@@ -139,7 +139,9 @@ def test_stacked_kernel_equals_the_one_matrix_formula():
             negatives = tuple(eigs[eigs < -1e-12].tolist())
             expected.append(NegativityReport(-2.0 * sum(negatives), negatives, tr))
             assert negativity(DensityOperator(reg, rho), modes) == expected[-1]
-        assert _negativity_stack(rhos, reg, modes) == expected
+        negatives, traces = _negativity_stack(rhos, reg, modes)
+        assert negatives == [r.negative_eigenvalues for r in expected]
+        assert traces == [r.trace_factor for r in expected]
         assert sum(r.value > 0.0 for r in expected) >= 3
 
 
@@ -210,4 +212,46 @@ def test_cached_transpose_layout_still_refuses_bad_modes():
             with pytest.raises(ValueError, match="proper subset"):
                 _negativity_stack(rhos, reg, modes)
         assert _negativity_stack(rhos, reg, ["C"]) == first
-    assert first[0].value == pytest.approx(1.0, abs=1e-12)
+    (negatives,), (trace,) = first
+    assert negativity(DensityOperator(reg, rhos[0]), ["C"]) == NegativityReport(-2.0 * sum(negatives), negatives, trace)
+    assert -2.0 * sum(negatives) == pytest.approx(1.0, abs=1e-12) and trace == pytest.approx(1.0, abs=1e-15)
+
+
+def _eigvalsh_dtypes(monkeypatch):
+    seen = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: seen.append(a.dtype) or real(a, *args, **kw))
+    return seen
+
+
+def test_real_valued_state_is_scored_in_float64(monkeypatch):
+    """A complex128 DensityOperator whose imaginary part is zero is scored as its float64 matrix:
+    negativity() equals, bit for bit, the kernel on that matrix, one real eigen-solve each."""
+    from hyswap.negativity import _negativity_stack
+
+    rng = np.random.default_rng(43)
+    seen = _eigvalsh_dtypes(monkeypatch)
+    for reg, modes in ((qq_register(), ["C"]), (ModeRegister((("A", qubit()), ("B", bosonic(2)))), ["B"])):
+        m = rng.normal(size=(reg.dim, 2))
+        rho = DensityOperator(reg, m @ m.T * 0.7)
+        assert rho.matrix.dtype == np.complex128 and not rho.matrix.imag.any()
+        rep = negativity(rho, modes)
+        negatives, traces = _negativity_stack(np.ascontiguousarray(rho.matrix.real)[None], reg, modes)
+        assert (rep.negative_eigenvalues, rep.trace_factor) == (negatives[0], traces[0])
+        assert rep.value == -2.0 * sum(negatives[0]) > 0.0
+    assert seen == [np.float64] * 4
+
+
+def test_imaginary_coherence_takes_the_complex_path(monkeypatch):
+    """One nonzero imaginary element sends the matrix through the complex128 eigen-solve, whose
+    result is the single-matrix formula's bit for bit, and the negativity sees the phase."""
+    seen = _eigvalsh_dtypes(monkeypatch)
+    reg = qq_register()
+    v = np.array([0.0, math.sqrt(0.5), 1j * math.sqrt(0.5), 0.0])  # (|01> + i|10>)/sqrt(2)
+    rho = pure_rho(reg, v)
+    rep = negativity(rho, ["C"])
+    assert seen == [np.complex128]
+    pt = partial_transpose(rho, ["C"]).matrix
+    eigs = np.linalg.eigvalsh((pt + pt.conj().T) / (2.0 * rho.trace()))
+    assert rep.negative_eigenvalues == tuple(eigs[eigs < -1e-12].tolist())
+    assert rep.value == pytest.approx(1.0, abs=1e-14)

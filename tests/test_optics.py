@@ -401,6 +401,39 @@ def test_loss_channel_validation():
         apply_loss(rho, "M", kraus)
 
 
+def test_real_loss_on_a_middle_mode_is_the_complex_computation():
+    """Real rho and Kraus stack run in float64 on a mode between two others; the result is
+    still a complex128 DensityOperator, within 1e-15 of the same band sum taken in complex128
+    (on i rho, whose imaginary part sends it down the complex route) and of the lifted Kraus sum."""
+    rng = np.random.default_rng(59)
+    reg = ModeRegister((("A", qubit()), ("M", bosonic(5)), ("B", bosonic(2))))
+    v = rng.normal(size=(reg.dim, 3))
+    rho = DensityOperator(reg, v @ np.diag([0.5, 0.3, 0.2]) @ v.T / np.linalg.norm(v) ** 2)
+    for kraus in (loss_channel(0.37, 5), loss_channel(0.37, 5).real):
+        out = apply_loss(rho, "M", kraus)
+        assert isinstance(out, DensityOperator) and out.matrix.dtype == np.complex128
+        assert not out.matrix.imag.any()
+        complex_route = apply_loss(DensityOperator(reg, 1j * rho.matrix), "M", kraus).matrix / 1j
+        assert np.abs(out.matrix - complex_route).max() <= 1e-15
+        lifted = [reduce(np.kron, [np.eye(2), A, np.eye(3)]) for A in kraus]
+        assert np.abs(out.matrix - sum(L @ rho.matrix @ L.conj().T for L in lifted)).max() <= 1e-15
+
+
+def test_cached_off_band_mask_rejects_every_call():
+    """The off-band mask is built once per stack shape, yet each call checks its own stack."""
+    from hyswap.optics import _off_band
+
+    rho = DensityOperator(ModeRegister((("M", bosonic(4)),)), np.eye(5) / 5)
+    apply_loss(rho, "M", loss_channel(0.5, 4))  # the mask of shape (5, 5, 5) is now cached
+    for where in ((1, 2, 1), (0, 0, 1), (4, 0, 0), (2, 3, 1), (1, 2, 1)):
+        kraus = loss_channel(0.5, 4)
+        kraus[where] = 1e-3
+        with pytest.raises(ValueError, match="nonzero element off its band"):
+            apply_loss(rho, "M", kraus)
+        assert np.allclose(apply_loss(rho, "M", loss_channel(0.5, 4)).trace(), 1.0)
+    assert _off_band.cache_info().hits >= 10 and not _off_band((5, 5, 5)).flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # detectors
 

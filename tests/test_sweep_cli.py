@@ -288,6 +288,29 @@ def test_sweep_rows_equal_cli_point_rows(tmp_path, capsys, cutoff):
         assert capsys.readouterr().out.splitlines() == [header, row]
 
 
+def test_dv_runs_once_per_chunk_for_every_alpha(tmp_path, monkeypatch):
+    """dv ignores alpha, so a three-alpha sweep makes one dv ``swap_points`` call per chunk of T
+    values, and its rows under each alpha are the first alpha's with only the alpha column changed;
+    he-spd still runs once per (alpha, chunk)."""
+    import hyswap.sweep as sweep
+
+    calls = []
+    real = sweep.swap_points
+    monkeypatch.setattr(sweep, "swap_points", lambda scheme, *args: calls.append(scheme) or real(scheme, *args))
+    monkeypatch.setattr(sweep, "_ROWS_PER_CALL", 2)
+    out = tmp_path / "three.csv"
+    cfg = parse_config(write_config(tmp_path, "schemes = dv, he-spd\nalpha_values = 0.2, 0.5, 0.8\n"
+                                              f"T_values = 1.0, 0.8, 0.5, 0.2, 0.0\ncutoff = 6\noutput_path = {out}\n"))
+    assert run_sweep(cfg) == 30
+    assert calls == ["dv"] * 3 + ["he_spd"] * 9
+    _, *rows = out.read_text(encoding="utf-8").splitlines()
+    dv = [row.split(",") for row in rows[:15]]
+    assert [r[1] for r in dv] == ["0.2"] * 5 + ["0.5"] * 5 + ["0.8"] * 5
+    assert all(r[:1] + r[2:] == first[:1] + first[2:] for r, first in zip(dv, dv[:5] * 3))
+    assert rows[:5] == [",".join(format_value(v) for v in row.values())
+                        for row in sweep.evaluate_points("dv", 0.2, cfg.T_values, 1.0, 6)]
+
+
 def test_sweep_config_is_frozen():
     cfg = SweepConfig(("dv",), (0.0,), (1.0,), 1.0, 4, "o.csv", 1)
     with pytest.raises(Exception):
@@ -565,7 +588,8 @@ def test_failed_sweep_removes_its_partial_csv(tmp_path, monkeypatch):
 
     out = tmp_path / "out.csv"
     out.write_text("an earlier sweep\n")
-    two_groups = BASE_CONFIG.replace("alpha_values = 0.0", "alpha_values = 0.0, 0.5")  # the first one's rows are written
+    # dv runs once for all alphas, so the second group is he-spd's; the first one's rows are written
+    two_groups = BASE_CONFIG.replace("schemes = dv", "schemes = dv, he-spd").replace("alpha_values = 0.0", "alpha_values = 0.5")
     cfg = parse_config(write_config(tmp_path, two_groups.format(out=out)))
     monkeypatch.setattr(sweep, "evaluate_points", second_group_fails)
     with pytest.raises(ValueError, match="bad point"):

@@ -1,5 +1,5 @@
 """Photon loss two ways (Kraus channel vs splitter dilation) and what an
-inefficient detector does to the measurement elements."""
+inefficient detector does to its outcomes' weights."""
 
 import math
 
@@ -11,10 +11,7 @@ from hyswap import (
     apply_loss,
     apply_loss_dilated,
     bosonic,
-    loss_channel,
     make_coherent,
-    onoff_elements,
-    spd_elements,
     with_inefficiency,
 )
 
@@ -30,7 +27,7 @@ rho = DensityOperator(reg, np.outer(cat, cat.conj()))
 print("=== odd cat through a lossy channel ===")
 print("T      trace    p(even)   p(odd)    Kraus-vs-dilation")
 for T in (1.0, 0.9, 0.6, 0.3):
-    out = apply_loss(rho, "M", loss_channel(T, cutoff))
+    out = apply_loss(rho, "M", T)
     alt = apply_loss_dilated(rho, "M", T)
     diag = np.diag(out.matrix).real
     p_even = diag[0::2].sum()
@@ -42,23 +39,25 @@ print("\nmean photon number scales exactly with T:")
 n_op = np.arange(cutoff + 1)
 n0 = float(np.diag(rho.matrix).real @ n_op)
 for T in (0.75, 0.5, 0.25):
-    out = apply_loss(rho, "M", loss_channel(T, cutoff))
+    out = apply_loss(rho, "M", T)
     n1 = float(np.diag(out.matrix).real @ n_op)
     print(f"  T = {T}: <n> = {n1:.6f} = {T} * {n0:.6f}")
 
 print("\n=== detector elements ===")
-els = spd_elements(reg, "M")
+# each outcome is its Fock diagonal: weights[n] is the probability that it fires on |n>
+n = np.arange(cutoff + 1)
+spd = {"0": n == 0, "1": n == 1, "2+": n >= 2}
 print("ideal single-photon detector diagonal responses:")
-for el in els:
-    print(f"  outcome {el.label!r}: {np.round(el.weights[:5], 3)}")
+for label, weights in spd.items():
+    print(f"  outcome {label!r}: {np.round(weights[:5].astype(float), 3)}")
 
 tp = 0.7
 print(f"\nsame detector behind a T' = {tp} loss:")
-for el in with_inefficiency(els, tp):
-    print(f"  outcome {el.label!r}: {np.round(el.weights[:5], 3)}")
+for label, weights in spd.items():
+    print(f"  outcome {label!r}: {np.round(with_inefficiency(weights, tp)[:5], 3)}")
 
-off = with_inefficiency(onoff_elements(reg, "M")[0], tp)
+off = with_inefficiency(n == 0, tp)
 print(
     "\nno-click probability on |n> is (1 - T')^n:",
-    np.round(off.weights[:5], 4),
+    np.round(off[:5], 4),
 )

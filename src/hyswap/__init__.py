@@ -29,18 +29,14 @@ from .fock import (
 from .optics import (
     FIFTY_FIFTY,
     BeamSplitterParams,
-    MeasurementElement,
     apply_bs,
     apply_loss,
     apply_loss_dilated,
     bs_unitary,
-    fock_projector,
     homodyne_grid,
     loss_channel,
     measure_and_reduce,
-    onoff_elements,
     quadrature_amplitudes,
-    spd_elements,
     with_inefficiency,
 )
 from .negativity import NegativityReport, negativity, partial_transpose

@@ -22,19 +22,20 @@ blocks are real orthogonal and stored as float64.
 Photon loss with survival probability T is the amplitude-damping Kraus
 family ``A_k = (1-T)^{k/2} (k!)^{-1/2} T^{n/2} a^k``, with d(d+1)/2
 nonzero elements (``loss_band``), all on the k-th superdiagonal of A_k.
-``apply_loss`` reads that band off a ``(d, d, d)`` stack, rejects a stack
-with anything off it, and sums d shifted, weighted slices of the density
-operator, with no matrix product.  It is also the same splitter at
-``cos²(theta/2) = T`` against a vacuum environment mode, whose Kraus
-operators ``<e|U|0>_env`` are read off the splitter blocks.  The two
-stacks come from independent formulas (binomial elements vs the
-exponentiated blocks) and are checked against each other.
+``apply_loss`` sums d shifted slices of the density operator weighted by
+that band, with no matrix product; ``loss_channel`` is a dense
+``(d, d, d)`` view of the family for checks.  Loss is also the same
+splitter at ``cos²(theta/2) = T`` against a vacuum environment mode:
+``apply_loss_dilated`` reads its band ``<e|U|0>_env`` off the splitter
+blocks.  The two bands come from independent formulas (binomial elements
+vs the exponentiated blocks) and are checked against each other.
 
-Every detector element is diagonal in the Fock basis and is stored as
-its diagonal ``weights`` (0/1 for ideal counters); an inefficient
-detector's weights are the ideal ones pushed through the binomial
-survival map of a T' loss.  Measuring scales a mode's axis by
-``sqrt(weights)``.
+Every detector outcome is diagonal in the Fock basis and is passed as its
+diagonal, a 1-D array of weights: ``w[n]`` is the probability that it
+fires on |n> (0/1 for an ideal counter, ``np.arange(d) == n`` or
+``np.arange(d) >= 1``).  An inefficient detector's weights are the ideal
+ones pushed through the binomial survival map of a T' loss.  Measuring
+scales a mode's axis by ``sqrt(w)``.
 
 Homodyne detection is represented by quadrature bra vectors
 ``<x_theta|n> = e^{-i n theta} pi^{-1/4} (2^n n!)^{-1/2} H_n(x)
@@ -54,7 +55,6 @@ import numpy as np
 from .fock import (
     DensityOperator,
     ModeKind,
-    ModeRegister,
     StateVector,
     reduced_density,
 )
@@ -69,10 +69,6 @@ __all__ = [
     "loss_channel",
     "apply_loss",
     "apply_loss_dilated",
-    "MeasurementElement",
-    "fock_projector",
-    "onoff_elements",
-    "spd_elements",
     "quadrature_amplitudes",
     "homodyne_grid",
     "with_inefficiency",
@@ -182,11 +178,11 @@ def loss_band(T: float, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def loss_channel(T: float, cutoff: int) -> np.ndarray:
-    """Kraus stack ``[k] = A_k = (1-T)^{k/2} (k!)^{-1/2} T^{n/2} a^k``, shape (d, d, d).
+    """Kraus stack ``[k] = A_k = (1-T)^{k/2} (k!)^{-1/2} T^{n/2} a^k``, shape (d, d, d):
+    a dense view of :func:`loss_band` for checks, as ``bs_unitary`` is of the splitter.
 
-    Its nonzero elements are :func:`loss_band`'s.  On the truncated space
-    the family is exactly trace preserving, because a^k only moves
-    occupation downward.
+    On the truncated space the family is exactly trace preserving, because
+    a^k only moves occupation downward.
     """
     d = cutoff + 1
     k, n, elements = loss_band(T, d)
@@ -195,47 +191,40 @@ def loss_channel(T: float, cutoff: int) -> np.ndarray:
     return kraus
 
 
-@lru_cache(maxsize=64)
-def _off_band(shape: tuple[int, int, int]) -> np.ndarray:
-    """Read-only mask of the elements [k, m, n] off the loss band n = m + k of a Kraus stack."""
-    k, m, n = np.indices(shape, sparse=True)
-    mask = n != m + k
-    mask.setflags(write=False)
-    return mask
-
-
-def apply_loss(rho: DensityOperator, mode: str, kraus: np.ndarray) -> DensityOperator:
-    """Kraus sum ``sum_k A_k rho A_k†`` on one bosonic mode, as band arithmetic.
+def _band_sum(rho: DensityOperator, mode: str, k: np.ndarray, n: np.ndarray, elements: np.ndarray) -> DensityOperator:
+    """Kraus sum ``sum_k A_k rho A_k†`` on one bosonic mode of the loss whose real band is
+    ``A_k[n-k, n] = elements``, as band arithmetic.
 
     A loss operator is nonzero only on its k-th superdiagonal, ``a_k[m] = A_k[m, m+k]``,
     so the sum is d shifted, weighted slices of rho on the mode's ket and bra axes:
-    ``out[m, m'] = sum_k a_k[m] rho[m+k, m'+k] conj(a_k[m'])``, taken on a (d, d, rest)
-    layout with the mode's two axes first.  When rho and the stack both have no
-    imaginary part the sum runs in float64; each product and sum is then the real part
-    of the complex one, bit for bit, and the result is a complex128 ``DensityOperator``
-    as always.  A stack with a nonzero element off that band raises ``ValueError``.
+    ``out[m, m'] = sum_k a_k[m] rho[m+k, m'+k] a_k[m']``, taken on a (d, d, rest)
+    layout with the mode's two axes first.  When rho has no imaginary part the sum
+    runs in float64; each product and sum is then the real part of the complex one,
+    bit for bit, and the result is a complex128 ``DensityOperator`` as always.
     """
     reg = rho.register
-    d = _bosonic_dim(reg, mode, "loss channel")
-    if kraus.shape[1:] != (d, d):
-        raise ValueError(
-            f"channel dimension {kraus.shape[-1]} does not match mode {mode!r} "
-            f"dimension {d}"
-        )
-    if np.any(kraus[_off_band(kraus.shape)]):
-        raise ValueError("loss Kraus stack has a nonzero element off its band: A_k[m, n] must be 0 unless n = m + k")
+    if reg.spec(mode).kind is not ModeKind.BOSONIC:
+        raise ValueError("loss channel requires a bosonic mode")
+    d = reg.spec(mode).dim
+    band = np.zeros((d, d))
+    band[k, n - k] = elements  # row k: a_k, zero-padded
     m = rho.matrix
-    if not m.imag.any() and not (np.iscomplexobj(kraus) and kraus.imag.any()):
-        m, kraus = m.real, kraus.real
+    if not m.imag.any():
+        m = m.real
     ax = reg.axis(mode)
     pre, post = math.prod(reg.dims[:ax]), math.prod(reg.dims[ax + 1:])
     t = m.reshape(pre, d, post, pre, d, post).transpose(1, 4, 0, 2, 3, 5).reshape(d, d, -1)
-    out = np.zeros(t.shape, np.result_type(t, kraus))
-    for k, A in enumerate(kraus[:d]):
-        a = np.diagonal(A, k)
-        out[:d - k, :d - k] += a[:, None, None] * t[k:, k:] * a.conj()[:, None]
+    out = np.zeros(t.shape, t.dtype)
+    for shift, a in enumerate(band):
+        a = a[:d - shift]
+        out[:d - shift, :d - shift] += a[:, None, None] * t[shift:, shift:] * a[:, None]
     out = out.reshape(d, d, pre, post, pre, post).transpose(2, 0, 3, 4, 1, 5)
     return DensityOperator(reg, out.reshape(reg.dim, reg.dim))
+
+
+def apply_loss(rho: DensityOperator, mode: str, T: float) -> DensityOperator:
+    """A T loss on one bosonic mode of rho: the band sum of :func:`loss_band`'s elements."""
+    return _band_sum(rho, mode, *loss_band(T, rho.register.spec(mode).dim))
 
 
 def apply_loss_dilated(rho: DensityOperator, mode: str, T: float) -> DensityOperator:
@@ -244,69 +233,25 @@ def apply_loss_dilated(rho: DensityOperator, mode: str, T: float) -> DensityOper
     Its Kraus operators ``B_e[m, n] = <m, e|U|n, 0>`` are read off the
     splitter's photon-number blocks, so this route checks the binomial
     elements of :func:`loss_band` against the exponentiated blocks; the
-    Kraus sum itself is :func:`apply_loss`'s.
+    band sum itself is :func:`apply_loss`'s.
     """
     d = rho.register.spec(mode).dim
     params = BeamSplitterParams.from_transmission(T)
-    blocks, _, slot = _bs_blocks(d, d, params.theta, params.phi)
+    blocks, _, slot = _bs_blocks(d, d, params.theta, params.phi)  # float64: from_transmission's phi is pi
     k, n, _ = _binomial_roots(d)
-    kraus = np.zeros((d, d, d), dtype=blocks.dtype)  # float64: from_transmission's phi is pi
-    kraus[k, n - k, n] = blocks[n, slot[n - k, k], slot[n, 0]]  # n photons in, k lost to e
-    return apply_loss(rho, mode, kraus)
+    return _band_sum(rho, mode, k, n, blocks[n, slot[n - k, k], slot[n, 0]])  # n photons in, k lost to e
 
 
 # ---------------------------------------------------------------------------
 # detectors
 
-@dataclass(frozen=True)
-class MeasurementElement:
-    """A labeled detector outcome on one mode, diagonal in the Fock basis.
-
-    ``weights[n]`` is the probability that the outcome fires on |n>; the
-    element is the operator sum_n weights[n] |n><n|.
-    """
-
-    label: str
-    mode: str
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights)
-        if w.ndim != 1 or not np.isrealobj(w) or not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError(f"weights of {self.label!r} must be a 1-D array of finite numbers >= 0")
-        w = w.astype(float)  # a copy, so the element cannot change under a caller
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-
-def _bosonic_dim(register: ModeRegister, mode: str, what: str) -> int:
-    spec = register.spec(mode)
-    if spec.kind is not ModeKind.BOSONIC:
-        raise ValueError(f"{what} requires a bosonic mode")
-    return spec.dim
-
-
-def fock_projector(register: ModeRegister, mode: str, n: int) -> MeasurementElement:
-    d = register.spec(mode).dim
-    if not 0 <= n < d:
-        raise ValueError(f"occupation out of range for mode {mode!r}: {n}")
-    return MeasurementElement(f"{n}", mode, np.arange(d) == n)
-
-
-def onoff_elements(register: ModeRegister, mode: str) -> list[MeasurementElement]:
-    """On-off (bucket) detector: {no click, click} = {P0, 1 - P0}."""
-    n = np.arange(_bosonic_dim(register, mode, "on-off detection"))
-    return [MeasurementElement("off", mode, n == 0), MeasurementElement("click", mode, n >= 1)]
-
-
-def spd_elements(register: ModeRegister, mode: str) -> list[MeasurementElement]:
-    """Single-photon detector: {vacuum, one photon, two or more}."""
-    n = np.arange(_bosonic_dim(register, mode, "single-photon detection"))
-    return [
-        MeasurementElement("0", mode, n == 0),
-        MeasurementElement("1", mode, n == 1),
-        MeasurementElement("2+", mode, n >= 2),
-    ]
+def _weights(weights) -> np.ndarray:
+    """A detector outcome's Fock diagonal, ``w[n]`` the probability that it fires on |n>,
+    as a float64 copy; anything but a 1-D array of finite numbers >= 0 raises ``ValueError``."""
+    w = np.asarray(weights)
+    if w.ndim != 1 or not np.isrealobj(w) or not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValueError("detector weights must be a 1-D array of finite numbers >= 0")
+    return w.astype(float)
 
 
 def quadrature_amplitudes(xs: np.ndarray, dim: int, theta: float) -> np.ndarray:
@@ -338,51 +283,47 @@ def homodyne_grid(x_max: float = 6.0, points: int = 201) -> tuple[np.ndarray, np
     return nodes * x_max, weights * x_max
 
 
-def with_inefficiency(elements, T_prime: float):
-    """Fold detector inefficiency into measurement elements.
+def with_inefficiency(weights, T_prime: float) -> np.ndarray:
+    """Fold detector inefficiency into a detector outcome's weights.
 
     An inefficient detector is an ideal one behind a T' loss channel, so
-    an outcome fires on |n> with probability sum_m P(n -> m) w[m], where
+    the outcome fires on |n> with probability sum_m P(n -> m) w[m], where
     P(n -> m) = C(n, m) T'^m (1 - T')^(n - m) is the binomial survival
-    of the loss.  Accepts a single element or a list; at T' = 1 each
-    element is returned unchanged.
+    of the loss.  At T' = 1 the weights come back unchanged, as floats.
     """
     if not 0.0 <= T_prime <= 1.0:
         raise ValueError("detector efficiency must lie in [0, 1]")
-    single = isinstance(elements, MeasurementElement)
-    items = [elements] if single else list(elements)
-    out = []
-    for el in items:
-        if T_prime < 1.0:
-            k, n, elements = loss_band(T_prime, d := el.weights.size)
-            survival = np.zeros((d, d))
-            survival[n - k, n] = elements**2  # [m, n] = P(n -> m)
-            el = MeasurementElement(el.label, el.mode, el.weights @ survival)
-        out.append(el)
-    return out[0] if single else out
+    w = _weights(weights)
+    if T_prime == 1.0:
+        return w
+    k, n, elements = loss_band(T_prime, w.size)
+    survival = np.zeros((w.size, w.size))
+    survival[n - k, n] = elements**2  # [m, n] = P(n -> m)
+    return w @ survival
 
 
-def measure_and_reduce(state: StateVector, elements: list[MeasurementElement], keep: list[str]) -> tuple[float, DensityOperator]:
+def measure_and_reduce(state: StateVector, outcomes: dict[str, np.ndarray], keep: list[str]) -> tuple[float, DensityOperator]:
     """Joint outcome probability and normalized reduced state on kept modes.
 
-    Each element scales the amplitudes along its mode's axis by
-    ``sqrt(weights)``, which for a projector keeps its levels and zeroes
-    the rest, so the returned probability is tr[rho * prod(M)].  The measured and environment modes
-    are traced out.  When the probability underflows the reduced state is
-    returned as the zero matrix.
+    ``outcomes`` maps each measured mode to its outcome's weights, which
+    scale the amplitudes along that mode's axis by ``sqrt(weights)``: a
+    projector keeps its levels and zeroes the rest, so the returned
+    probability is tr[rho * prod(M)].  The measured and environment modes
+    are traced out.  When the probability is at most 1e-290 the reduced
+    state is the zero matrix, as ``protocols.swap_points`` gives an
+    unreachable outcome.
     """
     reg = state.register
     t = state.tensor_view()
-    for el in elements:
-        ax = reg.axis(el.mode)
-        if el.weights.size != reg.dims[ax]:
-            raise ValueError(f"element on mode {el.mode!r} has wrong dimension")
+    for mode, weights in outcomes.items():
+        ax = reg.axis(mode)
+        w = _weights(weights)
+        if w.size != reg.dims[ax]:
+            raise ValueError(f"weights on mode {mode!r} have wrong dimension")
         shape = [1] * len(reg.dims)
         shape[ax] = -1
-        t = t * np.sqrt(el.weights).reshape(shape)
+        t = t * np.sqrt(w).reshape(shape)
     filtered = StateVector(reg, t.reshape(-1), state.norm_deficit)
     prob = filtered.norm_sq()
     rho = reduced_density(filtered, keep)
-    if prob > 1e-290:
-        rho = DensityOperator(rho.register, rho.matrix / prob)
-    return prob, rho
+    return prob, DensityOperator(rho.register, rho.matrix / prob if prob > 1e-290 else np.zeros_like(rho.matrix))

@@ -12,9 +12,13 @@ The pipelines (``protocols``, ``sweep``, ``negativity``, ``closed_form``)
 read from the reference toolbox (``fock``, ``optics``) only the names on
 ``PIPELINE_TOOLBOX``, and never load a name parked on a ``# noqa: F401``
 line; every parked name is one perfbench's ``WRAPPED`` traces there.
+
+Every name on a module's ``__all__`` is bound in it, and ``__init__.py``
+re-exports only names on the ``__all__`` of the module it takes them from.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hyswap"
@@ -146,3 +150,23 @@ def test_every_parked_name_is_one_perfbench_traces():
     stale = [f"{p.stem} line {line}: {name}" for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"
              for name, line in _parked(p.read_text()).items() if (p.stem, name) not in wrapped]
     assert stale == []
+
+
+def _reexports() -> dict[str, str]:
+    """Each name ``__init__.py`` imports from a module of the package, with that module."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name: node.module for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+
+
+def test_every_export_is_bound_and_every_reexport_is_exported():
+    """A deleted or renamed name can leave no stale entry on an ``__all__`` or in ``__init__.py``."""
+    modules = {p.stem: importlib.import_module(f"hyswap.{p.stem}")
+               for p in sorted(PACKAGE.glob("*.py")) if p.stem not in ("__init__", "__main__")}
+    exported = {name: getattr(module, "__all__", []) for name, module in modules.items()}
+    assert "apply_loss" in exported["optics"]
+    unbound = [f"{name}.{n}" for name, names in exported.items() for n in names if not hasattr(modules[name], n)]
+    assert unbound == []
+    reexports = _reexports()
+    assert "measure_and_reduce" in reexports
+    assert [f"{source}.{n}" for n, source in reexports.items() if n not in exported[source]] == []

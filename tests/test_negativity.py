@@ -255,3 +255,30 @@ def test_imaginary_coherence_takes_the_complex_path(monkeypatch):
     eigs = np.linalg.eigvalsh((pt + pt.conj().T) / (2.0 * rho.trace()))
     assert rep.negative_eigenvalues == tuple(eigs[eigs < -1e-12].tolist())
     assert rep.value == pytest.approx(1.0, abs=1e-14)
+
+
+def test_kernel_guards_hold_at_their_edges():
+    """Each guard of the kernel at its threshold and one float past it: an eigenvalue of exactly
+    -1e-12 is screened and the next float down is not; a Hermiticity defect of exactly 1e-8 passes
+    and the next float up raises; a trace of exactly 1e-290 is scored and the next float down
+    raises.  Every matrix is diagonal but for one entry, so each compared number is exact."""
+    reg = qq_register()
+    for eig, negatives in ((-1e-12, ()), (np.nextafter(-1e-12, -1.0), (np.nextafter(-1e-12, -1.0),))):
+        # diagonal, so its own partial transpose, and its trace sums to 1 exactly
+        rho = DensityOperator(reg, np.diag([-eig, eig, 1.0, 0.0]))
+        assert negativity(rho, ["C"]).negative_eigenvalues == negatives
+    for defect in (1e-8, np.nextafter(1e-8, 1.0)):
+        rho = np.diag([0.25] * 4)
+        rho[0, 1] = defect
+        if defect == 1e-8:
+            assert negativity(DensityOperator(reg, rho), ["C"]).trace_factor == 1.0
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                negativity(DensityOperator(reg, rho), ["C"])
+    for trace in (1e-290, np.nextafter(1e-290, 0.0)):
+        rho = DensityOperator(reg, np.diag([trace, 0.0, 0.0, 0.0]))
+        if trace == 1e-290:
+            assert negativity(rho, ["C"]).trace_factor == 1e-290
+        else:
+            with pytest.raises(ValueError, match="vanishing trace"):
+                negativity(rho, ["C"])

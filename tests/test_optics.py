@@ -10,7 +10,6 @@ from hyswap import (
     FIFTY_FIFTY,
     BeamSplitterParams,
     DensityOperator,
-    MeasurementElement,
     ModeRegister,
     StateVector,
     apply_bs,
@@ -18,18 +17,15 @@ from hyswap import (
     apply_loss_dilated,
     bosonic,
     bs_unitary,
-    fock_projector,
     homodyne_grid,
     loss_channel,
     make_coherent,
     make_fock,
     mean_photon,
     measure_and_reduce,
-    onoff_elements,
     qubit,
     quadrature_amplitudes,
     reduced_density,
-    spd_elements,
     tensor,
     with_inefficiency,
 )
@@ -275,7 +271,7 @@ def test_loss_preserves_trace_and_hermiticity():
     for _ in range(10):
         psi = random_state(reg, rng)
         rho = DensityOperator(reg, np.outer(psi.amplitudes, psi.amplitudes.conj()))
-        out = apply_loss(rho, "M", loss_channel(float(rng.uniform()), 6))
+        out = apply_loss(rho, "M", float(rng.uniform()))
         assert abs(out.trace() - 1.0) < 1e-14
         assert out.hermiticity_defect() < 1e-14
 
@@ -289,7 +285,7 @@ def test_loss_scales_mean_photon_exactly():
         psi = random_state(reg, rng)
         rho = DensityOperator(reg, np.outer(psi.amplitudes, psi.amplitudes.conj()))
         before = float(np.real(np.diag(rho.matrix)) @ n_op)
-        out = apply_loss(rho, "M", loss_channel(T, 8))
+        out = apply_loss(rho, "M", T)
         after = float(np.real(np.diag(out.matrix)) @ n_op)
         assert abs(after - T * before) < 1e-13
 
@@ -299,7 +295,7 @@ def test_loss_on_coherent_state_shrinks_amplitude():
     reg = ModeRegister((("M", bosonic(16)),))
     rho_in = make_coherent(reg, "M", alpha)
     rho = DensityOperator(reg, np.outer(rho_in.amplitudes, rho_in.amplitudes.conj()))
-    out = apply_loss(rho, "M", loss_channel(T, 16))
+    out = apply_loss(rho, "M", T)
     target = make_coherent(reg, "M", math.sqrt(T) * alpha).amplitudes
     fid = float(np.real(target.conj() @ out.matrix @ target))
     assert fid > 1.0 - 1e-10
@@ -309,9 +305,9 @@ def test_loss_endpoints():
     reg = ModeRegister((("M", bosonic(4)),))
     psi = make_fock(reg, {"M": 3})
     rho = DensityOperator(reg, np.outer(psi.amplitudes, psi.amplitudes.conj()))
-    ident = apply_loss(rho, "M", loss_channel(1.0, 4))
+    ident = apply_loss(rho, "M", 1.0)
     assert np.abs(ident.matrix - rho.matrix).max() < 1e-15
-    dead = apply_loss(rho, "M", loss_channel(0.0, 4))
+    dead = apply_loss(rho, "M", 0.0)
     vac = np.zeros((5, 5))
     vac[0, 0] = 1.0
     assert np.abs(dead.matrix - vac).max() < 1e-15
@@ -330,13 +326,12 @@ def test_loss_dilated_route_agrees():
             psi = random_state(reg, rng)
             rho = DensityOperator(reg, np.outer(psi.amplitudes, psi.amplitudes.conj()))
             T = float(rng.uniform())
-            kraus = loss_channel(T, 5)
-            a = apply_loss(rho, "M", kraus).matrix
+            a = apply_loss(rho, "M", T).matrix
             b = apply_loss_dilated(rho, "M", T).matrix
             assert np.abs(a - b).max() < 1e-13
             lifted = [
                 reduce(np.kron, [A if name == "M" else np.eye(d) for name, d in zip(reg.names, reg.dims)])
-                for A in kraus
+                for A in loss_channel(T, 5)
             ]
             ref = sum(L @ rho.matrix @ L.conj().T for L in lifted)
             assert np.abs(a - ref).max() < 1e-13
@@ -359,7 +354,7 @@ def test_loss_on_a_mixed_state_matches_the_lifted_kraus_sum(T):
             for A in kraus
         ]
         ref = sum(L @ rho.matrix @ L.conj().T for L in lifted)
-        assert np.abs(apply_loss(rho, "M", kraus).matrix - ref).max() < 1e-14
+        assert np.abs(apply_loss(rho, "M", T).matrix - ref).max() < 1e-14
 
 
 def test_loss_matches_pure_splitter_with_vacuum_environment():
@@ -381,112 +376,60 @@ def test_loss_matches_pure_splitter_with_vacuum_environment():
             T = float(rng.uniform())
             joint = apply_bs(tensor(psi, env), "M", "E", BeamSplitterParams.from_transmission(T))
             ref = reduced_density(joint, list(reg.names)).matrix
-            assert np.abs(apply_loss(rho, "M", loss_channel(T, 5)).matrix - ref).max() < 1e-13
+            assert np.abs(apply_loss(rho, "M", T).matrix - ref).max() < 1e-13
             assert np.abs(apply_loss_dilated(rho, "M", T).matrix - ref).max() < 1e-13
 
 
 def test_loss_channel_validation():
-    with pytest.raises(ValueError):
-        loss_channel(1.5, 4)
-    with pytest.raises(ValueError):
-        apply_loss(
-            DensityOperator(ModeRegister((("M", bosonic(3)),)), np.eye(4) / 4),
-            "M",
-            loss_channel(0.5, 5),  # wrong dimension for the mode
-        )
-    rho = DensityOperator(ModeRegister((("M", bosonic(4)),)), np.eye(5) / 5)
-    kraus = loss_channel(0.5, 4)
-    kraus[1, 2, 1] = 1e-3  # A_1[2, 1]: below the diagonal, where a^k puts nothing
-    with pytest.raises(ValueError, match="nonzero element off its band"):
-        apply_loss(rho, "M", kraus)
+    rho = DensityOperator(ModeRegister((("A", qubit()), ("M", bosonic(4)))), np.eye(10) / 10)
+    for T in (1.5, -0.1, math.nan):
+        for route in (loss_channel, apply_loss, apply_loss_dilated):
+            with pytest.raises(ValueError, match="transmission"):
+                route(T, 4) if route is loss_channel else route(rho, "M", T)
+    for route in (apply_loss, apply_loss_dilated):
+        with pytest.raises(ValueError, match="bosonic"):
+            route(rho, "A", 0.5)
 
 
-def test_real_loss_on_a_middle_mode_is_the_complex_computation():
-    """Real rho and Kraus stack run in float64 on a mode between two others; the result is
-    still a complex128 DensityOperator, within 1e-15 of the same band sum taken in complex128
-    (on i rho, whose imaginary part sends it down the complex route) and of the lifted Kraus sum."""
+@pytest.mark.parametrize("route", [apply_loss, apply_loss_dilated])
+def test_real_loss_on_a_middle_mode_is_the_complex_computation(route):
+    """A real rho runs in float64 on a mode between two others; the result is still a complex128
+    DensityOperator, within 1e-15 of the same band sum taken in complex128 (on i rho, whose
+    imaginary part sends it down the complex route) and of the lifted Kraus sum."""
     rng = np.random.default_rng(59)
     reg = ModeRegister((("A", qubit()), ("M", bosonic(5)), ("B", bosonic(2))))
     v = rng.normal(size=(reg.dim, 3))
     rho = DensityOperator(reg, v @ np.diag([0.5, 0.3, 0.2]) @ v.T / np.linalg.norm(v) ** 2)
-    for kraus in (loss_channel(0.37, 5), loss_channel(0.37, 5).real):
-        out = apply_loss(rho, "M", kraus)
-        assert isinstance(out, DensityOperator) and out.matrix.dtype == np.complex128
-        assert not out.matrix.imag.any()
-        complex_route = apply_loss(DensityOperator(reg, 1j * rho.matrix), "M", kraus).matrix / 1j
-        assert np.abs(out.matrix - complex_route).max() <= 1e-15
-        lifted = [reduce(np.kron, [np.eye(2), A, np.eye(3)]) for A in kraus]
-        assert np.abs(out.matrix - sum(L @ rho.matrix @ L.conj().T for L in lifted)).max() <= 1e-15
-
-
-def test_cached_off_band_mask_rejects_every_call():
-    """The off-band mask is built once per stack shape, yet each call checks its own stack."""
-    from hyswap.optics import _off_band
-
-    rho = DensityOperator(ModeRegister((("M", bosonic(4)),)), np.eye(5) / 5)
-    apply_loss(rho, "M", loss_channel(0.5, 4))  # the mask of shape (5, 5, 5) is now cached
-    for where in ((1, 2, 1), (0, 0, 1), (4, 0, 0), (2, 3, 1), (1, 2, 1)):
-        kraus = loss_channel(0.5, 4)
-        kraus[where] = 1e-3
-        with pytest.raises(ValueError, match="nonzero element off its band"):
-            apply_loss(rho, "M", kraus)
-        assert np.allclose(apply_loss(rho, "M", loss_channel(0.5, 4)).trace(), 1.0)
-    assert _off_band.cache_info().hits >= 10 and not _off_band((5, 5, 5)).flags.writeable
+    out = route(rho, "M", 0.37)
+    assert isinstance(out, DensityOperator) and out.matrix.dtype == np.complex128
+    assert not out.matrix.imag.any()
+    complex_route = route(DensityOperator(reg, 1j * rho.matrix), "M", 0.37).matrix / 1j
+    assert np.abs(out.matrix - complex_route).max() <= 1e-15
+    lifted = [reduce(np.kron, [np.eye(2), A, np.eye(3)]) for A in loss_channel(0.37, 5)]
+    assert np.abs(out.matrix - sum(L @ rho.matrix @ L.conj().T for L in lifted)).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
 # detectors
 
 
-def test_detector_sets_are_complete():
-    reg = ModeRegister((("M", bosonic(7)),))
-    projectors = [fock_projector(reg, "M", n) for n in range(8)]
-    for els in (projectors, onoff_elements(reg, "M"), spd_elements(reg, "M")):
-        total = sum(el.weights for el in els)
-        assert np.abs(total - 1.0).max() < 1e-15
-
-
-def test_detector_labels():
-    reg = ModeRegister((("M", bosonic(4)),))
-    assert [el.label for el in spd_elements(reg, "M")] == ["0", "1", "2+"]
-    assert [el.label for el in onoff_elements(reg, "M")] == ["off", "click"]
-    assert [fock_projector(reg, "M", n).label for n in range(5)] == ["0", "1", "2", "3", "4"]
-
-
-def test_spd_two_plus_element():
-    reg = ModeRegister((("M", bosonic(4)),))
-    rest = spd_elements(reg, "M")[2].weights
-    assert np.abs(rest - np.array([0, 0, 1, 1, 1])).max() < 1e-15
-
-
-def test_fock_projector_bounds():
-    reg = ModeRegister((("M", bosonic(3)),))
-    with pytest.raises(ValueError, match="occupation out of range"):
-        fock_projector(reg, "M", 4)
-
-
 def test_with_inefficiency_passthrough_and_povm():
-    reg = ModeRegister((("M", bosonic(6)),))
-    els = spd_elements(reg, "M")
-    same = with_inefficiency(els, 1.0)
-    assert all(a is b for a, b in zip(same, els))  # T' = 1 is the identity map
-    degraded = with_inefficiency(els, 0.55)
-    total = sum(el.weights for el in degraded)
-    assert np.abs(total - 1.0).max() < 1e-14  # still a POVM
-    assert any(np.any((el.weights > 0) & (el.weights < 1)) for el in degraded)  # no longer 0/1
-    # single-element calling convention
-    one = with_inefficiency(els[0], 0.55)
-    assert np.abs(one.weights - degraded[0].weights).max() < 1e-15
+    n = np.arange(7)
+    spd = [n == 0, n == 1, n >= 2]
+    same = [with_inefficiency(w, 1.0) for w in spd]
+    assert all(a.dtype == np.float64 and np.array_equal(a, w) for a, w in zip(same, spd))  # T' = 1 is the identity map
+    assert np.array_equal(sum(same), np.ones(7))  # the ideal outcomes are complete
+    degraded = [with_inefficiency(w, 0.55) for w in spd]
+    assert np.abs(sum(degraded) - 1.0).max() < 1e-14  # still a POVM
+    assert all(np.any((w > 0) & (w < 1)) for w in degraded[1:])  # no longer 0/1
 
 
 def test_with_inefficiency_off_element_closed_form():
     # no-click probability on |n> behind a T' loss is (1 - T')^n
-    reg = ModeRegister((("M", bosonic(6)),))
     tp = 0.7
-    off = with_inefficiency(onoff_elements(reg, "M")[0], tp)
-    diag = off.weights
+    off = with_inefficiency(np.arange(7) == 0, tp)
     expect = (1.0 - tp) ** np.arange(7)
-    assert np.abs(diag - expect).max() < 1e-14
+    assert np.abs(off - expect).max() < 1e-14
 
 
 def test_with_inefficiency_builds_no_kraus_stack_at_cutoff_200():
@@ -494,23 +437,23 @@ def test_with_inefficiency_builds_no_kraus_stack_at_cutoff_200():
     Kraus stack (248.6 MiB on this on/off pair when built from ``loss_channel``)."""
     import tracemalloc
 
-    els = onoff_elements(ModeRegister((("M", bosonic(200)),)), "M")
-    with_inefficiency(els, 0.6)
+    n = np.arange(201)
+    with_inefficiency(n == 0, 0.6)
     tracemalloc.start()
     try:
-        degraded = with_inefficiency(els, 0.6)
+        degraded = [with_inefficiency(w, 0.6) for w in (n == 0, n >= 1)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    assert np.abs(degraded[0].weights - 0.4 ** np.arange(201)).max() < 1e-14
-    assert np.abs(degraded[0].weights + degraded[1].weights - 1.0).max() < 1e-14
+    assert np.abs(degraded[0] - 0.4 ** n).max() < 1e-14
+    assert np.abs(degraded[0] + degraded[1] - 1.0).max() < 1e-14
 
 
 def test_with_inefficiency_range_check():
-    reg = ModeRegister((("M", bosonic(3)),))
-    with pytest.raises(ValueError):
-        with_inefficiency(onoff_elements(reg, "M"), 1.2)
+    for tp in (1.2, -0.1, math.nan):
+        with pytest.raises(ValueError, match="efficiency"):
+            with_inefficiency(np.arange(4) == 0, tp)
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +531,8 @@ def test_measure_probabilities_sum_to_one():
     reg = ModeRegister((("A", qubit()), ("B", bosonic(3)), ("C", qubit())))
     psi = random_state(reg, rng)
     total = 0.0
-    for el in (fock_projector(reg, "B", n) for n in range(4)):
-        p, rho = measure_and_reduce(psi, [el], ["A", "C"])
+    for n in range(4):
+        p, rho = measure_and_reduce(psi, {"B": np.arange(4) == n}, ["A", "C"])
         total += p
         if p > 1e-12:
             assert abs(rho.trace() - 1.0) < 1e-12
@@ -601,7 +544,7 @@ def test_measure_matches_direct_slice():
     reg = ModeRegister((("A", qubit()), ("B", bosonic(3))))
     psi = random_state(reg, rng)
     n = 2
-    p, rho = measure_and_reduce(psi, [fock_projector(reg, "B", n)], ["A"])
+    p, rho = measure_and_reduce(psi, {"B": np.arange(4) == n}, ["A"])
     block = psi.tensor_view()[:, n]
     assert abs(p - float(np.vdot(block, block).real)) < 1e-14
     ref = np.outer(block, block.conj()) / p
@@ -613,10 +556,9 @@ def test_measure_povm_element_agrees_with_projector_decomposition():
     rng = np.random.default_rng(47)
     reg = ModeRegister((("A", qubit()), ("B", bosonic(4))))
     psi = random_state(reg, rng)
-    povm = with_inefficiency(fock_projector(reg, "B", 1), 0.6)
-    w = povm.weights
+    w = with_inefficiency(np.arange(5) == 1, 0.6)
     assert np.any((w > 0) & (w < 1))
-    p, rho = measure_and_reduce(psi, [povm], ["A"])
+    p, rho = measure_and_reduce(psi, {"B": w}, ["A"])
     cols = psi.tensor_view()  # (A, B)
     assert abs(p - sum(w[n] * np.vdot(cols[:, n], cols[:, n]).real for n in range(5))) < 1e-14
     ref = sum(w[n] * np.outer(cols[:, n], cols[:, n].conj()) for n in range(5)) / p
@@ -625,17 +567,32 @@ def test_measure_povm_element_agrees_with_projector_decomposition():
 
 @pytest.mark.parametrize("bad", [np.ones((2, 2)), [0.5, -0.1, 1.0], [0.5, math.nan, 1.0]],
                          ids=["2-D", "negative", "nan"])
-def test_measurement_element_rejects_bad_weights(bad):
+def test_bad_detector_weights_are_rejected(bad):
+    psi = make_fock(ModeRegister((("A", qubit()), ("B", bosonic(2)))))
     with pytest.raises(ValueError, match="weights"):
-        MeasurementElement("x", "B", bad)
+        with_inefficiency(bad, 0.5)
+    with pytest.raises(ValueError, match="weights"):
+        measure_and_reduce(psi, {"B": bad}, ["A"])
 
 
 def test_measure_dimension_mismatch():
-    reg_a = ModeRegister((("B", bosonic(3)),))
-    reg_b = ModeRegister((("B", bosonic(5)),))
-    psi = make_fock(reg_b)
+    psi = make_fock(ModeRegister((("B", bosonic(5)),)))
     with pytest.raises(ValueError, match="wrong dimension"):
-        measure_and_reduce(psi, [fock_projector(reg_a, "B", 0)], ["B"])
+        measure_and_reduce(psi, {"B": np.arange(4) == 0}, ["B"])
+
+
+def test_measure_returns_the_zero_matrix_when_the_probability_underflows():
+    """A |1>_B amplitude of 1e-152 gives p = 1e-304, at or below the 1e-290 floor: the state is
+    zero, not the unnormalized 1e-304 matrix; 1e-144 gives p = 1e-288, above it, a unit trace."""
+    reg = ModeRegister((("A", qubit()), ("B", bosonic(1))))
+    for amp, live in ((1e-152, False), (1e-144, True)):
+        psi = StateVector(reg, np.array([1.0, amp, 0.0, 0.0]))
+        p, rho = measure_and_reduce(psi, {"B": np.arange(2) == 1}, ["A"])
+        assert p == amp * amp
+        if live:
+            assert rho.trace() == 1.0
+        else:
+            assert not rho.matrix.any()
 
 
 def test_homodyne_grid_is_scaled_gauss_legendre():

@@ -16,7 +16,6 @@ from hyswap import (
     closed_form,
     default_cutoff,
     dv_swap,
-    fock_projector,
     he_swap_homodyne,
     he_swap_spd,
     homodyne_grid,
@@ -167,12 +166,10 @@ def _spd_explicit(alpha, T, tp, cutoff):
     psi = apply_bs(psi, "D", "Ed", loss)
     psi = apply_bs(psi, "B", "D", FIFTY_FIFTY)
     out = []
+    n = np.arange(cutoff + 1)
     for nb, nd in [(0, 1), (1, 0)]:
-        els = [
-            with_inefficiency(fock_projector(psi.register, "B", nb), tp),
-            with_inefficiency(fock_projector(psi.register, "D", nd), tp),
-        ]
-        p, rho = measure_and_reduce(psi, els, ["A", "C"])
+        weights = {"B": with_inefficiency(n == nb, tp), "D": with_inefficiency(n == nd, tp)}
+        p, rho = measure_and_reduce(psi, weights, ["A", "C"])
         out.append((p, negativity(rho, ["C"]).value))
     return out
 
@@ -191,12 +188,10 @@ def _dv_explicit(T, tp, cutoff=2):
     psi = apply_bs(psi, "D", "Ed", loss)
     psi = apply_bs(psi, "B", "D", FIFTY_FIFTY)
     out = []
+    n = np.arange(cutoff + 1)
     for nb, nd in [(0, 1), (1, 0)]:
-        els = [
-            with_inefficiency(fock_projector(psi.register, "B", nb), tp),
-            with_inefficiency(fock_projector(psi.register, "D", nd), tp),
-        ]
-        p, rho = measure_and_reduce(psi, els, ["A", "C"])
+        weights = {"B": with_inefficiency(n == nb, tp), "D": with_inefficiency(n == nd, tp)}
+        p, rho = measure_and_reduce(psi, weights, ["A", "C"])
         out.append((p, negativity(rho, ["C"]).value))
     return out
 
@@ -410,9 +405,9 @@ def test_he_ho_every_single_quadrature_point_heralds_bell():
 def _counting_full_register(prepare, c, tau):
     psi = _full_register(prepare, c, tau)
     out = []
+    n = np.arange(c + 1)
     for nb, nd in [(0, 1), (1, 0)]:
-        els = [fock_projector(psi.register, "B", nb), fock_projector(psi.register, "D", nd)]
-        p, rho = measure_and_reduce(psi, els, ["A", "C"])
+        p, rho = measure_and_reduce(psi, {"B": n == nb, "D": n == nd}, ["A", "C"])
         out.append((p, rho.matrix * p))
     return out
 
@@ -942,8 +937,9 @@ def test_pipelines_build_no_dense_splitter_or_kraus_stack(monkeypatch):
 
     for name in ("bs_unitary", "loss_channel"):
         monkeypatch.setattr(optics, name, forbidden)
-        monkeypatch.setattr(verification, name, forbidden)  # cv_bsm_failure_prob's own bindings
         assert not hasattr(protocols, name)  # a copy bound there would dodge the patch
+    monkeypatch.setattr(verification, "bs_unitary", forbidden)  # its own binding, read by the property suite
+    assert not hasattr(verification, "loss_channel")
     dv_swap(0.7, 0.9, 6)
     he_swap_spd(0.8, 0.7, 0.9, 6)
     he_swap_homodyne(0.8, 0.7, 0.9, 6)
@@ -951,4 +947,48 @@ def test_pipelines_build_no_dense_splitter_or_kraus_stack(monkeypatch):
     reg = ModeRegister((("X", bosonic(3)), ("Y", bosonic(4))))
     apply_bs(make_fock(reg, {"X": 1}), "X", "Y", FIFTY_FIFTY)
     rho = DensityOperator(reg, np.eye(reg.dim) / reg.dim)
+    optics.apply_loss(rho, "Y", 0.4)
     optics.apply_loss_dilated(rho, "Y", 0.4)
+    assert verification.check_loss_routes_agree().passed
+
+
+def test_prob_floor_holds_at_its_edge(monkeypatch):
+    """An outcome whose trace is exactly _PROB_FLOOR (1e-15) is unreachable: probability 0, the zero
+    state and negativity 0.  At the next float up it is live and normalized.  The counting herald
+    is replaced by one that returns x |psi+><psi+| at both traces; its entries 0.5 x sum to x exactly."""
+    import hyswap.protocols as protocols
+
+    floor, up = 1e-15, np.nextafter(1e-15, 1.0)
+    rhos = np.zeros((1, 2, 4, 4))
+    rhos[0, 0, 1:3, 1:3], rhos[0, 1, 1:3, 1:3] = 0.5 * floor, 0.5 * up
+    monkeypatch.setattr(protocols, "_count_herald", lambda P: (("01", "10"), rhos))
+    (res,) = protocols.swap_points("dv", None, (0.5,), 1.0, 4)
+    dead, live = res.per_outcome
+    assert (dead.probability, dead.negativity) == (0.0, 0.0) and not dead.state.any()
+    assert live.probability == res.total_success_probability == up
+    assert np.array_equal(live.state, rhos[0, 1] / up)
+    assert abs(live.negativity - 1.0) < 1e-12 and abs(res.averaged_negativity - 1.0) < 1e-12
+
+
+def test_starvation_guard_holds_at_its_edge(monkeypatch):
+    """he-ho refuses a pair whose kept weight on B is exactly _PROB_FLOOR (1e-15) and runs one a float
+    above it.  The pair's kept levels are replaced by (v, w) and by (v, w, w), v = sqrt(1e-15) and
+    w = 2^-51: v² is 2^-102, one float step, below 1e-15 and w² is that step, so both sums are exact."""
+    import hyswap.protocols as protocols
+
+    real_pair = protocols._lossy_hybrid_pair
+    v, w = math.sqrt(1e-15), 2.0**-51
+    for levels in ((v, w), (v, w, w)):
+        def pair(alpha, c, tau, levels=levels):
+            amp, env = real_pair(alpha, c, tau)
+            amp = np.zeros_like(amp)
+            amp[..., 0, :len(levels)] = levels
+            amp[..., 1, :] = amp[..., 0, :] * (-1.0) ** np.arange(c + 1)  # the |1> branch is |-beta>
+            return amp, env
+
+        monkeypatch.setattr(protocols, "_lossy_hybrid_pair", pair)
+        if len(levels) == 2:
+            with pytest.raises(ValueError, match="no amplitude at or below cutoff 8"):
+                he_swap_homodyne(0.5, 0.9, 1.0, 8)
+        else:
+            assert he_swap_homodyne(0.5, 0.9, 1.0, 8).total_success_probability == 0.0  # its outcome is below the floor

@@ -89,11 +89,10 @@ def test_verify_line_fails_when_a_pipeline_function_breaks(monkeypatch, name, mu
 
 
 def _shift_one_band_element(real):
-    def channel(T, cutoff):
-        kraus = real(T, cutoff)
-        kraus[1, 1, 2] += 1e-6  # A_1[1, 2], on the band
-        return kraus
-    return channel
+    def band(T, d):
+        k, n, elements = real(T, d)
+        return k, n, elements + 1e-6 * ((k == 1) & (n == 2))  # A_1[1, 2], on the band
+    return band
 
 
 def _shift_one_block_entry(real):
@@ -118,7 +117,7 @@ def _part(result, name):
 
 
 @pytest.mark.parametrize("module,name,mutate,check,broken,intact", [
-    (ver, "loss_channel", _shift_one_band_element, ver.check_loss_routes_agree, "Kraus max|d|", "dilation max|d|"),
+    (optics, "loss_band", _shift_one_band_element, ver.check_loss_routes_agree, "Kraus max|d|", "dilation max|d|"),
     (optics, "_bs_blocks", _shift_one_block_entry, ver.check_loss_routes_agree, "dilation max|d|", "Kraus max|d|"),
     (ver, "bs_unitary", _shift_one_dense_entry, ver.check_property_suite, "bs unitarity", "negativity"),
     (optics, "_bs_blocks", _shift_one_block_entry, ver.check_property_suite, "bs unitarity", "negativity"),

@@ -45,8 +45,8 @@ print(f"E   sim {out.negativity:.10f}   closed {ref.E:.10f}   "
 
 print("\nlossless channel heralds the plain Bell state:")
 res1 = he_swap_homodyne(alpha, 1.0, cutoff=cutoff)
-rho1 = res1.per_outcome[0].post_state
 reg2 = ModeRegister((("A", qubit()), ("C", qubit())))
+rho1 = DensityOperator(reg2, res1.per_outcome[0].state)
 bell = StateVector(reg2, np.array([1.0, 0, 0, 1.0]) / math.sqrt(2.0))
 print(f"  F(rho_AC, psi+) = {bell_fid(rho1, bell):.8f}")
 

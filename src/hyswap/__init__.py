@@ -39,7 +39,7 @@ from .optics import (
     quadrature_amplitudes,
     with_inefficiency,
 )
-from .negativity import NegativityReport, negativity, partial_transpose
+from .negativity import negativity, partial_transpose
 from .closed_form import SCHEMES, ClosedFormPoint, closed_form, dv_loss_limit
 from .protocols import (
     DEFAULT_CUTOFF,

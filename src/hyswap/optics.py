@@ -173,6 +173,8 @@ def loss_band(T: float, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     T loss on d levels, as ``(k, n, element)`` over every k <= n < d."""
     if not 0.0 <= T <= 1.0:
         raise ValueError("transmission must lie in [0, 1]")
+    if d < 1:
+        raise ValueError(f"a loss needs at least one level, got {d} levels")
     k, n, roots = _binomial_roots(d)
     return k, n, roots * np.sqrt((1.0 - T) ** k * T ** (n - k))
 
@@ -247,10 +249,10 @@ def apply_loss_dilated(rho: DensityOperator, mode: str, T: float) -> DensityOper
 
 def _weights(weights) -> np.ndarray:
     """A detector outcome's Fock diagonal, ``w[n]`` the probability that it fires on |n>,
-    as a float64 copy; anything but a 1-D array of finite numbers >= 0 raises ``ValueError``."""
+    as a float64 copy; anything but a nonempty 1-D array of finite numbers >= 0 raises ``ValueError``."""
     w = np.asarray(weights)
-    if w.ndim != 1 or not np.isrealobj(w) or not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ValueError("detector weights must be a 1-D array of finite numbers >= 0")
+    if w.ndim != 1 or not w.size or not np.isrealobj(w) or not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValueError("detector weights must be a nonempty 1-D array of finite numbers >= 0")
     return w.astype(float)
 
 

@@ -41,11 +41,11 @@ blocks ``optics`` caches; at the midpoint's phi = pi they are real
 orthogonal, so every herald runs in real arithmetic.
 
 The module holds these three pipelines and nothing else.  From the
-reference toolbox they read only registers, ``DensityOperator`` and the
-splitter blocks; the state constructors,
-``apply_bs``, detectors and quadrature grids are the independent routes
-``verification`` and the tests check them with, so none of them is
-called here (the test of the package's imports holds that line).
+reference toolbox they read only the splitter blocks; registers,
+``DensityOperator``, the state constructors, ``apply_bs``, detectors and
+quadrature grids are the independent routes ``verification`` and the
+tests check them with, so none of them is called here (the test of the
+package's imports holds that line).
 """
 
 from __future__ import annotations
@@ -53,12 +53,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .closed_form import SCHEMES, _check_alpha, _check_range
-from .fock import DensityOperator, ModeRegister, qubit
 from .negativity import _negativity_stack
 from .optics import FIFTY_FIFTY, bs_on_axes
 # imported but never called here: perfbench's WRAPPED names them all, and its tests need them bound
@@ -80,7 +79,6 @@ __all__ = [
 DEFAULT_CUTOFF = 12
 
 _PROB_FLOOR = 1e-15  # below this an outcome is treated as unreachable
-_AC_REGISTER = ModeRegister((("A", qubit()), ("C", qubit())))
 # the midpoint splitter's one-photon block u[o, i], o and i over the counts (0, 1), (1, 0) on (B, D)
 _ONE_PHOTON = bs_on_axes(np.eye(4).reshape(2, 2, 2, 2), (0, 1), FIFTY_FIFTY)[[0, 1], [1, 0]][:, [0, 1], [1, 0]]
 _ONE_PHOTON_GRAM = np.einsum("om,on->omn", _ONE_PHOTON, _ONE_PHOTON.conj())  # u[o, m] u*[o, n]
@@ -109,19 +107,14 @@ def default_cutoff() -> int:
 class SwapOutcome:
     """One heralded outcome: its label, probability, normalized A-C matrix and negativity.
 
-    ``state`` is the 4 x 4 matrix over (A, C), all zeros for an unreachable
-    outcome; ``post_state`` is that matrix as a ``DensityOperator``, built on
-    first use.
+    ``state`` is the 4 x 4 matrix over (A, C), A the high bit of its index,
+    all zeros (and negativity 0) for an unreachable outcome.
     """
 
     label: str
     probability: float
     state: np.ndarray
     negativity: float
-
-    @cached_property
-    def post_state(self) -> DensityOperator:
-        return DensityOperator(_AC_REGISTER, self.state)
 
 
 @dataclass(frozen=True)
@@ -222,8 +215,7 @@ def swap_points(scheme: str, alpha: float | None, Ts, T_prime: float = 1.0,
     probs = rhos.trace(axis1=2, axis2=3)  # every herald is real
     live = probs > _PROB_FLOOR
     states = rhos[live] / probs[live, None, None]
-    negatives, _ = _negativity_stack(states, _AC_REGISTER, ["C"])  # one eigen-solve, in float64
-    scored = zip(states, [-2.0 * sum(n) for n in negatives])
+    scored = zip(states, _negativity_stack(states, (2, 2), (1,)).tolist())  # C transposed; one float64 eigen-solve
     results = []
     for T, point_probs, point_live in zip(Ts, probs.tolist(), live.tolist()):
         outcomes = [SwapOutcome(label, p, *next(scored)) if ok else SwapOutcome(label, 0.0, np.zeros((4, 4)), 0.0)

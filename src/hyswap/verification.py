@@ -290,13 +290,13 @@ def _property_negativity() -> float:
     worst = 0.0
     bell = make_vsp_bell(reg, "A", "C", "psi+")
     rho = DensityOperator(reg, np.outer(bell.amplitudes, bell.amplitudes.conj()))
-    worst = max(worst, abs(negativity(rho, ["C"]).value - 1.0))
+    worst = max(worst, abs(negativity(rho, ["C"]) - 1.0))
     prod = make_fock(reg, {"A": 0, "C": 1})
     rho = DensityOperator(reg, np.outer(prod.amplitudes, prod.amplitudes.conj()))
-    worst = max(worst, abs(negativity(rho, ["C"]).value))
+    worst = max(worst, abs(negativity(rho, ["C"])))
     for p in (0.2, 0.5, 1.0):
         w = p * np.outer(bell.amplitudes, bell.amplitudes.conj()) + (1 - p) * np.eye(4) / 4.0
-        got = negativity(DensityOperator(reg, w), ["C"]).value
+        got = negativity(DensityOperator(reg, w), ["C"])
         worst = max(worst, abs(got - max(0.0, (3.0 * p - 1.0) / 2.0)))
     pt2 = partial_transpose(partial_transpose(rho, ["C"]), ["C"])
     worst = max(worst, float(np.abs(pt2.matrix - rho.matrix).max()))
@@ -387,7 +387,7 @@ def check_cutoff_convergence(cutoff: int = 10) -> CriterionResult:
 def _pair_negativity(alpha: float, cutoff: int) -> float:
     amp, _ = protocols._lossy_hybrid_pair(alpha, cutoff, 1.0)  # no loss: env = (1, 0) / sqrt(2)
     pair = StateVector(ModeRegister((("A", qubit()), ("B", bosonic(cutoff)))), amp.ravel() / math.sqrt(2.0))
-    return negativity(reduced_density(pair, ["A", "B"]), ["B"]).value
+    return negativity(reduced_density(pair, ["A", "B"]), ["B"])
 
 
 CHECKS = (

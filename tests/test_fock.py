@@ -82,6 +82,8 @@ def test_state_vector_shape_check():
     reg = two_mode(2, 2)
     with pytest.raises(ValueError):
         StateVector(reg, np.zeros(5))
+    with pytest.raises(ValueError, match="norm_deficit must be non-negative"):
+        StateVector(reg, np.zeros(reg.dim), norm_deficit=-1e-6)
 
 
 def test_coherent_amplitudes_match_direct_formula():
@@ -195,6 +197,9 @@ def test_hybrid_pair_mode_kind_checks():
     reg = ModeRegister((("A", qubit()), ("B", bosonic(4))))
     with pytest.raises(ValueError):
         make_hybrid_pair(reg, "B", "A", 0.3)
+    reg = ModeRegister((("A", qubit()), ("A2", qubit())))
+    with pytest.raises(ValueError, match="'A2' must be a bosonic mode"):
+        make_hybrid_pair(reg, "A", "A2", 0.3)
 
 
 def test_vsp_bell_table():
@@ -322,6 +327,8 @@ def test_density_operator_trace_and_normalization():
     assert abs(rho.normalized().trace() - 1.0) < 1e-15
     with pytest.raises(ValueError):
         DensityOperator(reg, np.zeros((2, 2))).normalized()
+    with pytest.raises(ValueError, match=r"matrix shape \(3, 3\) does not match register dimension 2"):
+        DensityOperator(reg, np.eye(3))
 
 
 def test_coherent_tail_mass_rejects_non_finite_amplitude():

@@ -6,7 +6,6 @@ import pytest
 from hyswap import (
     DensityOperator,
     ModeRegister,
-    NegativityReport,
     StateVector,
     bosonic,
     make_hybrid_pair,
@@ -34,7 +33,7 @@ def test_schmidt_state_negativity():
         v = np.zeros(4)
         v[0] = math.cos(t)
         v[3] = math.sin(t)
-        got = negativity(pure_rho(reg, v), ["C"]).value
+        got = negativity(pure_rho(reg, v), ["C"])
         assert abs(got - abs(math.sin(2 * t))) < 1e-12, t
 
 
@@ -42,16 +41,14 @@ def test_bell_state_negativity_is_one():
     reg = qq_register()
     for which in ("psi+", "psi-", "phi+", "phi-"):
         bell = make_vsp_bell(reg, "A", "C", which)
-        got = negativity(pure_rho(reg, bell.amplitudes), ["C"]).value
+        got = negativity(pure_rho(reg, bell.amplitudes), ["C"])
         assert abs(got - 1.0) < 1e-14
 
 
 def test_product_state_negativity_is_zero():
     reg = qq_register()
     v = np.kron([1 / math.sqrt(2), 1 / math.sqrt(2)], [0.6, 0.8])
-    rep = negativity(pure_rho(reg, v), ["C"])
-    assert rep.value == 0.0
-    assert rep.negative_eigenvalues == ()
+    assert negativity(pure_rho(reg, v), ["C"]) == 0.0
 
 
 def test_werner_state_negativity():
@@ -60,7 +57,7 @@ def test_werner_state_negativity():
     proj = np.outer(bell.amplitudes, bell.amplitudes.conj())
     for p in (0.0, 0.2, 1.0 / 3.0, 0.6, 1.0):
         w = p * proj + (1 - p) * np.eye(4) / 4.0
-        got = negativity(DensityOperator(reg, w), ["C"]).value
+        got = negativity(DensityOperator(reg, w), ["C"])
         expect = max(0.0, (3.0 * p - 1.0) / 2.0)
         assert abs(got - expect) < 1e-12, p
 
@@ -76,7 +73,7 @@ def test_separable_mixtures_stay_ppt():
             c = rng.normal(size=(2, 2)) @ np.array([1.0, 1.0j])
             v = np.kron(a / np.linalg.norm(a), c / np.linalg.norm(c))
             rho += w * np.outer(v, v.conj())
-        assert negativity(DensityOperator(reg, rho), ["C"]).value < 1e-12
+        assert negativity(DensityOperator(reg, rho), ["C"]) < 1e-12
 
 
 def test_hybrid_pair_negativity_closed_form():
@@ -86,7 +83,7 @@ def test_hybrid_pair_negativity_closed_form():
         reg = ModeRegister((("A", qubit()), ("B", bosonic(14))))
         pair = make_hybrid_pair(reg, "A", "B", alpha)
         rho = reduced_density(pair, ["A", "B"])
-        got = negativity(rho, ["B"]).value
+        got = negativity(rho, ["B"])
         assert abs(got - expect) < 1e-12, alpha
 
 
@@ -95,7 +92,7 @@ def test_qubit_qutrit_negativity():
     v = np.zeros(6)
     v[0 * 3 + 0] = 1 / math.sqrt(2)
     v[1 * 3 + 2] = 1 / math.sqrt(2)
-    got = negativity(pure_rho(reg, v), ["B"]).value
+    got = negativity(pure_rho(reg, v), ["B"])
     assert abs(got - 1.0) < 1e-13
 
 
@@ -116,14 +113,14 @@ def test_partial_transpose_over_either_half_gives_same_negativity():
     reg = qq_register()
     m = rng.normal(size=(4, 4, 2)) @ np.array([1.0, 1.0j])
     rho = DensityOperator(reg, m @ m.conj().T / np.trace(m @ m.conj().T).real)
-    ea = negativity(rho, ["A"]).value
-    ec = negativity(rho, ["C"]).value
+    ea = negativity(rho, ["A"])
+    ec = negativity(rho, ["C"])
     assert abs(ea - ec) < 1e-12
 
 
 def test_stacked_kernel_equals_the_one_matrix_formula():
     """The kernel, alone or on a stack, gives bit for bit the single-matrix formula:
-    eigvalsh((pt + pt†) / (2 tr)) with eigenvalues below -1e-12 summed."""
+    -2 times the sum of the eigenvalues of (pt + pt†) / (2 tr) below -1e-12."""
     from hyswap.negativity import _negativity_stack
 
     rng = np.random.default_rng(41)
@@ -136,13 +133,11 @@ def test_stacked_kernel_equals_the_one_matrix_formula():
             pt = partial_transpose(DensityOperator(reg, rho), modes).matrix
             tr = float(np.trace(rho).real)
             eigs = np.linalg.eigvalsh((pt + pt.conj().T) / (2.0 * tr))
-            negatives = tuple(eigs[eigs < -1e-12].tolist())
-            expected.append(NegativityReport(-2.0 * sum(negatives), negatives, tr))
+            expected.append(-2.0 * sum(eigs[eigs < -1e-12].tolist()))
             assert negativity(DensityOperator(reg, rho), modes) == expected[-1]
-        negatives, traces = _negativity_stack(rhos, reg, modes)
-        assert negatives == [r.negative_eigenvalues for r in expected]
-        assert traces == [r.trace_factor for r in expected]
-        assert sum(r.value > 0.0 for r in expected) >= 3
+        got = _negativity_stack(rhos, reg.dims, (1,))
+        assert got.dtype == np.float64 and got.tolist() == expected
+        assert sum(e > 0.0 for e in expected) >= 3
 
 
 def test_partial_transpose_needs_proper_subset():
@@ -156,13 +151,13 @@ def test_partial_transpose_needs_proper_subset():
         partial_transpose(rho, ["Q"])
 
 
-def test_negativity_renormalizes_and_reports_trace_factor():
+def test_negativity_is_that_of_the_trace_normalized_state():
     reg = qq_register()
     bell = make_vsp_bell(reg, "A", "C", "psi+")
     rho2 = DensityOperator(reg, 2.0 * np.outer(bell.amplitudes, bell.amplitudes.conj()))
-    rep = negativity(rho2, ["C"])
-    assert abs(rep.value - 1.0) < 1e-13  # value is for the normalized state
-    assert abs(rep.trace_factor - 2.0) < 1e-14
+    got = negativity(rho2, ["C"])
+    assert type(got) is float
+    assert abs(got - 1.0) < 1e-13
 
 
 def test_negativity_rejects_non_hermitian_input():
@@ -173,48 +168,35 @@ def test_negativity_rejects_non_hermitian_input():
         negativity(DensityOperator(reg, m), ["C"])
 
 
-def test_negativity_report_contents():
-    reg = qq_register()
-    bell = make_vsp_bell(reg, "A", "C", "phi+")
-    rep = negativity(pure_rho(reg, bell.amplitudes), ["C"])
-    assert all(ev < 0 for ev in rep.negative_eigenvalues)
-    assert abs(rep.value + 2.0 * sum(rep.negative_eigenvalues)) < 1e-14
-    assert abs(rep.trace_factor - 1.0) < 1e-15
-
-
 def test_negativity_screens_eigenvalues_above_minus_1e_12():
     # 0.5 (|01><01| + |10><10|) + eps (|01><10| + h.c.): the partial transpose has eigenvalues ±eps
     reg = qq_register()
     for eps, expect in ((5e-13, 0.0), (2e-12, 4e-12)):
         rho = np.diag([0.0, 0.5, 0.5, 0.0])
         rho[1, 2] = rho[2, 1] = eps
-        rep = negativity(DensityOperator(reg, rho), ["C"])
-        assert abs(rep.value - expect) < 1e-15, eps
-        assert len(rep.negative_eigenvalues) == (expect > 0)
+        assert abs(negativity(DensityOperator(reg, rho), ["C"]) - expect) < 1e-15, eps
 
 
 def test_cached_transpose_layout_still_refuses_bad_modes():
-    """The partial-transpose layout is cached per (register, modes) after a success; a refused
-    layout is not, so an unknown mode or a non-proper subset raises on every later call too."""
-    from hyswap.negativity import _negativity_stack
-
+    """The partial-transpose layout is cached per (dims, axes) after a success; mode names are
+    mapped to axes on every call, so an unknown mode or a non-proper subset raises every time."""
     reg = qq_register()
     bell = np.zeros(4)
     bell[[1, 2]] = math.sqrt(0.5)
-    rhos = np.outer(bell, bell)[None].astype(complex)
-    first = _negativity_stack(rhos, reg, ["C"])
+    rho = DensityOperator(reg, np.outer(bell, bell))
+    first = negativity(rho, ["C"])
+    assert first == pytest.approx(1.0, abs=1e-12)
     for _ in range(2):
-        with pytest.raises(ValueError, match="unknown mode 'X'"):
-            _negativity_stack(rhos, reg, ["X"])
-        with pytest.raises(ValueError, match="unknown mode 'X'"):
-            _negativity_stack(rhos, reg, ["C", "X"])
-        for modes in ([], ["A", "C"], ["C", "A", "C"]):
-            with pytest.raises(ValueError, match="proper subset"):
-                _negativity_stack(rhos, reg, modes)
-        assert _negativity_stack(rhos, reg, ["C"]) == first
-    (negatives,), (trace,) = first
-    assert negativity(DensityOperator(reg, rhos[0]), ["C"]) == NegativityReport(-2.0 * sum(negatives), negatives, trace)
-    assert -2.0 * sum(negatives) == pytest.approx(1.0, abs=1e-12) and trace == pytest.approx(1.0, abs=1e-15)
+        for call in (negativity, partial_transpose):
+            with pytest.raises(ValueError, match="unknown mode 'X'"):
+                call(rho, ["X"])
+            with pytest.raises(ValueError, match="unknown mode 'X'"):
+                call(rho, ["C", "X"])
+            for modes in ([], ["A", "C"], ["C", "A", "C"]):
+                with pytest.raises(ValueError, match="proper subset"):
+                    call(rho, modes)
+        assert negativity(rho, ["C"]) == first
+        assert negativity(rho, ["C", "C"]) == first
 
 
 def _eigvalsh_dtypes(monkeypatch):
@@ -235,10 +217,8 @@ def test_real_valued_state_is_scored_in_float64(monkeypatch):
         m = rng.normal(size=(reg.dim, 2))
         rho = DensityOperator(reg, m @ m.T * 0.7)
         assert rho.matrix.dtype == np.complex128 and not rho.matrix.imag.any()
-        rep = negativity(rho, modes)
-        negatives, traces = _negativity_stack(np.ascontiguousarray(rho.matrix.real)[None], reg, modes)
-        assert (rep.negative_eigenvalues, rep.trace_factor) == (negatives[0], traces[0])
-        assert rep.value == -2.0 * sum(negatives[0]) > 0.0
+        got = negativity(rho, modes)
+        assert got == _negativity_stack(np.ascontiguousarray(rho.matrix.real)[None], reg.dims, (1,))[0] > 0.0
     assert seen == [np.float64] * 4
 
 
@@ -249,36 +229,40 @@ def test_imaginary_coherence_takes_the_complex_path(monkeypatch):
     reg = qq_register()
     v = np.array([0.0, math.sqrt(0.5), 1j * math.sqrt(0.5), 0.0])  # (|01> + i|10>)/sqrt(2)
     rho = pure_rho(reg, v)
-    rep = negativity(rho, ["C"])
+    got = negativity(rho, ["C"])
     assert seen == [np.complex128]
     pt = partial_transpose(rho, ["C"]).matrix
     eigs = np.linalg.eigvalsh((pt + pt.conj().T) / (2.0 * rho.trace()))
-    assert rep.negative_eigenvalues == tuple(eigs[eigs < -1e-12].tolist())
-    assert rep.value == pytest.approx(1.0, abs=1e-14)
+    assert got == -2.0 * sum(eigs[eigs < -1e-12].tolist())
+    assert got == pytest.approx(1.0, abs=1e-14)
 
 
 def test_kernel_guards_hold_at_their_edges():
     """Each guard of the kernel at its threshold and one float past it: an eigenvalue of exactly
-    -1e-12 is screened and the next float down is not; a Hermiticity defect of exactly 1e-8 passes
-    and the next float up raises; a trace of exactly 1e-290 is scored and the next float down
-    raises.  Every matrix is diagonal but for one entry, so each compared number is exact."""
+    -1e-12 is screened (negativity 0) and the next float down is not (negativity twice its size);
+    a Hermiticity defect of exactly 1e-8 passes and the next float up raises; a trace of exactly
+    1e-290 is scored and the next float down raises.  The eigenvalue and defect matrices are
+    diagonal but for one entry, so each of their compared numbers is exact."""
     reg = qq_register()
-    for eig, negatives in ((-1e-12, ()), (np.nextafter(-1e-12, -1.0), (np.nextafter(-1e-12, -1.0),))):
+    below = np.nextafter(-1e-12, -1.0)
+    for eig, expect in ((-1e-12, 0.0), (below, -2.0 * below)):
         # diagonal, so its own partial transpose, and its trace sums to 1 exactly
         rho = DensityOperator(reg, np.diag([-eig, eig, 1.0, 0.0]))
-        assert negativity(rho, ["C"]).negative_eigenvalues == negatives
+        assert negativity(rho, ["C"]) == expect
     for defect in (1e-8, np.nextafter(1e-8, 1.0)):
         rho = np.diag([0.25] * 4)
-        rho[0, 1] = defect
+        rho[0, 1] = defect  # the partial transpose keeps it in A = 0's block: eigenvalues 0.25 +- defect / 2
         if defect == 1e-8:
-            assert negativity(DensityOperator(reg, rho), ["C"]).trace_factor == 1.0
+            assert negativity(DensityOperator(reg, rho), ["C"]) == 0.0
         else:
             with pytest.raises(ValueError, match="not Hermitian"):
                 negativity(DensityOperator(reg, rho), ["C"])
+    bell = np.zeros((4, 4))
+    bell[1:3, 1:3] = 0.5
     for trace in (1e-290, np.nextafter(1e-290, 0.0)):
-        rho = DensityOperator(reg, np.diag([trace, 0.0, 0.0, 0.0]))
+        rho = DensityOperator(reg, trace * bell)  # a Bell state scaled to this trace
         if trace == 1e-290:
-            assert negativity(rho, ["C"]).trace_factor == 1e-290
+            assert negativity(rho, ["C"]) == pytest.approx(1.0, abs=1e-12)
         else:
             with pytest.raises(ValueError, match="vanishing trace"):
                 negativity(rho, ["C"])

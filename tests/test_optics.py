@@ -29,7 +29,7 @@ from hyswap import (
     tensor,
     with_inefficiency,
 )
-from hyswap.optics import _bs_blocks, bs_on_axes
+from hyswap.optics import _bs_blocks, bs_on_axes, loss_band
 
 
 def random_state(reg, rng):
@@ -202,6 +202,12 @@ def test_apply_bs_rejects_qubit_modes():
     psi = make_fock(reg)
     with pytest.raises(ValueError, match="act only on bosonic modes"):
         apply_bs(psi, "A", "B", FIFTY_FIFTY)
+
+
+def test_apply_bs_needs_two_distinct_modes():
+    psi = make_fock(ModeRegister((("X", bosonic(2)), ("Y", bosonic(2)))))
+    with pytest.raises(ValueError, match="two distinct modes"):
+        apply_bs(psi, "X", "X", FIFTY_FIFTY)
 
 
 def test_apply_bs_rejects_density_operator():
@@ -389,6 +395,11 @@ def test_loss_channel_validation():
     for route in (apply_loss, apply_loss_dilated):
         with pytest.raises(ValueError, match="bosonic"):
             route(rho, "A", 0.5)
+    for T in (0.5, 1.0):
+        with pytest.raises(ValueError, match="at least one level, got 0 levels"):
+            loss_channel(T, -1)
+        with pytest.raises(ValueError, match="at least one level, got 0 levels"):
+            loss_band(T, 0)
 
 
 @pytest.mark.parametrize("route", [apply_loss, apply_loss_dilated])
@@ -565,12 +576,13 @@ def test_measure_povm_element_agrees_with_projector_decomposition():
     assert np.abs(rho.matrix - ref).max() < 1e-12
 
 
-@pytest.mark.parametrize("bad", [np.ones((2, 2)), [0.5, -0.1, 1.0], [0.5, math.nan, 1.0]],
-                         ids=["2-D", "negative", "nan"])
+@pytest.mark.parametrize("bad", [np.ones((2, 2)), [0.5, -0.1, 1.0], [0.5, math.nan, 1.0], np.array([])],
+                         ids=["2-D", "negative", "nan", "empty"])
 def test_bad_detector_weights_are_rejected(bad):
     psi = make_fock(ModeRegister((("A", qubit()), ("B", bosonic(2)))))
-    with pytest.raises(ValueError, match="weights"):
-        with_inefficiency(bad, 0.5)
+    for T_prime in (0.5, 1.0):
+        with pytest.raises(ValueError, match="weights"):
+            with_inefficiency(bad, T_prime)
     with pytest.raises(ValueError, match="weights"):
         measure_and_reduce(psi, {"B": bad}, ["A"])
 

@@ -53,7 +53,7 @@ def test_dv_lossless_heralds_bell_states():
         o = by_label[label]
         assert abs(o.probability - 0.25) < 1e-14
         assert abs(o.negativity - 1.0) < 1e-13
-        assert np.abs(o.post_state.matrix - bell_rho(which)).max() < 1e-13
+        assert np.abs(o.state - bell_rho(which)).max() < 1e-13
 
 
 def test_dv_matches_closed_form():
@@ -78,7 +78,7 @@ def test_dv_dead_channel():
     assert res.averaged_negativity == 0.0
     for o in res.per_outcome:
         assert o.probability == 0.0
-        assert np.abs(o.post_state.matrix).max() == 0.0
+        assert np.abs(o.state).max() == 0.0
 
 
 def test_dv_parameter_validation():
@@ -170,7 +170,7 @@ def _spd_explicit(alpha, T, tp, cutoff):
     for nb, nd in [(0, 1), (1, 0)]:
         weights = {"B": with_inefficiency(n == nb, tp), "D": with_inefficiency(n == nd, tp)}
         p, rho = measure_and_reduce(psi, weights, ["A", "C"])
-        out.append((p, negativity(rho, ["C"]).value))
+        out.append((p, negativity(rho, ["C"])))
     return out
 
 
@@ -192,7 +192,7 @@ def _dv_explicit(T, tp, cutoff=2):
     for nb, nd in [(0, 1), (1, 0)]:
         weights = {"B": with_inefficiency(n == nb, tp), "D": with_inefficiency(n == nd, tp)}
         p, rho = measure_and_reduce(psi, weights, ["A", "C"])
-        out.append((p, negativity(rho, ["C"]).value))
+        out.append((p, negativity(rho, ["C"])))
     return out
 
 
@@ -241,14 +241,14 @@ def test_he_ho_single_outcome_and_echo():
     assert res.per_outcome[0].label == "click_click"
     echo = res.parameters_echo
     assert echo["scheme"] == "he_ho"
-    assert abs(res.per_outcome[0].post_state.trace() - 1.0) < 1e-12
+    assert abs(np.trace(res.per_outcome[0].state) - 1.0) < 1e-12
 
 
 def test_he_ho_corrected_state_is_bell_at_full_transmission():
     # with no loss every quadrature outcome heralds the same Bell state
     # (tolerance is set by the cutoff)
     res = he_swap_homodyne(0.5, 1.0, cutoff=10)
-    rho = res.per_outcome[0].post_state.matrix
+    rho = res.per_outcome[0].state
     fid = float(np.real(np.trace(rho @ bell_rho("psi+"))))
     assert fid > 1.0 - 1e-6
     assert abs(res.averaged_negativity - 1.0) < 1e-6
@@ -373,10 +373,10 @@ def _he_ho_full_register(alpha, T, tp, cutoff, xs):
 def _assert_outcome_matches(outcome, p_ref, rho_ref):
     assert abs(outcome.probability - p_ref) < 1e-12
     if p_ref > 1e-15:
-        assert np.abs(outcome.post_state.matrix - rho_ref / p_ref).max() < 1e-12
+        assert np.abs(outcome.state - rho_ref / p_ref).max() < 1e-12
     else:
         assert outcome.probability == 0.0
-        assert np.abs(outcome.post_state.matrix).max() == 0.0
+        assert np.abs(outcome.state).max() == 0.0
 
 
 @pytest.mark.parametrize("cutoff", [4, 5, 6, 7, 9])
@@ -399,7 +399,7 @@ def test_he_ho_every_single_quadrature_point_heralds_bell():
     ac = ModeRegister((("A", qubit()), ("C", qubit())))
     for x, rho in zip(xs, _he_ho_full_register(0.5, 1.0, 1.0, 14, xs)):
         state = DensityOperator(ac, rho / np.trace(rho).real)
-        assert abs(negativity(state, ["C"]).value - 1.0) < 1e-8, x
+        assert abs(negativity(state, ["C"]) - 1.0) < 1e-8, x
 
 
 def _counting_full_register(prepare, c, tau):
@@ -454,7 +454,7 @@ def test_he_spd_is_exact_at_every_cutoff():
         assert abs(res.averaged_negativity - ref.E) <= 1e-15
         for o, first in zip(res.per_outcome, runs[0].per_outcome):
             assert o.probability == first.probability
-            assert np.array_equal(o.post_state.matrix, first.post_state.matrix)
+            assert np.array_equal(o.state, first.state)
 
 
 def test_he_spd_cost_does_not_grow_with_the_cutoff():
@@ -474,7 +474,7 @@ def test_he_spd_cost_does_not_grow_with_the_cutoff():
     assert res.averaged_negativity == ref.averaged_negativity
     for o, r in zip(res.per_outcome, ref.per_outcome, strict=True):
         assert (o.label, o.probability, o.negativity) == (r.label, r.probability, r.negativity)
-        assert np.array_equal(o.post_state.matrix, r.post_state.matrix)
+        assert np.array_equal(o.state, r.state)
 
 
 @pytest.mark.parametrize("alpha,tau,c", [(0.0, 0.5, 2), (0.3, 1.0, 4), (0.7, 0.0, 6), (1.5, 0.72, 3), (1.5, 0.35, 12)])
@@ -570,6 +570,11 @@ def test_non_finite_alpha_is_rejected():
             he_swap_homodyne(bad, 0.5, cutoff=4)
         with pytest.raises(ValueError, match="finite"):
             cv_bsm_failure_prob(bad, 4)
+
+
+def test_cv_bsm_needs_a_positive_alpha():
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        cv_bsm_failure_prob(0.0)
 
 
 def test_loss_builds_no_splitter_per_transmission():
@@ -852,15 +857,15 @@ def test_stacked_outcomes_equal_one_matrix_at_a_time(monkeypatch, cutoff):
                         if p <= 1e-15:
                             dead += 1
                             assert o.probability == 0.0 and o.negativity == 0.0
-                            assert np.array_equal(o.post_state.matrix, np.zeros((4, 4)))
+                            assert np.array_equal(o.state, np.zeros((4, 4)))
                             continue
                         assert o.probability == p
-                        assert np.array_equal(o.post_state.matrix, rho / p)
-                        assert o.negativity == negativity(DensityOperator(ac, rho / p), ["C"]).value
+                        assert np.array_equal(o.state, rho / p)
+                        assert o.negativity == negativity(DensityOperator(ac, rho / p), ["C"])
     assert dead > 0
     skew = np.stack([np.eye(4), np.diag([0.5, 0.5, 0, 0]) + np.triu(np.ones((4, 4)), 1) * 1e-6])
     with pytest.raises(ValueError, match=r"density operator is not Hermitian \(defect 1e-06\)"):
-        _negativity_stack(skew.astype(complex), ac, ["C"])
+        _negativity_stack(skew.astype(complex), (2, 2), (1,))
 
 
 @pytest.mark.parametrize("cutoff", [2, 8, 12, 16])

@@ -138,6 +138,8 @@ def test_parse_config_bad_values(tmp_path):
         ("schemes = dv\nalpha_values = 0.0\none_minus_T_range = 0:1\noutput_path = o\n", "start:stop:step"),
         ("schemes = dv\nalpha_values = 0.0\none_minus_T_range = 0.5:0.1:0.1\noutput_path = o\n", "one_minus_T_range"),
         (base + "not a pair\n", "key = value"),
+        ("schemes = dv\nalpha_values = 0.3, x\nT_values = 1.0\noutput_path = o\n", "invalid value for alpha_values"),
+        (base + "cutoff = 12.5\n", "invalid value for cutoff"),
     ]
     for body, msg in cases:
         with pytest.raises(ConfigError, match=msg):
